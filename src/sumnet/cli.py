@@ -33,6 +33,7 @@ from .netmodel import (
     min_cut,
     network_from_json,
     network_to_json,
+    reverse_network,
 )
 from .solver import SearchOptions
 
@@ -54,6 +55,13 @@ def _write(path: Optional[str], text: str) -> None:
 
 def _load_net(path: str) -> Network:
     return network_from_json(_read(path))
+
+
+def _load_bound_code(args) -> tuple[Network, LinearCode]:
+    """The ``--net`` network and the ``--code`` linear code, validated against it."""
+    net, code = _load_net(args.net), code_from_json(_read(args.code))
+    validate_code(net, code)
+    return net, code
 
 
 def _dump_json(obj) -> str:
@@ -113,9 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--budget", type=int, default=50_000_000)
-    p.add_argument("--normalize-sources", action="store_true")
     p.add_argument("--no-collapse", action="store_true")
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("-o", "--out")
 
     p = sub.add_parser("search-nonlinear", help="decide Z_q table-code solvability")
@@ -188,7 +194,7 @@ def _cmd_transform(args) -> int:
     net = _load_net(args.net)
     trace = None
     if args.op == "reverse":
-        out = transforms.reverse(net)
+        out = reverse_network(net)
     else:
         fn = {"c1": transforms.c1, "c2": transforms.c2, "c3": transforms.c3,
               "to-type-ia": transforms.to_type_ia}[args.op]
@@ -201,12 +207,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_search(args) -> int:
     net = _load_net(args.net)
-    opts = SearchOptions(
-        budget=args.budget,
-        normalize_sources=args.normalize_sources,
-        collapse_chains=not args.no_collapse,
-        parallel=args.parallel,
-    )
+    opts = SearchOptions(budget=args.budget, collapse_chains=not args.no_collapse)
     report = solver.search_linear(net, FieldSpec(args.field), args.k, args.n, opts)
     _write(args.out, _dump_json(report.to_dict()))
     return 0
@@ -248,9 +249,7 @@ def _format_transfer(net: Network, code: LinearCode) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    net = _load_net(args.net)
-    code = code_from_json(_read(args.code))
-    validate_code(net, code)
+    net, code = _load_bound_code(args)
     ok = is_solution(net, code)
     print("SOLUTION" if ok else "NOT A SOLUTION")
     print(_dump_json(_format_transfer(net, code)), end="")
@@ -266,17 +265,13 @@ def _cmd_verify_nonlinear(args) -> int:
 
 
 def _cmd_reverse_code(args) -> int:
-    net = _load_net(args.net)
-    code = code_from_json(_read(args.code))
-    validate_code(net, code)
+    net, code = _load_bound_code(args)
     _write(args.out, code_to_json(canonical_reverse_code(net, code)))
     return 0
 
 
 def _cmd_transfer(args) -> int:
-    net = _load_net(args.net)
-    code = code_from_json(_read(args.code))
-    validate_code(net, code)
+    net, code = _load_bound_code(args)
     _write(args.out, _dump_json(_format_transfer(net, code)))
     return 0
 

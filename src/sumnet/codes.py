@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .gflin import FieldSpec, MatrixGF
-from .netmodel import Network, reverse_id, reverse_network
+from .netmodel import Network, json_key, json_list, reverse_id, reverse_network
 
 
 class CodeError(ValueError):
@@ -108,17 +108,13 @@ def identity_code(net: Network, field: FieldSpec, k: int = 1) -> LinearCode:
 # -- evaluation and transfer --------------------------------------------------
 
 
-def _message_offsets(net: Network, k: int) -> dict[str, int]:
-    return {m: i * k for i, m in enumerate(net.messages())}
-
-
 def edge_symbol_maps(net: Network, code: LinearCode) -> dict[str, np.ndarray]:
     """For each edge, the n x (#messages * k) map from stacked messages to Y_e."""
     p = code.field.p
     k, n = code.k, code.n
     msgs = net.messages()
     width = len(msgs) * k
-    off = _message_offsets(net, k)
+    off = {m: i * k for i, m in enumerate(msgs)}
     maps: dict[str, np.ndarray] = {}
     for v in net.topo_order():
         for e in net.out_edges(v):
@@ -178,23 +174,9 @@ class TransferMatrix:
         a = self.matrix.array()[i * k:(i + 1) * k, j * k:(j + 1) * k]
         return MatrixGF.from_array(self.field, a)
 
-    def transpose_labels(self) -> "TransferMatrix":
-        """Transpose with rows and columns swapped (labels lose their meaning)."""
-        return TransferMatrix(
-            self.field,
-            self.k,
-            tuple((c, c) for c in self.col_labels),
-            tuple(r for r, _ in self.row_labels),
-            self.matrix.transpose(),
-        )
-
 
 def transfer_rows(net: Network) -> tuple[tuple[str, str], ...]:
-    rows = []
-    for t in net.terminal_nodes():
-        for label in net.terminals[t].slots():
-            rows.append((t, label))
-    return tuple(rows)
+    return tuple((t, label) for t in net.terminal_nodes() for label in net.terminals[t].slots())
 
 
 def transfer_matrix(net: Network, code: LinearCode) -> TransferMatrix:
@@ -434,22 +416,32 @@ def code_to_dict(code: LinearCode) -> dict:
     }
 
 
+def _key(obj, key: str, what: str):
+    return json_key(obj, key, what, CodeError)
+
+
+def _list(value, what: str) -> tuple:
+    return json_list(value, what, CodeError)
+
+
 def code_from_dict(d: dict) -> LinearCode:
-    f = FieldSpec(d["field"])
+    f = FieldSpec(_key(d, "field", "linear code"))
+
+    def coeffs(section: str, keys: tuple[str, ...]) -> dict:
+        out = {}
+        for e in _list(d.get(section, []), section):
+            at = tuple(_key(e, key, f"{section} entry") for key in keys)
+            rows = _list(_key(e, "mat", f"{section} entry"), f"{section} mat")
+            out[at] = MatrixGF(f, [_list(r, f"{section} mat row") for r in rows])
+        return out
+
     return LinearCode(
         field=f,
-        k=d["k"],
-        n=d["n"],
-        source_coeff={
-            (e["msg"], e["edge"]): MatrixGF(f, e["mat"]) for e in d.get("source_coeff", ())
-        },
-        local_coeff={
-            (e["in"], e["out"]): MatrixGF(f, e["mat"]) for e in d.get("local_coeff", ())
-        },
-        decode_coeff={
-            (e["terminal"], e["edge"], e["slot"]): MatrixGF(f, e["mat"])
-            for e in d.get("decode_coeff", ())
-        },
+        k=_key(d, "k", "linear code"),
+        n=_key(d, "n", "linear code"),
+        source_coeff=coeffs("source_coeff", ("msg", "edge")),
+        local_coeff=coeffs("local_coeff", ("in", "out")),
+        decode_coeff=coeffs("decode_coeff", ("terminal", "edge", "slot")),
     )
 
 
@@ -475,10 +467,17 @@ def nonlinear_to_dict(code: NonlinearCode) -> dict:
 
 
 def nonlinear_from_dict(d: dict) -> NonlinearCode:
+    def tables(section: str, key: str) -> dict:
+        what = f"{section} entry"
+        return {
+            _key(e, key, what): _list(_key(e, "table", what), f"{section} table")
+            for e in _list(d.get(section, []), section)
+        }
+
     return NonlinearCode(
-        q=d["q"],
-        edge_fn={e["edge"]: tuple(e["table"]) for e in d.get("edge_fn", ())},
-        decode_fn={e["terminal"]: tuple(e["table"]) for e in d.get("decode_fn", ())},
+        q=_key(d, "q", "table code"),
+        edge_fn=tables("edge_fn", "edge"),
+        decode_fn=tables("decode_fn", "terminal"),
     )
 
 

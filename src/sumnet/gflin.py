@@ -97,9 +97,6 @@ class MatrixGF:
             np.array_equal(self._a, np.eye(self.rows, dtype=np.int64))
         )
 
-    def is_zero(self) -> bool:
-        return not self._a.any()
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, MatrixGF)
@@ -186,12 +183,7 @@ def mat_inv(a: MatrixGF) -> Optional[MatrixGF]:
     """Inverse when full rank, else None."""
     if a.rows != a.cols:
         raise DimensionMismatch("inverse needs a square matrix")
-    n = a.rows
-    aug = np.concatenate([a.array(), np.eye(n, dtype=np.int64)], axis=1)
-    r, pivots = _rref(aug, a.field.p)
-    if pivots[:n] != list(range(n)):
-        return None
-    return MatrixGF.from_array(a.field, r[:, n:])
+    return solve_right(a, MatrixGF.identity(a.field, a.rows))
 
 
 def solve_right(a: MatrixGF, b: MatrixGF) -> Optional[MatrixGF]:
@@ -203,19 +195,12 @@ def solve_right(a: MatrixGF, b: MatrixGF) -> Optional[MatrixGF]:
     _check_same_field(a, b)
     if a.rows != b.rows:
         raise DimensionMismatch("solve_right needs matching row counts")
-    p = a.field.p
-    aug = np.concatenate([a.array(), b.array()], axis=1)
-    r, pivots = _rref(aug, p)
-    if any(c >= a.cols for c in pivots):
-        return None
-    x = np.zeros((a.cols, b.cols), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = r[i, a.cols:]
-    return MatrixGF.from_array(a.field, x)
+    x = solve_right_arrays(a.array(), b.array(), a.field.p)
+    return None if x is None else MatrixGF.from_array(a.field, x)
 
 
 def solve_right_arrays(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """solve_right on raw arrays; used by the solver's inner loop."""
+    """solve_right on raw integer arrays."""
     aug = np.concatenate([a, b], axis=1) % p
     r, pivots = _rref(aug, p)
     ncols = a.shape[1]

@@ -206,24 +206,54 @@ class Network:
         return all(d.kind == "sum" for d in self.terminals.values())
 
 
-def topo_order(net: Network) -> tuple[str, ...]:
-    return net.topo_order()
+def json_obj(value, what: str, error: type[Exception] = NetworkError) -> dict:
+    """``value`` if it is a parsed JSON object, else ``error``."""
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object")
+    return value
+
+
+def json_key(obj, key: str, what: str, error: type[Exception] = NetworkError):
+    """``obj[key]`` from a parsed JSON object, else ``error``."""
+    if key not in json_obj(obj, what, error):
+        raise error(f"{what} has no {key!r}")
+    return obj[key]
+
+
+def json_list(value, what: str, error: type[Exception] = NetworkError) -> tuple:
+    """A parsed JSON list as a tuple; anything else, a string included, is ``error``."""
+    if not isinstance(value, list):
+        raise error(f"{what} must be a JSON list")
+    return tuple(value)
 
 
 def build_network(spec: dict) -> Network:
     """Build and validate a Network from its JSON-shaped description."""
-    edges = tuple(Edge(e["id"], e["tail"], e["head"]) for e in spec.get("edges", ()))
+    json_obj(spec, "network")
+    edges = tuple(
+        Edge(json_key(e, "id", "edge"), json_key(e, "tail", "edge"), json_key(e, "head", "edge"))
+        for e in json_list(spec.get("edges", []), "edges")
+    )
     terminals = {}
-    for v, d in spec.get("terminals", {}).items():
-        if d["kind"] == "sum":
-            terminals[v] = Demand("sum", tuple(d["slots"]) if d.get("slots") else None)
+    for v, d in json_obj(spec.get("terminals", {}), "terminals").items():
+        what = f"terminal {v!r}"
+        kind = json_key(d, "kind", what)
+        if kind == "sum":
+            slots = d.get("slots")
+            terminals[v] = Demand("sum", json_list(slots, f"{what} slots") if slots else None)
+        elif kind == "recover":
+            messages = json_key(d, "messages", what)
+            terminals[v] = Demand("recover", json_list(messages, f"{what} messages"))
         else:
-            terminals[v] = Demand("recover", tuple(d["messages"]))
+            raise NetworkError(f"{what} has unknown kind {kind!r}")
     return Network(
         name=spec.get("name", ""),
-        nodes=tuple(spec.get("nodes", ())),
+        nodes=json_list(spec.get("nodes", []), "nodes"),
         edges=edges,
-        sources={v: tuple(ms) for v, ms in spec.get("sources", {}).items()},
+        sources={
+            v: json_list(ms, f"source {v!r} messages")
+            for v, ms in json_obj(spec.get("sources", {}), "sources").items()
+        },
         terminals=terminals,
     )
 

@@ -15,6 +15,9 @@ search still justifies an "unsolvable" verdict:
 * with ``collapse_chains`` on, the coefficients behind a relay of in-degree
   one are pinned to the identity for the same reason.
 
+Both rules are applied in one place, the per-edge unit lists built by
+``_StagedProblem``; an edge with no units is pinned.
+
 The remaining unknowns are grouped into buckets, one per terminal, in greedy
 order of smallest outstanding dependency set.  A bucket whose terminal checks
 read only its own unknowns has a context-independent survivor list, which is
@@ -22,14 +25,12 @@ enumerated once and memoized; the outer search walks the product of survivor
 lists and applies the remaining cross-bucket checks.  Unknowns no terminal
 can observe are pinned to zero.  Within a bucket, values run 0..p-1 per
 entry in row-major order and buckets nest in emission order, so the first
-witness is deterministic and parallel partitions merge to the same result.
+witness is deterministic.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Optional, Sequence
@@ -39,7 +40,6 @@ import numpy as np
 from .codes import (
     LinearCode,
     NonlinearCode,
-    code_from_dict,
     code_to_dict,
     edge_arity,
     is_solution,
@@ -60,9 +60,7 @@ BUDGET_EXCEEDED = "budget_exceeded"
 @dataclass(frozen=True)
 class SearchOptions:
     budget: int = 50_000_000
-    normalize_sources: bool = False
     collapse_chains: bool = True
-    parallel: bool = False
 
     def __post_init__(self) -> None:
         if self.budget < 1:
@@ -138,17 +136,22 @@ def _in_row_space(basis, row, p: int) -> bool:
     return not any(r)
 
 
-def _backward_cone(net: Network, terminal: str) -> set[str]:
-    seen: set[str] = set()
-    stack = [e.id for e in net.in_edges(terminal)]
-    while stack:
-        eid = stack.pop()
-        if eid in seen:
-            continue
-        seen.add(eid)
-        for ein in net.in_edges(net.edge(eid).tail):
-            stack.append(ein.id)
-    return seen
+def _backward_cones(net: Network) -> dict[str, list[str]]:
+    """Per terminal, the edges it can observe, in topological order of their tails."""
+    topo_pos = {v: i for i, v in enumerate(net.topo_order())}
+    cones: dict[str, list[str]] = {}
+    for t in net.terminal_nodes():
+        seen: set[str] = set()
+        stack = [e.id for e in net.in_edges(t)]
+        while stack:
+            eid = stack.pop()
+            if eid in seen:
+                continue
+            seen.add(eid)
+            for ein in net.in_edges(net.edge(eid).tail):
+                stack.append(ein.id)
+        cones[t] = sorted(seen, key=lambda eid: (topo_pos[net.edge(eid).tail], eid))
+    return cones
 
 
 @dataclass
@@ -190,8 +193,7 @@ class _BucketSearch:
     """Shared DFS over buckets with memoized survivor lists.
 
     ``space(u)`` gives a unit's value-space size, ``value(u, idx)`` its idx-th
-    value, ``check(t, assign)`` the feasibility test.  ``pinned`` fixes the
-    very first unit's value index (used to partition parallel runs).
+    value, ``check(t, assign)`` the feasibility test.
     """
 
     def __init__(
@@ -201,14 +203,12 @@ class _BucketSearch:
         value: Callable[[tuple, int], object],
         check: Callable[[str, dict], bool],
         budget: int,
-        pinned: Optional[int] = None,
     ):
         self.plan = plan
         self.space = space
         self.value = value
         self.check = check
         self.budget = budget
-        self.pinned = pinned
         self.count = 0
         self.memo: dict[int, list[tuple]] = {}
         self.assign: dict = {}
@@ -233,10 +233,7 @@ class _BucketSearch:
                 out.append(tuple(values))
                 return
             u = b.units[depth]
-            idxs: Sequence[int] = range(self.space(u))
-            if bi == 0 and depth == 0 and self.pinned is not None:
-                idxs = [self.pinned]
-            for idx in idxs:
+            for idx in range(self.space(u)):
                 self._tick()
                 v = self.value(u, idx)
                 values[depth] = v
@@ -286,33 +283,36 @@ class _StagedProblem:
         self.field = fieldspec
         self.p = fieldspec.p
         self.k, self.n = k, n
-        self.opts = opts
         self.msgs = net.messages()
         self.width = len(self.msgs) * k
         self.off = {m: i * k for i, m in enumerate(self.msgs)}
-        self.pinned_eye = tuple(
-            tuple(1 if i == j else 0 for j in range(k)) for i in range(n)
-        )
+        self.pinned_eye = tuple(tuple(int(i == j) for j in range(k)) for i in range(n))
+
+        # The one place the reductions are decided: each edge's enumerated
+        # units.  An edge with no units is pinned, to eye(n, k) at a source
+        # and to the identity behind an in-degree-1 relay.
+        self.units: dict[str, list[tuple]] = {}
+        for e in net.edges:
+            v = e.tail
+            if v in net.sources:
+                pinned = len(net.sources[v]) == 1 and n >= k
+                units = [("alpha", msg, e.id) for msg in net.sources[v]]
+            else:
+                ins = net.in_edges(v)
+                pinned = opts.collapse_chains and len(ins) == 1
+                units = [("beta", ein.id, e.id) for ein in ins]
+            self.units[e.id] = [] if pinned else units
 
         canonical: list[tuple] = []
         self.shape: dict[tuple, tuple[int, int]] = {}
-        topo_pos = {v: i for i, v in enumerate(net.topo_order())}
         for v in net.topo_order():
             for e in net.out_edges(v):
-                for u in self._edge_units(e.id):
+                for u in self.units[e.id]:
                     canonical.append(u)
                     self.shape[u] = (n, k) if u[0] == "alpha" else (n, n)
 
-        unit_set = set(canonical)
-        self.cone: dict[str, list[str]] = {}
-        deps: dict[str, set] = {}
-        for t in net.terminal_nodes():
-            edges = _backward_cone(net, t)
-            self.cone[t] = sorted(edges, key=lambda eid: (topo_pos[net.edge(eid).tail], eid))
-            need = set()
-            for eid in edges:
-                need.update(u for u in self._edge_units(eid) if u in unit_set)
-            deps[t] = need
+        self.cone = _backward_cones(net)
+        deps = {t: {u for eid in cone for u in self.units[eid]} for t, cone in self.cone.items()}
 
         self.plan = _BucketPlan(net.terminal_nodes(), deps, canonical)
 
@@ -320,7 +320,7 @@ class _StagedProblem:
         self.const_maps: dict[str, list[list[int]]] = {}
         for v in net.topo_order():
             for e in net.out_edges(v):
-                if self._edge_units(e.id):
+                if self.units[e.id]:
                     continue
                 if v in net.sources or all(
                     ein.id in self.const_maps for ein in net.in_edges(v)
@@ -331,33 +331,15 @@ class _StagedProblem:
 
         target = target_transfer_array(net, fieldspec, k)
         self.targets: dict[str, list[list[int]]] = {}
-        i = 0
-        for t, _label in transfer_rows(net):
+        for i, (t, _label) in enumerate(transfer_rows(net)):
             self.targets.setdefault(t, []).extend(target[i * k:(i + 1) * k].tolist())
-            i += 1
-
-    def _edge_units(self, eid: str) -> list[tuple]:
-        e = self.net.edge(eid)
-        v = e.tail
-        if v in self.net.sources:
-            if self.opts.normalize_sources:
-                return []
-            if len(self.net.sources[v]) == 1 and self.n >= self.k:
-                return []
-            return [("alpha", msg, eid) for msg in self.net.sources[v]]
-        if self.opts.collapse_chains and len(self.net.in_edges(v)) == 1:
-            return []
-        return [("beta", ein.id, eid) for ein in self.net.in_edges(v)]
 
     def _eval_edge(self, eid: str, assign: dict, maps: dict) -> Optional[list[list[int]]]:
         p, k, n = self.p, self.k, self.n
-        e = self.net.edge(eid)
-        v = e.tail
+        v = self.net.edge(eid).tail
+        pinned = not self.units[eid]
         m = [[0] * self.width for _ in range(n)]
         if v in self.net.sources:
-            pinned = self.opts.normalize_sources or (
-                len(self.net.sources[v]) == 1 and n >= k
-            )
             for msg in self.net.sources[v]:
                 a = self.pinned_eye if pinned else assign[("alpha", msg, eid)]
                 o = self.off[msg]
@@ -366,12 +348,11 @@ class _StagedProblem:
                     for j in range(k):
                         row[o + j] = (row[o + j] + arow[j]) % p
             return m
-        collapsed = self.opts.collapse_chains and len(self.net.in_edges(v)) == 1
         for ein in self.net.in_edges(v):
             src = maps.get(ein.id)
             if src is None:
                 return None
-            if collapsed:
+            if pinned:
                 for i in range(n):
                     row, srow = m[i], src[i]
                     for w in range(self.width):
@@ -416,32 +397,27 @@ class _StagedProblem:
         m = np.array([row for e in ins for row in maps[e.id]], dtype=np.int64)
         return solve_right_arrays(m.T, target.T, self.p)
 
-    def full_assignment(self, found: dict) -> dict:
+    def witness(self, found: dict) -> LinearCode:
+        """The code of a search result; units no terminal observes are zero."""
+        f, k, n = self.field, self.k, self.n
         assign = dict(found)
         for u in self.plan.unobserved:
             r, c = self.shape[u]
             assign[u] = tuple((0,) * c for _ in range(r))
-        return assign
-
-    def witness(self, assign: dict) -> LinearCode:
-        f, k, n = self.field, self.k, self.n
         src: dict[tuple[str, str], MatrixGF] = {}
         loc: dict[tuple[str, str], MatrixGF] = {}
         dec: dict[tuple[str, str, int], MatrixGF] = {}
         eye_n = MatrixGF.identity(f, n)
         for e in self.net.edges:
-            v = e.tail
-            units = self._edge_units(e.id)
-            if v in self.net.sources:
-                for msg in self.net.sources[v]:
-                    a = assign[("alpha", msg, e.id)] if units else self.pinned_eye
+            pinned = not self.units[e.id]
+            if e.tail in self.net.sources:
+                for msg in self.net.sources[e.tail]:
+                    a = self.pinned_eye if pinned else assign[("alpha", msg, e.id)]
                     src[(msg, e.id)] = MatrixGF(f, a)
             else:
-                for ein in self.net.in_edges(v):
-                    if units:
-                        loc[(ein.id, e.id)] = MatrixGF(f, assign[("beta", ein.id, e.id)])
-                    else:
-                        loc[(ein.id, e.id)] = eye_n
+                for ein in self.net.in_edges(e.tail):
+                    b = eye_n if pinned else MatrixGF(f, assign[("beta", ein.id, e.id)])
+                    loc[(ein.id, e.id)] = b
         for t in self.net.terminal_nodes():
             x = self.solve_terminal(t, assign)
             if x is None:
@@ -452,16 +428,6 @@ class _StagedProblem:
                     gamma = x[j * n:(j + 1) * n, s * k:(s + 1) * k].T
                     dec[(t, e.id, s)] = MatrixGF.from_array(f, gamma)
         return LinearCode(f, k, n, src, loc, dec)
-
-    def searcher(self, budget: int, pinned: Optional[int] = None) -> _BucketSearch:
-        return _BucketSearch(
-            self.plan,
-            space=lambda u: self.p ** (self.shape[u][0] * self.shape[u][1]),
-            value=lambda u, idx: _index_matrix(idx, *self.shape[u], self.p),
-            check=self.feasible,
-            budget=budget,
-            pinned=pinned,
-        )
 
 
 def search_linear(
@@ -478,66 +444,24 @@ def search_linear(
     start = time.monotonic()
     prob = _StagedProblem(net, fieldspec, k, n, opts)
     mode = _mode(k, n)
-
-    if opts.parallel and prob.plan.buckets:
-        return _search_parallel(net, fieldspec, k, n, opts, prob, start)
-
-    search = prob.searcher(opts.budget)
+    p, shape = fieldspec.p, prob.shape
+    search = _BucketSearch(
+        prob.plan,
+        space=lambda u: p ** (shape[u][0] * shape[u][1]),
+        value=lambda u, idx: _index_matrix(idx, *shape[u], p),
+        check=prob.feasible,
+        budget=opts.budget,
+    )
     try:
         found = search.run()
     except _Budget:
         return SearchReport(BUDGET_EXCEEDED, mode, search.count - 1, time.monotonic() - start, None, opts)
     if found is None:
         return SearchReport(UNSOLVABLE, mode, search.count, time.monotonic() - start, None, opts)
-    code = prob.witness(prob.full_assignment(found))
+    code = prob.witness(found)
     if not is_solution(net, code):
         raise AssertionError("search produced a witness that fails verification")
     return SearchReport(SOLVABLE, mode, search.count, time.monotonic() - start, code, opts)
-
-
-def _worker(args: tuple) -> tuple[int, str, Optional[dict], int]:
-    net, p, k, n, opts, first_idx = args
-    prob = _StagedProblem(net, FieldSpec(p), k, n, opts)
-    search = prob.searcher(opts.budget, pinned=first_idx)
-    try:
-        found = search.run()
-    except _Budget:
-        return first_idx, BUDGET_EXCEEDED, None, search.count - 1
-    if found is None:
-        return first_idx, UNSOLVABLE, None, search.count
-    code = prob.witness(prob.full_assignment(found))
-    return first_idx, SOLVABLE, code_to_dict(code), search.count
-
-
-def _search_parallel(
-    net: Network,
-    fieldspec: FieldSpec,
-    k: int,
-    n: int,
-    opts: SearchOptions,
-    prob: _StagedProblem,
-    start: float,
-) -> SearchReport:
-    """Partition stage 1 on the first unknown; the merge keeps the lowest index."""
-    u0 = prob.plan.buckets[0].units[0]
-    rows, cols = prob.shape[u0]
-    space = fieldspec.p ** (rows * cols)
-    tasks = [(net, fieldspec.p, k, n, opts, i) for i in range(space)]
-    workers = min(space, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_worker, tasks))
-    results.sort(key=lambda r: r[0])
-    enumerated = sum(r[3] for r in results)
-    mode = _mode(k, n)
-    for _i, verdict, witness, _c in results:
-        if verdict == SOLVABLE:
-            code = code_from_dict(witness)
-            if not is_solution(net, code):
-                raise AssertionError("parallel witness fails verification")
-            return SearchReport(SOLVABLE, mode, enumerated, time.monotonic() - start, code, opts)
-    if any(r[1] == BUDGET_EXCEEDED for r in results):
-        return SearchReport(BUDGET_EXCEEDED, mode, enumerated, time.monotonic() - start, None, opts)
-    return SearchReport(UNSOLVABLE, mode, enumerated, time.monotonic() - start, None, opts)
 
 
 # -- raw reference search ------------------------------------------------------
@@ -558,7 +482,6 @@ def naive_search_linear(
     msgs = net.messages()
     width = len(msgs) * k
     off = {m: i * k for i, m in enumerate(msgs)}
-    topo_pos = {v: i for i, v in enumerate(net.topo_order())}
 
     canonical: list[tuple] = []
     shape: dict[tuple, tuple[int, int]] = {}
@@ -581,13 +504,11 @@ def naive_search_linear(
                 canonical.append(u)
                 shape[u] = (k, n)
 
-    cones: dict[str, list[str]] = {}
+    cones = _backward_cones(net)
     deps: dict[str, set] = {}
-    for t in net.terminal_nodes():
-        edges = _backward_cone(net, t)
-        cones[t] = sorted(edges, key=lambda eid: (topo_pos[net.edge(eid).tail], eid))
+    for t, cone in cones.items():
         need = set()
-        for eid in edges:
+        for eid in cone:
             e = net.edge(eid)
             if e.tail in net.sources:
                 need.update(("alpha", msg, eid) for msg in net.sources[e.tail])
@@ -686,7 +607,6 @@ def search_nonlinear(net: Network, q: int, opts: Optional[SearchOptions] = None)
         raise ValueError("q must be at least 2")
     start = time.monotonic()
     msgs = net.messages()
-    topo_pos = {v: i for i, v in enumerate(net.topo_order())}
 
     canonical: list[tuple] = []
     table_len: dict[tuple, int] = {}
@@ -702,12 +622,8 @@ def search_nonlinear(net: Network, q: int, opts: Optional[SearchOptions] = None)
         canonical.append(u)
         table_len[u] = q ** len(net.in_edges(t))
 
-    cones: dict[str, list[str]] = {}
-    deps: dict[str, set] = {}
-    for t in net.terminal_nodes():
-        edges = _backward_cone(net, t)
-        cones[t] = sorted(edges, key=lambda eid: (topo_pos[net.edge(eid).tail], eid))
-        deps[t] = {("edge", eid) for eid in edges} | {("dec", t)}
+    cones = _backward_cones(net)
+    deps = {t: {("edge", eid) for eid in cone} | {("dec", t)} for t, cone in cones.items()}
 
     def table_of(idx: int, length: int) -> tuple[int, ...]:
         digits = []

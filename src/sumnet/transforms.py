@@ -17,7 +17,6 @@ from .netmodel import (
     Network,
     NetworkError,
     recover,
-    reverse_network,
 )
 
 
@@ -73,11 +72,6 @@ class _Builder:
             terminals=self.terminals,
         )
         return net, self.trace
-
-
-def reverse(net: Network) -> Network:
-    """Reverse every edge and interchange source and terminal roles."""
-    return reverse_network(net)
 
 
 def _unicast_pairs(net: Network) -> list[tuple[str, str, str]]:

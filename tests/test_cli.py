@@ -210,6 +210,38 @@ def test_domain_error_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_json_exit_1(tmp_path, capsys):
+    edge = {"id": "a>t", "tail": "a", "head": "t"}
+    net = {"name": "n", "nodes": ["a", "t"], "edges": [edge],
+           "sources": {"a": ["x"]}, "terminals": {"t": {"kind": "sum"}}}
+    headless = dict(net, edges=[{"id": "a>t", "tail": "a"}])
+    string_messages = dict(net, sources={"a": "xy"})
+    files = {}
+    for name, blob in [("net", net), ("headless", headless), ("string_messages", string_messages),
+                       ("fieldless", {"k": 1, "n": 1})]:
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(blob))
+    for argv in (
+        ["connectivity", "--net", str(files["headless"])],
+        ["connectivity", "--net", str(files["string_messages"])],
+        ["verify", "--net", str(files["net"]), "--code", str(files["fieldless"])],
+    ):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1, argv
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+
+def test_removed_search_flags_are_usage_errors(tmp_path, capsys):
+    net_file = tmp_path / "net.json"
+    run_cli(capsys, "family", "--name", "s_m", "--m", "3", "-o", str(net_file))
+    for flag in ("--parallel", "--normalize-sources"):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--net", str(net_file), "--field", "2", flag])
+        assert exc.value.code == 2
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "sumnet.cli", "family", "--name", "s_m", "--m", "3"],

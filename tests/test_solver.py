@@ -130,39 +130,27 @@ def test_search_multi_slot_demand():
     assert search_linear(squeezed, F2, 1, 1).verdict == "unsolvable"
 
 
-def test_collapse_on_off_agree_vector_s3():
-    on = search_linear(s_m(3), F2, 2, 2)
-    off = search_linear(s_m(3), F2, 2, 2, SearchOptions(collapse_chains=False))
-    assert on.verdict == off.verdict == "unsolvable"
-
-
 def test_determinism():
-    a = search_linear(s_m(4), F2, 1, 1)
-    b = search_linear(s_m(4), F2, 1, 1)
-    assert a.verdict == b.verdict
-    assert a.enumerated == b.enumerated
-    assert a.witness == b.witness
-
-
-def test_parallel_matches_serial():
-    serial = search_linear(s_m(4), F2, 1, 1)
-    par = search_linear(s_m(4), F2, 1, 1, SearchOptions(parallel=True))
-    assert par.verdict == serial.verdict
-    assert par.witness == serial.witness
-    un_serial = search_linear(s_m(3), F2, 1, 1)
-    un_par = search_linear(s_m(3), F2, 1, 1, SearchOptions(parallel=True))
-    assert un_par.verdict == un_serial.verdict == "unsolvable"
+    # The exact search-space sizes pin what the reductions enumerate: a change
+    # to the pinning rules or the bucket order shows up here.
+    cases = [
+        (s_m(4), F2, 1, "solvable", 21),
+        (s_m_star(4), F3, 1, "solvable", 39),
+        (s_m(5), F3, 1, "solvable", 52),
+        (s_m(3), F2, 2, "unsolvable", 586),
+    ]
+    for net, f, k, verdict, enumerated in cases:
+        a = search_linear(net, f, k, k)
+        b = search_linear(net, f, k, k)
+        assert (a.verdict, a.enumerated) == (verdict, enumerated), (net.name, f.p, k)
+        assert (b.verdict, b.enumerated) == (verdict, enumerated), (net.name, f.p, k)
+        assert a.witness == b.witness
 
 
 def test_budget_exceeded_is_a_verdict():
     r = search_linear(s_m(4), F2, 1, 1, SearchOptions(budget=2))
     assert r.verdict == "budget_exceeded"
     assert r.witness is None
-
-
-def test_normalize_sources_flag_runs():
-    r = search_linear(s_m(4), F2, 1, 1, SearchOptions(normalize_sources=True))
-    assert r.verdict == "solvable"
 
 
 def test_witnesses_respect_rate_bound():

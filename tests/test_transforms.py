@@ -2,8 +2,8 @@ import pytest
 
 from sumnet import FieldSpec, MatrixGF, eval_linear, identity_code, s_m
 from sumnet.families import bottleneck_mun
-from sumnet.netmodel import Demand, Edge, Network, NetworkError, recover
-from sumnet.transforms import c1, c2, c3, reverse, scale_sources, to_type_ia
+from sumnet.netmodel import Demand, Edge, Network, NetworkError, recover, reverse_network
+from sumnet.transforms import c1, c2, c3, scale_sources, to_type_ia
 
 from helpers import (
     mun_crossed,
@@ -63,7 +63,7 @@ def test_c1_id_collision_uniquified():
 
 def test_reverse_of_c1_matches_swapped_structure():
     out, _ = c1(mun_disjoint2())
-    rev = reverse(out)
+    rev = reverse_network(out)
     assert set(rev.source_nodes()) == {"t_L1", "t_L2", "t_R1", "t_R2"}
     assert set(rev.terminal_nodes()) == {"s_1", "s_2", "s_3"}
     assert all(d.kind == "sum" for d in rev.terminals.values())
@@ -71,7 +71,7 @@ def test_reverse_of_c1_matches_swapped_structure():
 
 def test_reverse_involution():
     net, _ = c1(mun_path())
-    back = reverse(reverse(net))
+    back = reverse_network(reverse_network(net))
     assert back.nodes == net.nodes and back.edges == net.edges
     assert back.sources == net.sources
 
