@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .gflin import FieldSpec, MatrixGF
-from .netmodel import Network, json_key, json_list, reverse_id, reverse_network
+from .netmodel import Network, json_int, json_key, json_list, json_str, reverse_id, reverse_network
 
 
 class CodeError(ValueError):
@@ -424,21 +424,42 @@ def _list(value, what: str) -> tuple:
     return json_list(value, what, CodeError)
 
 
+def _int(value, what: str) -> int:
+    return json_int(value, what, CodeError)
+
+
+def _str(value, what: str) -> str:
+    return json_str(value, what, CodeError)
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    """A parsed JSON list of integers; a bool, a float, a string or null is ``CodeError``."""
+    values = _list(values, what)
+    if any(type(v) is not int for v in values):
+        raise CodeError(f"{what} entries must be integers")
+    return values
+
+
 def code_from_dict(d: dict) -> LinearCode:
-    f = FieldSpec(_key(d, "field", "linear code"))
+    f = FieldSpec(_int(_key(d, "field", "linear code"), "field"))
 
     def coeffs(section: str, keys: tuple[str, ...]) -> dict:
         out = {}
+        what, mat, row = f"{section} entry", f"{section} mat", f"{section} mat row"
+        checks = [(key, _int if key == "slot" else _str, f"{what} {key}") for key in keys]
         for e in _list(d.get(section, []), section):
-            at = tuple(_key(e, key, f"{section} entry") for key in keys)
-            rows = _list(_key(e, "mat", f"{section} entry"), f"{section} mat")
-            out[at] = MatrixGF(f, [_list(r, f"{section} mat row") for r in rows])
+            at = tuple(check(_key(e, key, what), about) for key, check, about in checks)
+            rows = [_list(r, row) for r in _list(_key(e, "mat", what), mat)]
+            if any(type(x) is not int for r in rows for x in r):
+                raise CodeError(f"{mat} entries must be integers")
+            # Reduced here, so an entry beyond int64 cannot overflow MatrixGF.
+            out[at] = MatrixGF(f, [[x % f.p for x in r] for r in rows])
         return out
 
     return LinearCode(
         field=f,
-        k=_key(d, "k", "linear code"),
-        n=_key(d, "n", "linear code"),
+        k=_int(_key(d, "k", "linear code"), "k"),
+        n=_int(_key(d, "n", "linear code"), "n"),
         source_coeff=coeffs("source_coeff", ("msg", "edge")),
         local_coeff=coeffs("local_coeff", ("in", "out")),
         decode_coeff=coeffs("decode_coeff", ("terminal", "edge", "slot")),
@@ -470,12 +491,13 @@ def nonlinear_from_dict(d: dict) -> NonlinearCode:
     def tables(section: str, key: str) -> dict:
         what = f"{section} entry"
         return {
-            _key(e, key, what): _list(_key(e, "table", what), f"{section} table")
+            _str(_key(e, key, what), f"{what} {key}"):
+                _ints(_key(e, "table", what), f"{section} table")
             for e in _list(d.get(section, []), section)
         }
 
     return NonlinearCode(
-        q=_key(d, "q", "table code"),
+        q=_int(_key(d, "q", "table code"), "q"),
         edge_fn=tables("edge_fn", "edge"),
         decode_fn=tables("decode_fn", "terminal"),
     )

@@ -227,6 +227,27 @@ def json_list(value, what: str, error: type[Exception] = NetworkError) -> tuple:
     return tuple(value)
 
 
+def json_int(value, what: str, error: type[Exception] = NetworkError) -> int:
+    """A parsed JSON integer; a bool, a float, a string or null is ``error``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{what} must be an integer")
+    return value
+
+
+def json_str(value, what: str, error: type[Exception] = NetworkError) -> str:
+    """A parsed JSON string, else ``error``."""
+    if not isinstance(value, str):
+        raise error(f"{what} must be a string")
+    return value
+
+
+def _ids(value, what: str) -> tuple[str, ...]:
+    ids = json_list(value, what)
+    if any(type(x) is not str for x in ids):
+        raise NetworkError(f"{what} must be strings")
+    return ids
+
+
 def build_network(spec: dict) -> Network:
     """Build and validate a Network from its JSON-shaped description."""
     json_obj(spec, "network")
@@ -234,24 +255,26 @@ def build_network(spec: dict) -> Network:
         Edge(json_key(e, "id", "edge"), json_key(e, "tail", "edge"), json_key(e, "head", "edge"))
         for e in json_list(spec.get("edges", []), "edges")
     )
+    if any(type(x) is not str for e in edges for x in (e.id, e.tail, e.head)):
+        raise NetworkError("edge id, tail and head must be strings")
     terminals = {}
     for v, d in json_obj(spec.get("terminals", {}), "terminals").items():
-        what = f"terminal {v!r}"
+        what = f"terminal {json_str(v, 'terminal id')!r}"
         kind = json_key(d, "kind", what)
         if kind == "sum":
             slots = d.get("slots")
-            terminals[v] = Demand("sum", json_list(slots, f"{what} slots") if slots else None)
+            terminals[v] = Demand("sum", _ids(slots, f"{what} slots") if slots else None)
         elif kind == "recover":
             messages = json_key(d, "messages", what)
-            terminals[v] = Demand("recover", json_list(messages, f"{what} messages"))
+            terminals[v] = Demand("recover", _ids(messages, f"{what} messages"))
         else:
             raise NetworkError(f"{what} has unknown kind {kind!r}")
     return Network(
-        name=spec.get("name", ""),
-        nodes=json_list(spec.get("nodes", []), "nodes"),
+        name=json_str(spec.get("name", ""), "network name"),
+        nodes=_ids(spec.get("nodes", []), "nodes"),
         edges=edges,
         sources={
-            v: json_list(ms, f"source {v!r} messages")
+            json_str(v, "source id"): _ids(ms, f"source {v!r} messages")
             for v, ms in json_obj(spec.get("sources", {}), "sources").items()
         },
         terminals=terminals,

@@ -19,21 +19,42 @@ Both rules are applied in one place, the per-edge unit lists built by
 ``_StagedProblem``; an edge with no units is pinned.
 
 The remaining unknowns are grouped into buckets, one per terminal, in greedy
-order of smallest outstanding dependency set.  A bucket whose terminal checks
-read only its own unknowns has a context-independent survivor list, which is
-enumerated once and memoized; the outer search walks the product of survivor
-lists and applies the remaining cross-bucket checks.  Unknowns no terminal
-can observe are pinned to zero.  Within a bucket, values run 0..p-1 per
-entry in row-major order and buckets nest in emission order, so the first
-witness is deterministic.
+order of smallest outstanding dependency set.  A bucket with a terminal check
+that reads only its own unknowns has a context-independent survivor list.
+That list is extended lazily: the outer search walks the product of survivor
+lists and pulls a bucket's next survivor from its suspended enumerator only
+when it has used the ones found so far, which later passes reuse.  So a
+solvable search stops at its first witness, and ``enumerated`` counts the
+ticks up to it; an unsolvable one enumerates such a bucket in full, once.  The
+outer search applies the bucket's cross-bucket checks to each survivor.  A
+bucket whose every check is cross-bucket would share only its whole product,
+so it is enumerated afresh under each assignment of the earlier buckets
+instead, with each check tried as soon as its terminal's last unknown is
+assigned.  Unknowns no terminal can observe are pinned to zero.  Within a
+bucket, values run 0..p-1 per entry in row-major order and buckets nest in
+emission order, so the first witness is deterministic.
+
+The linear search prunes a bucket earlier than its terminals' last units.
+Once every source out-edge of terminal t's cone has a fixed map, the fixed
+cone edges that enter t or feed a cone edge not yet fixed form a cut: every
+symbol entering t is a linear image of the cut's symbols.  A target row of t
+outside the cut's row span therefore proves t infeasible at that depth.  The
+check at t's in-edges is ``feasible`` itself, and the cut checks are
+necessary conditions of it, so survivors and witnesses are unchanged.
+``naive_search_linear`` is the reference oracle and runs no cut check.
+
+A search leaves no reference cycle behind: suspended enumerators are closed
+when it ends, and the cut checks live in the search, not the problem, so all
+of it is freed by reference counting rather than by the cyclic collector.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -157,8 +178,14 @@ def _backward_cones(net: Network) -> dict[str, list[str]]:
 @dataclass
 class _Bucket:
     units: list[tuple]
-    local_checks: list[tuple[int, str]]  # (position of last needed unit, terminal)
-    cross_checks: list[str]  # checked once the bucket is fully assigned
+    # (position of the terminal's last unit in this bucket, terminal), checked
+    # while the bucket is enumerated.
+    checks: list[tuple[int, str]]
+    # Checked once the bucket is fully assigned.
+    cross_checks: list[str]
+    # Whether ``checks`` read units of earlier buckets, so that the bucket is
+    # enumerated afresh under each assignment of them.
+    contextual: bool = False
 
 
 class _BucketPlan:
@@ -178,22 +205,35 @@ class _BucketPlan:
             local, cross = [], []
             at = {u: i for i, u in enumerate(fresh)}
             for t in sorted(fired):
-                if deps[t] <= fresh_set:
-                    local.append((max(at[u] for u in deps[t]), t))
-                else:
-                    cross.append(t)
-            local.sort()
-            self.buckets.append(_Bucket(fresh, local, cross))
+                last = max(at[u] for u in deps[t] if u in at)
+                (local if deps[t] <= fresh_set else cross).append((last, t))
+            if local:
+                # A shared survivor list, filtered by the cross checks.
+                bucket = _Bucket(fresh, sorted(local), [t for _, t in cross])
+            else:
+                # Nothing to share: the list would be the whole product.
+                bucket = _Bucket(fresh, sorted(cross), [], contextual=True)
+            self.buckets.append(bucket)
             placed |= fresh_set
             todo = [t for t in todo if t not in fired]
         self.unobserved = [u for u in canonical if u not in placed]
 
 
 class _BucketSearch:
-    """Shared DFS over buckets with memoized survivor lists.
+    """Shared DFS over buckets with lazily extended survivor lists.
 
     ``space(u)`` gives a unit's value-space size, ``value(u, idx)`` its idx-th
-    value, ``check(t, assign)`` the feasibility test.
+    value, ``check(t, assign)`` the feasibility test.  ``cut_checks[bi]``
+    optionally lists extra (depth, test) pairs for bucket bi: ``test(assign)``
+    is a necessary condition of one of the bucket's checks, tried once the unit
+    at that depth is assigned.
+
+    A bucket with local checks has one survivor list, shared by every
+    assignment of the earlier buckets and extended lazily; its cross checks
+    filter that list.  A contextual bucket is enumerated afresh under each
+    assignment of the earlier buckets, with each check tried at its
+    terminal's last unit, so it yields the same survivors in the same order
+    as a filtered full product would.
     """
 
     def __init__(
@@ -203,6 +243,7 @@ class _BucketSearch:
         value: Callable[[tuple, int], object],
         check: Callable[[str, dict], bool],
         budget: int,
+        cut_checks: Sequence[Sequence[tuple[int, Callable[[dict], bool]]]] = (),
     ):
         self.plan = plan
         self.space = space
@@ -210,7 +251,17 @@ class _BucketSearch:
         self.check = check
         self.budget = budget
         self.count = 0
-        self.memo: dict[int, list[tuple]] = {}
+        # Per bucket: the checks due once the unit at each depth is assigned.
+        self.checks_at: list[dict[int, list[Callable[[dict], bool]]]] = []
+        for bi, b in enumerate(plan.buckets):
+            at: dict[int, list[Callable[[dict], bool]]] = {}
+            for depth, t in b.checks:
+                at.setdefault(depth, []).append(partial(check, t))
+            for depth, test in cut_checks[bi] if cut_checks else ():
+                at.setdefault(depth, []).append(test)
+            self.checks_at.append(at)
+        # Per shared bucket: the survivors found so far and the suspended enumerator.
+        self.memo: dict[int, tuple[list[tuple], Iterator[tuple]]] = {}
         self.assign: dict = {}
 
     def _tick(self) -> None:
@@ -218,56 +269,67 @@ class _BucketSearch:
         if self.count > self.budget:
             raise _Budget()
 
-    def _survivors(self, bi: int) -> list[tuple]:
-        if bi in self.memo:
-            return self.memo[bi]
+    def _enumerate(self, bi: int, assign: dict, depth: int = 0) -> Iterator[tuple]:
+        """Bucket bi's survivors in order, each unit written into ``assign`` as tried."""
+        units = self.plan.buckets[bi].units
+        if depth == len(units):
+            yield tuple(assign[u] for u in units)
+            return
+        u = units[depth]
+        checks = self.checks_at[bi].get(depth, ())
+        for idx in range(self.space(u)):
+            self._tick()
+            assign[u] = self.value(u, idx)
+            if all(c(assign) for c in checks):
+                yield from self._enumerate(bi, assign, depth + 1)
+        del assign[u]
+
+    def _survivors(self, bi: int) -> Iterator[tuple]:
+        """Bucket bi's survivors under the current assignment of earlier buckets."""
+        if self.plan.buckets[bi].contextual:
+            yield from self._enumerate(bi, self.assign)
+            return
+        if bi not in self.memo:
+            # The checks read only the bucket's own units, so the shared
+            # enumerator writes into a bucket-local dict.
+            self.memo[bi] = ([], self._enumerate(bi, {}))
+        known, pending = self.memo[bi]
+        i = 0
+        while True:
+            if i == len(known):
+                sv = next(pending, None)
+                if sv is None:
+                    return
+                known.append(sv)
+            yield known[i]
+            i += 1
+
+    def _walk(self, bi: int) -> Optional[dict]:
+        if bi == len(self.plan.buckets):
+            return dict(self.assign)
         b = self.plan.buckets[bi]
-        out: list[tuple] = []
-        values: list = [None] * len(b.units)
-        checks_at: dict[int, list[str]] = {}
-        for p, t in b.local_checks:
-            checks_at.setdefault(p, []).append(t)
-
-        def enum(depth: int) -> None:
-            if depth == len(b.units):
-                out.append(tuple(values))
-                return
-            u = b.units[depth]
-            for idx in range(self.space(u)):
-                self._tick()
-                v = self.value(u, idx)
-                values[depth] = v
+        for sv in self._survivors(bi):
+            self._tick()
+            for u, v in zip(b.units, sv):
                 self.assign[u] = v
-                if all(self.check(t, self.assign) for t in checks_at.get(depth, ())):
-                    enum(depth + 1)
-            del self.assign[u]
-
-        enum(0)
-        self.memo[bi] = out
-        return out
+            if all(self.check(t, self.assign) for t in b.cross_checks):
+                found = self._walk(bi + 1)
+                if found is not None:
+                    return found
+        for u in b.units:
+            self.assign.pop(u, None)
+        return None
 
     def run(self) -> Optional[dict]:
         for t in self.plan.prechecks:
             if not self.check(t, self.assign):
                 return None
-
-        def walk(bi: int) -> Optional[dict]:
-            if bi == len(self.plan.buckets):
-                return dict(self.assign)
-            b = self.plan.buckets[bi]
-            for sv in self._survivors(bi):
-                self._tick()
-                for u, v in zip(b.units, sv):
-                    self.assign[u] = v
-                if all(self.check(t, self.assign) for t in b.cross_checks):
-                    found = walk(bi + 1)
-                    if found is not None:
-                        return found
-            for u in b.units:
-                self.assign.pop(u, None)
-            return None
-
-        return walk(0)
+        try:
+            return self._walk(0)
+        finally:
+            # Close the suspended enumerators now rather than leave them to
+            # the cyclic garbage collector.
+            self.memo.clear()
 
 
 class _StagedProblem:
@@ -369,27 +431,82 @@ class _StagedProblem:
                                 row[w] = (row[w] + c * srow[w]) % p
         return m
 
-    def edge_maps(self, terminal: str, assign: dict) -> dict[str, list[list[int]]]:
+    def edge_maps(self, edges: Sequence[str], assign: dict) -> dict[str, list[list[int]]]:
+        """Maps of ``edges``, listed in topological order and closed under in-edges."""
         maps: dict[str, list[list[int]]] = {}
-        for eid in self.cone[terminal]:
+        for eid in edges:
             if eid in self.const_maps:
                 maps[eid] = self.const_maps[eid]
             else:
                 maps[eid] = self._eval_edge(eid, assign, maps)
         return maps
 
-    def feasible(self, t: str, assign: dict) -> bool:
-        """Decoders exist iff every target row lies in the edge-map row space."""
-        maps = self.edge_maps(t, assign)
-        rows = []
-        for e in self.net.in_edges(t):
-            rows.extend(maps[e.id])
-        basis = _row_basis(rows, self.p)
+    def spans(self, t: str, edges: Sequence[str], cut: Sequence[str], assign: dict) -> bool:
+        """Every target row of t lies in the row span of the maps of ``cut``.
+
+        ``edges`` are the cone edges to evaluate, ``cut`` a subset of them that
+        every path from a source to t crosses, so every symbol entering t is a
+        linear image of the cut's symbols.  A False answer proves t infeasible.
+        """
+        maps = self.edge_maps(edges, assign)
+        basis = _row_basis([row for eid in cut for row in maps[eid]], self.p)
         return all(_in_row_space(basis, trow, self.p) for trow in self.targets[t])
+
+    def feasible(self, t: str, assign: dict) -> bool:
+        """Decoders exist iff every target row lies in the span of t's in-edge maps."""
+        return self.spans(t, self.cone[t], [e.id for e in self.net.in_edges(t)], assign)
+
+    def cut_checks(self) -> list[list[tuple[int, Callable[[dict], bool]]]]:
+        """Per bucket, span checks at cuts of a terminal's cone before its last unit.
+
+        At depth d of a bucket, the units of earlier buckets and the bucket's
+        first d + 1 units are assigned.  An edge of t's cone is fixed once its
+        own units and those of every cone edge upstream of it are assigned.
+        The fixed edges that enter t or feed an unfixed cone edge form a cut of
+        the cone, provided every source out-edge in the cone is fixed.  An
+        entry is added only at the depths where that cut changes.
+        """
+        net = self.net
+        out: list[list[tuple[int, Callable[[dict], bool]]]] = []
+        earlier: set = set()
+        for b in self.plan.buckets:
+            entries: list[tuple[int, Callable[[dict], bool]]] = []
+            for last, t in b.checks:
+                cone = self.cone[t]
+                in_cone = set(cone)
+                feeds = {
+                    eid: [f.id for f in net.out_edges(net.edge(eid).head) if f.id in in_cone]
+                    for eid in cone
+                }
+                assigned = set(earlier)
+                prev: Optional[tuple[str, ...]] = None
+                for d in range(last):
+                    assigned.add(b.units[d])
+                    fixed: set[str] = set()
+                    for eid in cone:
+                        tail = net.edge(eid).tail
+                        if all(u in assigned for u in self.units[eid]) and (
+                            tail in net.sources or all(e.id in fixed for e in net.in_edges(tail))
+                        ):
+                            fixed.add(eid)
+                    if any(net.edge(eid).tail in net.sources and eid not in fixed for eid in cone):
+                        continue
+                    cut = tuple(
+                        eid for eid in cone
+                        if eid in fixed
+                        and (net.edge(eid).head == t or any(f not in fixed for f in feeds[eid]))
+                    )
+                    if cut != prev:
+                        edges = tuple(eid for eid in cone if eid in fixed)
+                        entries.append((d, partial(self.spans, t, edges, cut)))
+                        prev = cut
+            out.append(entries)
+            earlier.update(b.units)
+        return out
 
     def solve_terminal(self, t: str, assign: dict) -> Optional[np.ndarray]:
         """Stacked decode coefficients for t, or None if infeasible."""
-        maps = self.edge_maps(t, assign)
+        maps = self.edge_maps(self.cone[t], assign)
         ins = self.net.in_edges(t)
         target = np.array(self.targets[t], dtype=np.int64).reshape(-1, self.width)
         if not ins:
@@ -451,6 +568,7 @@ def search_linear(
         value=lambda u, idx: _index_matrix(idx, *shape[u], p),
         check=prob.feasible,
         budget=opts.budget,
+        cut_checks=prob.cut_checks(),
     )
     try:
         found = search.run()

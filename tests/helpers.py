@@ -90,6 +90,26 @@ def sum_disconnected22() -> Network:
     )
 
 
+def two_message_source() -> Network:
+    """t recovers y from a two-message source: solvable, once a's coefficients are set.
+
+    a's coefficients are enumerated, and until both are assigned the fixed
+    edges into t form no cut of t's cone.
+    """
+    return Network(
+        "two_message_source",
+        ("a", "b", "r", "t"),
+        (
+            Edge("a>t", "a", "t"),
+            Edge("b>r", "b", "r"),
+            Edge("b>t", "b", "t"),
+            Edge("r>t", "r", "t"),
+        ),
+        {"a": ("x", "y"), "b": ("z",)},
+        {"t": recover("y")},
+    )
+
+
 # -- random generators ---------------------------------------------------------
 
 

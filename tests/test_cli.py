@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,15 +218,31 @@ def test_malformed_json_exit_1(tmp_path, capsys):
            "sources": {"a": ["x"]}, "terminals": {"t": {"kind": "sum"}}}
     headless = dict(net, edges=[{"id": "a>t", "tail": "a"}])
     string_messages = dict(net, sources={"a": "xy"})
+    list_node = dict(net, nodes=[["a"], "t"])
+    code = {"field": 2, "k": 1, "n": 1,
+            "source_coeff": [{"msg": "x", "edge": "a>t", "mat": [[1]]}],
+            "decode_coeff": [{"terminal": "t", "edge": "a>t", "slot": 0, "mat": [[1]]}]}
+
+    def with_entry(value):
+        return dict(code, source_coeff=[{"msg": "x", "edge": "a>t", "mat": [[value]]}])
+
+    bad_codes = {
+        "fieldless": {"k": 1, "n": 1},
+        "string_k": dict(code, k="1"),
+        "bool_k": dict(code, k=True),
+        "null_entry": with_entry(None),
+        "float_entry": with_entry(1.5),
+    }
     files = {}
     for name, blob in [("net", net), ("headless", headless), ("string_messages", string_messages),
-                       ("fieldless", {"k": 1, "n": 1})]:
+                       ("list_node", list_node), *bad_codes.items()]:
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(blob))
     for argv in (
         ["connectivity", "--net", str(files["headless"])],
         ["connectivity", "--net", str(files["string_messages"])],
-        ["verify", "--net", str(files["net"]), "--code", str(files["fieldless"])],
+        ["connectivity", "--net", str(files["list_node"])],
+        *(["verify", "--net", str(files["net"]), "--code", str(files[name])] for name in bad_codes),
     ):
         rc = main(argv)
         captured = capsys.readouterr()
@@ -243,10 +261,15 @@ def test_removed_search_flags_are_usage_errors(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # pytest's pythonpath setting does not reach a child interpreter.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "sumnet.cli", "family", "--name", "s_m", "--m", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert '"s_1"' in proc.stdout

@@ -12,8 +12,9 @@ from sumnet import (
     search_nonlinear,
     verify_nonlinear,
 )
+from sumnet.codes import code_to_dict
 from sumnet.families import FamilySpec, bottleneck_mun, component
-from sumnet.netmodel import Demand, Edge, Network, min_source_terminal_cut, recover
+from sumnet.netmodel import Demand, Edge, Network, min_source_terminal_cut, reachable, recover
 from sumnet.transforms import c1
 
 from helpers import (
@@ -23,6 +24,7 @@ from helpers import (
     mun_path,
     random_sum_network,
     sum_bipartite22,
+    two_message_source,
 )
 
 F2, F3 = FieldSpec(2), FieldSpec(3)
@@ -71,12 +73,18 @@ def test_classify_examples():
 
 
 def test_staged_matches_naive_on_micro_corpus():
+    # Over GF(3) too, so the cut checks meet unsolvable inputs (s_3, disc1,
+    # bottleneck_2) beyond GF(2); component alone needs about 1M naive ticks
+    # there and is checked over GF(2) only.
     corpus = [mun_path(), mun_disconnected(), mun_disjoint2(), mun_crossed(),
-              sum_bipartite22(), component(), s_m(3), bottleneck_mun(2)]
+              sum_bipartite22(), component(), s_m(3), bottleneck_mun(2), two_message_source()]
     for net in corpus:
-        a = search_linear(net, F2, 1, 1).verdict
-        b = naive_search_linear(net, F2, 1, 1).verdict
-        assert a == b, net.name
+        for f in (F2, F3):
+            if f is F3 and net.name == "component":
+                continue
+            a = search_linear(net, f, 1, 1).verdict
+            b = naive_search_linear(net, f, 1, 1).verdict
+            assert a == b, (net.name, f.p)
 
 
 def test_staged_matches_naive_on_random_micro():
@@ -130,14 +138,50 @@ def test_search_multi_slot_demand():
     assert search_linear(squeezed, F2, 1, 1).verdict == "unsolvable"
 
 
+# The first witness of s_m_star(4) over GF(3): all-ones interior, and t_4
+# scales by (m - 2)^{-1} = 2.
+S4_STAR_GF3_WITNESS = {
+    "field": 3, "k": 1, "n": 1,
+    "source_coeff": [
+        {"msg": msg, "edge": edge, "mat": [[1]]}
+        for msg, edges in (("x1", ("s_1>t_1", "s_1>u_2", "s_1>u_3")),
+                           ("x2", ("s_2>t_2", "s_2>u_1", "s_2>u_3")),
+                           ("x3", ("s_3>t_3", "s_3>u_1", "s_3>u_2")))
+        for edge in edges
+    ],
+    "local_coeff": [
+        {"in": i, "out": o, "mat": [[1]]}
+        for i, o in (("s_1>u_2", "u_2>v_2"), ("s_1>u_3", "u_3>v_3"), ("s_2>u_1", "u_1>v_1"),
+                     ("s_2>u_3", "u_3>v_3"), ("s_3>u_1", "u_1>v_1"), ("s_3>u_2", "u_2>v_2"),
+                     ("u_1>v_1", "v_1>t_1"), ("u_1>v_1", "v_1>t_4"), ("u_2>v_2", "v_2>t_2"),
+                     ("u_2>v_2", "v_2>t_4"), ("u_3>v_3", "v_3>t_3"), ("u_3>v_3", "v_3>t_4"))
+    ],
+    "decode_coeff": [
+        {"terminal": f"t_{i}", "edge": edge, "slot": 0, "mat": [[1]]}
+        for i in (1, 2, 3) for edge in (f"s_{i}>t_{i}", f"v_{i}>t_{i}")
+    ] + [
+        {"terminal": "t_4", "edge": f"v_{i}>t_4", "slot": 0, "mat": [[2]]} for i in (1, 2, 3)
+    ],
+}
+
+
 def test_determinism():
-    # The exact search-space sizes pin what the reductions enumerate: a change
-    # to the pinning rules or the bucket order shows up here.
+    # The exact tick counts pin what the reductions and the cut checks
+    # enumerate: a change to the pinning rules, the bucket order or the
+    # pruning shows up here.  A solvable search counts up to its first witness.
+    rng = random.Random(7)
+    rand = [random_sum_network(rng, max_nodes=8) for _ in range(46)]
     cases = [
         (s_m(4), F2, 1, "solvable", 21),
-        (s_m_star(4), F3, 1, "solvable", 39),
-        (s_m(5), F3, 1, "solvable", 52),
+        (s_m_star(4), F3, 1, "solvable", 24),
+        (s_m(5), F3, 1, "solvable", 32),
         (s_m(3), F2, 2, "unsolvable", 586),
+        (rand[22], F3, 1, "solvable", 14),
+        (rand[40], F2, 1, "solvable", 53),
+        # Its second bucket has only a cross check, so it is enumerated under
+        # the first bucket's assignment with that check and its cuts inline.
+        (rand[45], F2, 1, "solvable", 26),
+        (rand[45], F3, 1, "solvable", 30),
     ]
     for net, f, k, verdict, enumerated in cases:
         a = search_linear(net, f, k, k)
@@ -145,6 +189,21 @@ def test_determinism():
         assert (a.verdict, a.enumerated) == (verdict, enumerated), (net.name, f.p, k)
         assert (b.verdict, b.enumerated) == (verdict, enumerated), (net.name, f.p, k)
         assert a.witness == b.witness
+    assert code_to_dict(search_linear(s_m_star(4), F3, 1, 1).witness) == S4_STAR_GF3_WITNESS
+
+
+def test_random_sum_networks_follow_ramamoorthy():
+    # Ramamoorthy (ISIT 2008): with at most two sources or two terminals, a
+    # sum network is solvable iff every source reaches every terminal.
+    rng = random.Random(7)
+    for i in range(200):
+        net = random_sum_network(rng, max_nodes=8)
+        connected = all(
+            t in reachable(net, s) for s in net.source_nodes() for t in net.terminal_nodes()
+        )
+        for f in (F2, F3):
+            r = search_linear(net, f, 1, 1, SearchOptions(budget=20_000))
+            assert r.verdict == ("solvable" if connected else "unsolvable"), (i, f.p, r.verdict)
 
 
 def test_budget_exceeded_is_a_verdict():
