@@ -20,6 +20,7 @@ from .codes import (
     code_to_json,
     canonical_reverse_code,
     is_solution,
+    matrix_from_json,
     nonlinear_from_json,
     transfer_matrix,
     validate_code,
@@ -30,6 +31,9 @@ from .netmodel import (
     Network,
     NetworkError,
     connectivity,
+    json_int,
+    json_obj,
+    json_str,
     min_cut,
     network_from_json,
     network_to_json,
@@ -278,14 +282,19 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_scale_sources(args) -> int:
     code = code_from_json(_read(args.code))
-    raw = json.loads(_read(args.scales))
+    raw = json_obj(json.loads(_read(args.scales)), "scales", CodeError)
+    known = {msg for msg, _ in code.source_coeff}
     scales = {}
     for msg, val in raw.items():
-        if isinstance(val, int):
-            eye = MatrixGF.identity(code.field, code.k)
-            scales[msg] = MatrixGF(code.field, [[val * x for x in row] for row in eye.tolists()])
+        what = f"scale for {msg!r}"
+        if msg not in known:
+            raise CodeError(f"{msg!r} is not a source message of the code")
+        if isinstance(val, list):
+            scales[msg] = matrix_from_json(val, code.field, what)
         else:
-            scales[msg] = MatrixGF(code.field, val)
+            c = json_int(val, what, CodeError) % code.field.p
+            eye = MatrixGF.identity(code.field, code.k)
+            scales[msg] = MatrixGF(code.field, [[c * x for x in row] for row in eye.tolists()])
     _write(args.out, code_to_json(transforms.scale_sources(code, scales)))
     return 0
 
@@ -308,7 +317,10 @@ def _cmd_export_dot(args) -> int:
     net = _load_net(args.net)
     trace = None
     if args.trace:
-        trace = transforms.TransformTrace(json.loads(_read(args.trace)))
+        roles = json_obj(json.loads(_read(args.trace)), "trace")
+        for ident, role in roles.items():
+            json_str(role, f"trace role of {ident!r}")
+        trace = transforms.TransformTrace(roles)
     _write(args.out, export_dot(net, trace))
     return 0
 

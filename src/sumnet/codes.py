@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .gflin import FieldSpec, MatrixGF
-from .netmodel import Network, json_int, json_key, json_list, json_str, reverse_id, reverse_network
+from .netmodel import Demand, Network, json_int, json_key, json_list, json_str, reverse_id, reverse_network
 
 
 class CodeError(ValueError):
@@ -145,17 +145,11 @@ def eval_linear(
     vec = np.concatenate([np.asarray(list(x[m]), dtype=np.int64) % p for m in msgs])
     if vec.shape != (len(msgs) * code.k,):
         raise CodeError("every message needs a k-vector")
-    maps = edge_symbol_maps(net, code)
+    tm = transfer_matrix(net, code)
+    y = (tm.matrix.array() @ vec) % p
     out: dict[str, list[tuple[int, ...]]] = {}
-    for t in net.terminal_nodes():
-        slots = []
-        for slot in range(len(net.terminals[t].slots())):
-            r = np.zeros(code.k, dtype=np.int64)
-            for e in net.in_edges(t):
-                g = code.decode(t, e.id, slot).array()
-                r = (r + g @ (maps[e.id] @ vec)) % p
-            slots.append(tuple(int(v) for v in r))
-        out[t] = slots
+    for i, (t, _label) in enumerate(tm.row_labels):
+        out.setdefault(t, []).append(tuple(int(v) for v in y[i * code.k:(i + 1) * code.k]))
     return out
 
 
@@ -333,28 +327,49 @@ def validate_nonlinear(net: Network, code: NonlinearCode) -> None:
             raise CodeError(f"decode table for {t!r} has out-of-range symbols")
 
 
-def _table_index(inputs: Iterable[int], q: int) -> int:
+def table_index(inputs: Iterable[int], q: int) -> int:
+    """Position of an input tuple in a table flattened in lexicographic order."""
     idx = 0
     for v in inputs:
         idx = idx * q + v
     return idx
 
 
+def table_symbols(
+    net: Network, edges: Iterable[str], tables: Mapping[str, tuple[int, ...]], x: Mapping[str, int], q: int
+) -> dict[str, int]:
+    """The symbol on each of ``edges`` under the source symbols ``x``, all in Z_q.
+
+    ``edges`` are listed in topological order and closed under in-edges, and
+    ``tables[e]`` is edge e's table.
+    """
+    sym: dict[str, int] = {}
+    for eid in edges:
+        v = net.edge(eid).tail
+        idx = 0
+        if v in net.sources:
+            for m in net.sources[v]:
+                idx = idx * q + x[m]
+        else:
+            for ein in net.in_edges(v):
+                idx = idx * q + sym[ein.id]
+        sym[eid] = tables[eid][idx]
+    return sym
+
+
+def demanded_symbol(demand: Demand, x: Mapping[str, int], q: int) -> int:
+    """What a single-slot terminal must output under the source symbols ``x``."""
+    return sum(x.values()) % q if demand.kind == "sum" else x[demand.messages[0]]
+
+
 def eval_nonlinear(net: Network, code: NonlinearCode, x: Mapping[str, int]) -> dict[str, int]:
     q = code.q
-    sym: dict[str, int] = {}
-    for v in net.topo_order():
-        for e in net.out_edges(v):
-            if v in net.sources:
-                inputs = [x[m] % q for m in net.sources[v]]
-            else:
-                inputs = [sym[ein.id] for ein in net.in_edges(v)]
-            sym[e.id] = code.edge_fn[e.id][_table_index(inputs, q)]
-    out = {}
-    for t in net.terminal_nodes():
-        inputs = [sym[e.id] for e in net.in_edges(t)]
-        out[t] = code.decode_fn[t][_table_index(inputs, q)]
-    return out
+    edges = [e.id for v in net.topo_order() for e in net.out_edges(v)]
+    sym = table_symbols(net, edges, code.edge_fn, {m: v % q for m, v in x.items()}, q)
+    return {
+        t: code.decode_fn[t][table_index((sym[e.id] for e in net.in_edges(t)), q)]
+        for t in net.terminal_nodes()
+    }
 
 
 def verify_nonlinear(net: Network, code: NonlinearCode, budget: int = 1_000_000) -> bool:
@@ -366,10 +381,8 @@ def verify_nonlinear(net: Network, code: NonlinearCode, budget: int = 1_000_000)
     for values in product(range(code.q), repeat=len(msgs)):
         x = dict(zip(msgs, values))
         got = eval_nonlinear(net, code, x)
-        for t, d in net.terminals.items():
-            want = sum(values) % code.q if d.kind == "sum" else x[d.messages[0]]
-            if got[t] != want:
-                return False
+        if any(got[t] != demanded_symbol(d, x, code.q) for t, d in net.terminals.items()):
+            return False
     return True
 
 
@@ -440,20 +453,25 @@ def _ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
+def matrix_from_json(value, field: FieldSpec, what: str) -> MatrixGF:
+    """A parsed JSON list of integer rows as a matrix, else ``CodeError``."""
+    rows = [_list(r, f"{what} row") for r in _list(value, what)]
+    if any(type(x) is not int for r in rows for x in r):
+        raise CodeError(f"{what} entries must be integers")
+    # Reduced here, so an entry beyond int64 cannot overflow MatrixGF.
+    return MatrixGF(field, [[x % field.p for x in r] for r in rows])
+
+
 def code_from_dict(d: dict) -> LinearCode:
     f = FieldSpec(_int(_key(d, "field", "linear code"), "field"))
 
     def coeffs(section: str, keys: tuple[str, ...]) -> dict:
         out = {}
-        what, mat, row = f"{section} entry", f"{section} mat", f"{section} mat row"
+        what = f"{section} entry"
         checks = [(key, _int if key == "slot" else _str, f"{what} {key}") for key in keys]
         for e in _list(d.get(section, []), section):
             at = tuple(check(_key(e, key, what), about) for key, check, about in checks)
-            rows = [_list(r, row) for r in _list(_key(e, "mat", what), mat)]
-            if any(type(x) is not int for r in rows for x in r):
-                raise CodeError(f"{mat} entries must be integers")
-            # Reduced here, so an entry beyond int64 cannot overflow MatrixGF.
-            out[at] = MatrixGF(f, [[x % f.p for x in r] for r in rows])
+            out[at] = matrix_from_json(_key(e, "mat", what), f, f"{section} mat")
         return out
 
     return LinearCode(

@@ -30,9 +30,17 @@ outer search applies the bucket's cross-bucket checks to each survivor.  A
 bucket whose every check is cross-bucket would share only its whole product,
 so it is enumerated afresh under each assignment of the earlier buckets
 instead, with each check tried as soon as its terminal's last unknown is
-assigned.  Unknowns no terminal can observe are pinned to zero.  Within a
-bucket, values run 0..p-1 per entry in row-major order and buckets nest in
-emission order, so the first witness is deterministic.
+assigned.  Within a bucket, values run 0..p-1 per entry in row-major order and
+buckets nest in emission order, so the first witness is deterministic.
+
+``search_linear``, the reference ``naive_search_linear`` and
+``search_nonlinear`` share one driver, ``_BucketSearch``: each passes its
+plan, its terminal check and a function that builds a code from a full
+assignment.  Every unit is a (rows, cols) matrix over one base, p or q; a
+Z_q table of length L is a 1 x L unit.  The driver gives units no terminal
+observes the value zero, re-verifies the witness and writes the report.  The
+nonlinear check evaluates a cone with ``codes.table_symbols``, the Z_q
+evaluator of ``eval_nonlinear``, and ``codes.demanded_symbol``.
 
 The linear search prunes a bucket earlier than its terminals' last units.
 Once every source out-edge of terminal t's cone has a fixed map, the fixed
@@ -62,9 +70,12 @@ from .codes import (
     LinearCode,
     NonlinearCode,
     code_to_dict,
+    demanded_symbol,
     edge_arity,
     is_solution,
     nonlinear_to_dict,
+    table_index,
+    table_symbols,
     target_transfer_array,
     transfer_rows,
     verify_nonlinear,
@@ -132,29 +143,26 @@ def _index_matrix(idx: int, rows: int, cols: int, p: int) -> tuple[tuple[int, ..
     return tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows))
 
 
-def _row_basis(rows, p: int) -> list[tuple[int, list[int]]]:
-    """Echelonized spanning set as (pivot column, normalized row) pairs."""
-    basis: list[tuple[int, list[int]]] = []
-    for row in rows:
-        r = list(row)
-        for pc, br in basis:
-            c = r[pc]
-            if c:
-                r = [(x - c * y) % p for x, y in zip(r, br)]
-        piv = next((i for i, x in enumerate(r) if x), None)
-        if piv is not None:
-            inv = pow(r[piv], p - 2, p)
-            basis.append((piv, [(x * inv) % p for x in r]))
-    return basis
-
-
-def _in_row_space(basis, row, p: int) -> bool:
+def _reduce(basis, row, p: int) -> list[int]:
+    """``row`` minus its components along an echelonized basis; zero iff it is in the span."""
     r = list(row)
     for pc, br in basis:
         c = r[pc]
         if c:
             r = [(x - c * y) % p for x, y in zip(r, br)]
-    return not any(r)
+    return r
+
+
+def _row_basis(rows, p: int) -> list[tuple[int, list[int]]]:
+    """Echelonized spanning set as (pivot column, normalized row) pairs."""
+    basis: list[tuple[int, list[int]]] = []
+    for row in rows:
+        r = _reduce(basis, row, p)
+        piv = next((i for i, x in enumerate(r) if x), None)
+        if piv is not None:
+            inv = pow(r[piv], p - 2, p)
+            basis.append((piv, [(x * inv) % p for x in r]))
+    return basis
 
 
 def _backward_cones(net: Network) -> dict[str, list[str]]:
@@ -189,10 +197,21 @@ class _Bucket:
 
 
 class _BucketPlan:
-    """Greedy grouping of unknowns into per-terminal buckets."""
+    """Greedy grouping of unknowns into per-terminal buckets.
 
-    def __init__(self, terminals: Sequence[str], deps: dict[str, set], canonical: list[tuple]):
-        pos = {u: i for i, u in enumerate(canonical)}
+    ``shape`` lists every unit in canonical order with its (rows, cols): the
+    unit's values are the rows x cols matrices with entries in 0..base-1.
+    """
+
+    def __init__(
+        self,
+        terminals: Sequence[str],
+        deps: dict[str, set],
+        shape: dict[tuple, tuple[int, int]],
+        base: int,
+    ):
+        self.shape, self.base = shape, base
+        pos = {u: i for i, u in enumerate(shape)}
         self.prechecks = sorted(t for t in terminals if not deps[t])
         todo = sorted(t for t in terminals if deps[t])
         placed: set = set()
@@ -216,17 +235,17 @@ class _BucketPlan:
             self.buckets.append(bucket)
             placed |= fresh_set
             todo = [t for t in todo if t not in fired]
-        self.unobserved = [u for u in canonical if u not in placed]
+        self.unobserved = [u for u in shape if u not in placed]
 
 
 class _BucketSearch:
-    """Shared DFS over buckets with lazily extended survivor lists.
+    """The one search driver: a DFS over buckets with lazily extended survivor lists.
 
-    ``space(u)`` gives a unit's value-space size, ``value(u, idx)`` its idx-th
-    value, ``check(t, assign)`` the feasibility test.  ``cut_checks[bi]``
-    optionally lists extra (depth, test) pairs for bucket bi: ``test(assign)``
-    is a necessary condition of one of the bucket's checks, tried once the unit
-    at that depth is assigned.
+    A search supplies its plan and ``check(t, assign)``, the feasibility test
+    of terminal t, and passes ``report`` a function that builds its code from
+    a result.  ``cut_checks[bi]`` optionally lists extra (depth, test) pairs for
+    bucket bi: ``test(assign)`` is a necessary condition of one of the
+    bucket's checks, tried once the unit at that depth is assigned.
 
     A bucket with local checks has one survivor list, shared by every
     assignment of the earlier buckets and extended lazily; its cross checks
@@ -239,17 +258,13 @@ class _BucketSearch:
     def __init__(
         self,
         plan: _BucketPlan,
-        space: Callable[[tuple], int],
-        value: Callable[[tuple, int], object],
         check: Callable[[str, dict], bool],
-        budget: int,
+        opts: SearchOptions,
         cut_checks: Sequence[Sequence[tuple[int, Callable[[dict], bool]]]] = (),
     ):
         self.plan = plan
-        self.space = space
-        self.value = value
         self.check = check
-        self.budget = budget
+        self.opts = opts
         self.count = 0
         # Per bucket: the checks due once the unit at each depth is assigned.
         self.checks_at: list[dict[int, list[Callable[[dict], bool]]]] = []
@@ -266,7 +281,7 @@ class _BucketSearch:
 
     def _tick(self) -> None:
         self.count += 1
-        if self.count > self.budget:
+        if self.count > self.opts.budget:
             raise _Budget()
 
     def _enumerate(self, bi: int, assign: dict, depth: int = 0) -> Iterator[tuple]:
@@ -277,9 +292,11 @@ class _BucketSearch:
             return
         u = units[depth]
         checks = self.checks_at[bi].get(depth, ())
-        for idx in range(self.space(u)):
+        rows, cols = self.plan.shape[u]
+        base = self.plan.base
+        for idx in range(base ** (rows * cols)):
             self._tick()
-            assign[u] = self.value(u, idx)
+            assign[u] = _index_matrix(idx, rows, cols, base)
             if all(c(assign) for c in checks):
                 yield from self._enumerate(bi, assign, depth + 1)
         del assign[u]
@@ -320,16 +337,30 @@ class _BucketSearch:
             self.assign.pop(u, None)
         return None
 
-    def run(self) -> Optional[dict]:
-        for t in self.plan.prechecks:
-            if not self.check(t, self.assign):
-                return None
+    def report(
+        self, net: Network, build: Callable[[dict], object], mode: str, start: float
+    ) -> SearchReport:
+        """Run the search; a witness, its unobserved units zero, is built and re-verified."""
         try:
-            return self._walk(0)
+            feasible = all(self.check(t, self.assign) for t in self.plan.prechecks)
+            found = self._walk(0) if feasible else None
+        except _Budget:
+            return SearchReport(BUDGET_EXCEEDED, mode, self.count - 1,
+                                time.monotonic() - start, None, self.opts)
         finally:
             # Close the suspended enumerators now rather than leave them to
             # the cyclic garbage collector.
             self.memo.clear()
+        if found is None:
+            return SearchReport(UNSOLVABLE, mode, self.count, time.monotonic() - start, None, self.opts)
+        for u in self.plan.unobserved:
+            rows, cols = self.plan.shape[u]
+            found[u] = ((0,) * cols,) * rows
+        code = build(found)
+        verify = verify_nonlinear if isinstance(code, NonlinearCode) else is_solution
+        if not verify(net, code):
+            raise AssertionError("search produced a witness that fails verification")
+        return SearchReport(SOLVABLE, mode, self.count, time.monotonic() - start, code, self.opts)
 
 
 class _StagedProblem:
@@ -365,38 +396,31 @@ class _StagedProblem:
                 units = [("beta", ein.id, e.id) for ein in ins]
             self.units[e.id] = [] if pinned else units
 
-        canonical: list[tuple] = []
-        self.shape: dict[tuple, tuple[int, int]] = {}
-        for v in net.topo_order():
-            for e in net.out_edges(v):
-                for u in self.units[e.id]:
-                    canonical.append(u)
-                    self.shape[u] = (n, k) if u[0] == "alpha" else (n, n)
+        shape = {
+            u: (n, k) if u[0] == "alpha" else (n, n)
+            for v in net.topo_order() for e in net.out_edges(v) for u in self.units[e.id]
+        }
 
         self.cone = _backward_cones(net)
         deps = {t: {u for eid in cone for u in self.units[eid]} for t, cone in self.cone.items()}
 
-        self.plan = _BucketPlan(net.terminal_nodes(), deps, canonical)
+        self.plan = _BucketPlan(net.terminal_nodes(), deps, shape, self.p)
 
         # Edges whose symbolic map never changes during the search.
         self.const_maps: dict[str, list[list[int]]] = {}
         for v in net.topo_order():
             for e in net.out_edges(v):
-                if self.units[e.id]:
-                    continue
-                if v in net.sources or all(
-                    ein.id in self.const_maps for ein in net.in_edges(v)
+                if not self.units[e.id] and (
+                    v in net.sources or all(ein.id in self.const_maps for ein in net.in_edges(v))
                 ):
-                    m = self._eval_edge(e.id, {}, self.const_maps)
-                    if m is not None:
-                        self.const_maps[e.id] = m
+                    self.const_maps[e.id] = self._eval_edge(e.id, {}, self.const_maps)
 
         target = target_transfer_array(net, fieldspec, k)
         self.targets: dict[str, list[list[int]]] = {}
         for i, (t, _label) in enumerate(transfer_rows(net)):
             self.targets.setdefault(t, []).extend(target[i * k:(i + 1) * k].tolist())
 
-    def _eval_edge(self, eid: str, assign: dict, maps: dict) -> Optional[list[list[int]]]:
+    def _eval_edge(self, eid: str, assign: dict, maps: dict) -> list[list[int]]:
         p, k, n = self.p, self.k, self.n
         v = self.net.edge(eid).tail
         pinned = not self.units[eid]
@@ -411,9 +435,7 @@ class _StagedProblem:
                         row[o + j] = (row[o + j] + arow[j]) % p
             return m
         for ein in self.net.in_edges(v):
-            src = maps.get(ein.id)
-            if src is None:
-                return None
+            src = maps[ein.id]
             if pinned:
                 for i in range(n):
                     row, srow = m[i], src[i]
@@ -450,7 +472,7 @@ class _StagedProblem:
         """
         maps = self.edge_maps(edges, assign)
         basis = _row_basis([row for eid in cut for row in maps[eid]], self.p)
-        return all(_in_row_space(basis, trow, self.p) for trow in self.targets[t])
+        return not any(any(_reduce(basis, trow, self.p)) for trow in self.targets[t])
 
     def feasible(self, t: str, assign: dict) -> bool:
         """Decoders exist iff every target row lies in the span of t's in-edge maps."""
@@ -514,13 +536,9 @@ class _StagedProblem:
         m = np.array([row for e in ins for row in maps[e.id]], dtype=np.int64)
         return solve_right_arrays(m.T, target.T, self.p)
 
-    def witness(self, found: dict) -> LinearCode:
-        """The code of a search result; units no terminal observes are zero."""
+    def witness(self, assign: dict) -> LinearCode:
+        """The code of a search result, every unit assigned."""
         f, k, n = self.field, self.k, self.n
-        assign = dict(found)
-        for u in self.plan.unobserved:
-            r, c = self.shape[u]
-            assign[u] = tuple((0,) * c for _ in range(r))
         src: dict[tuple[str, str], MatrixGF] = {}
         loc: dict[tuple[str, str], MatrixGF] = {}
         dec: dict[tuple[str, str, int], MatrixGF] = {}
@@ -560,26 +578,8 @@ def search_linear(
         raise ValueError("k and n must be positive")
     start = time.monotonic()
     prob = _StagedProblem(net, fieldspec, k, n, opts)
-    mode = _mode(k, n)
-    p, shape = fieldspec.p, prob.shape
-    search = _BucketSearch(
-        prob.plan,
-        space=lambda u: p ** (shape[u][0] * shape[u][1]),
-        value=lambda u, idx: _index_matrix(idx, *shape[u], p),
-        check=prob.feasible,
-        budget=opts.budget,
-        cut_checks=prob.cut_checks(),
-    )
-    try:
-        found = search.run()
-    except _Budget:
-        return SearchReport(BUDGET_EXCEEDED, mode, search.count - 1, time.monotonic() - start, None, opts)
-    if found is None:
-        return SearchReport(UNSOLVABLE, mode, search.count, time.monotonic() - start, None, opts)
-    code = prob.witness(found)
-    if not is_solution(net, code):
-        raise AssertionError("search produced a witness that fails verification")
-    return SearchReport(SOLVABLE, mode, search.count, time.monotonic() - start, code, opts)
+    search = _BucketSearch(prob.plan, prob.feasible, opts, prob.cut_checks())
+    return search.report(net, prob.witness, _mode(k, n), start)
 
 
 # -- raw reference search ------------------------------------------------------
@@ -601,40 +601,23 @@ def naive_search_linear(
     width = len(msgs) * k
     off = {m: i * k for i, m in enumerate(msgs)}
 
-    canonical: list[tuple] = []
-    shape: dict[tuple, tuple[int, int]] = {}
+    # Each edge's and each terminal's units, in canonical order.
+    units: dict[str, list[tuple]] = {}
     for v in net.topo_order():
         for e in net.out_edges(v):
             if v in net.sources:
-                for msg in net.sources[v]:
-                    u = ("alpha", msg, e.id)
-                    canonical.append(u)
-                    shape[u] = (n, k)
+                units[e.id] = [("alpha", msg, e.id) for msg in net.sources[v]]
             else:
-                for ein in net.in_edges(v):
-                    u = ("beta", ein.id, e.id)
-                    canonical.append(u)
-                    shape[u] = (n, n)
-    for t in net.terminal_nodes():
-        for slot in range(len(net.terminals[t].slots())):
-            for e in net.in_edges(t):
-                u = ("gamma", t, e.id, slot)
-                canonical.append(u)
-                shape[u] = (k, n)
+                units[e.id] = [("beta", ein.id, e.id) for ein in net.in_edges(v)]
+    decoders = {
+        t: [("gamma", t, e.id, s) for s in range(len(net.terminals[t].slots())) for e in net.in_edges(t)]
+        for t in net.terminal_nodes()
+    }
+    kind_shape = {"alpha": (n, k), "beta": (n, n), "gamma": (k, n)}
+    shape = {u: kind_shape[u[0]] for us in (*units.values(), *decoders.values()) for u in us}
 
     cones = _backward_cones(net)
-    deps: dict[str, set] = {}
-    for t, cone in cones.items():
-        need = set()
-        for eid in cone:
-            e = net.edge(eid)
-            if e.tail in net.sources:
-                need.update(("alpha", msg, eid) for msg in net.sources[e.tail])
-            else:
-                need.update(("beta", ein.id, eid) for ein in net.in_edges(e.tail))
-        for slot in range(len(net.terminals[t].slots())):
-            need.update(("gamma", t, e.id, slot) for e in net.in_edges(t))
-        deps[t] = need
+    deps = {t: {u for eid in cone for u in units[eid]} | set(decoders[t]) for t, cone in cones.items()}
 
     target = target_transfer_array(net, fieldspec, k)
     target_rows_of: dict[str, list[list[list[int]]]] = {}
@@ -684,35 +667,15 @@ def naive_search_linear(
                 return False
         return True
 
-    plan = _BucketPlan(net.terminal_nodes(), deps, canonical)
-    search = _BucketSearch(
-        plan,
-        space=lambda u: p ** (shape[u][0] * shape[u][1]),
-        value=lambda u, idx: _index_matrix(idx, *shape[u], p),
-        check=check,
-        budget=budget,
-    )
-    try:
-        found = search.run()
-    except _Budget:
-        return SearchReport(BUDGET_EXCEEDED, _mode(k, n), search.count - 1, time.monotonic() - start)
-    if found is None:
-        return SearchReport(UNSOLVABLE, _mode(k, n), search.count, time.monotonic() - start)
-    for u in plan.unobserved:
-        r, c = shape[u]
-        found[u] = tuple((0,) * c for _ in range(r))
-    f = fieldspec
-    code = LinearCode(
-        f,
-        k,
-        n,
-        {(u[1], u[2]): MatrixGF(f, found[u]) for u in canonical if u[0] == "alpha"},
-        {(u[1], u[2]): MatrixGF(f, found[u]) for u in canonical if u[0] == "beta"},
-        {(u[1], u[2], u[3]): MatrixGF(f, found[u]) for u in canonical if u[0] == "gamma"},
-    )
-    if not is_solution(net, code):
-        raise AssertionError("naive witness fails verification")
-    return SearchReport(SOLVABLE, _mode(k, n), search.count, time.monotonic() - start, code)
+    def build(found: dict) -> LinearCode:
+        coeffs = {kind: {} for kind in kind_shape}
+        for u in shape:
+            coeffs[u[0]][u[1:]] = MatrixGF(fieldspec, found[u])
+        return LinearCode(fieldspec, k, n, coeffs["alpha"], coeffs["beta"], coeffs["gamma"])
+
+    plan = _BucketPlan(net.terminal_nodes(), deps, shape, p)
+    search = _BucketSearch(plan, check, SearchOptions(budget=budget))
+    return search.report(net, build, _mode(k, n), start)
 
 
 # -- nonlinear search -----------------------------------------------------------
@@ -726,79 +689,36 @@ def search_nonlinear(net: Network, q: int, opts: Optional[SearchOptions] = None)
     start = time.monotonic()
     msgs = net.messages()
 
-    canonical: list[tuple] = []
-    table_len: dict[tuple, int] = {}
+    # A table of length L is a 1 x L unit.
+    shape: dict[tuple, tuple[int, int]] = {}
     for v in net.topo_order():
         for e in net.out_edges(v):
-            u = ("edge", e.id)
-            canonical.append(u)
-            table_len[u] = q ** edge_arity(net, e.id)
+            shape[("edge", e.id)] = (1, q ** edge_arity(net, e.id))
     for t in net.terminal_nodes():
         if len(net.terminals[t].slots()) != 1:
             raise ValueError("nonlinear search supports single-slot demands only")
-        u = ("dec", t)
-        canonical.append(u)
-        table_len[u] = q ** len(net.in_edges(t))
+        shape[("dec", t)] = (1, q ** len(net.in_edges(t)))
 
     cones = _backward_cones(net)
     deps = {t: {("edge", eid) for eid in cone} | {("dec", t)} for t, cone in cones.items()}
-
-    def table_of(idx: int, length: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(length):
-            digits.append(idx % q)
-            idx //= q
-        return tuple(reversed(digits))
+    inputs = [dict(zip(msgs, values)) for values in product(range(q), repeat=len(msgs))]
+    wants = {t: [demanded_symbol(net.terminals[t], x, q) for x in inputs] for t in cones}
 
     def check(t: str, assign: dict) -> bool:
-        dec = assign[("dec", t)]
-        demand = net.terminals[t]
-        for values in product(range(q), repeat=len(msgs)):
-            x = dict(zip(msgs, values))
-            sym: dict[str, int] = {}
-            for eid in cones[t]:
-                e = net.edge(eid)
-                if e.tail in net.sources:
-                    inputs = [x[m] for m in net.sources[e.tail]]
-                else:
-                    inputs = [sym[ein.id] for ein in net.in_edges(e.tail)]
-                idx = 0
-                for val in inputs:
-                    idx = idx * q + val
-                sym[eid] = assign[("edge", eid)][idx]
-            idx = 0
-            for e in net.in_edges(t):
-                idx = idx * q + sym[e.id]
-            want = sum(values) % q if demand.kind == "sum" else x[demand.messages[0]]
-            if dec[idx] != want:
+        tables = {eid: assign[("edge", eid)][0] for eid in cones[t]}
+        dec = assign[("dec", t)][0]
+        for x, want in zip(inputs, wants[t]):
+            sym = table_symbols(net, cones[t], tables, x, q)
+            if dec[table_index((sym[e.id] for e in net.in_edges(t)), q)] != want:
                 return False
         return True
 
-    plan = _BucketPlan(net.terminal_nodes(), deps, canonical)
-    search = _BucketSearch(
-        plan,
-        space=lambda u: q ** table_len[u],
-        value=lambda u, idx: table_of(idx, table_len[u]),
-        check=check,
-        budget=opts.budget,
-    )
-    mode = f"nonlinear(q={q})"
-    try:
-        found = search.run()
-    except _Budget:
-        return SearchReport(BUDGET_EXCEEDED, mode, search.count - 1, time.monotonic() - start, None, opts)
-    if found is None:
-        return SearchReport(UNSOLVABLE, mode, search.count, time.monotonic() - start, None, opts)
-    for u in plan.unobserved:
-        found[u] = tuple([0] * table_len[u])
-    code = NonlinearCode(
-        q,
-        {u[1]: found[u] for u in canonical if u[0] == "edge"},
-        {u[1]: found[u] for u in canonical if u[0] == "dec"},
-    )
-    if not verify_nonlinear(net, code):
-        raise AssertionError("nonlinear witness fails verification")
-    return SearchReport(SOLVABLE, mode, search.count, time.monotonic() - start, code, opts)
+    def build(found: dict) -> NonlinearCode:
+        edge_fn = {u[1]: found[u][0] for u in shape if u[0] == "edge"}
+        return NonlinearCode(q, edge_fn, {t: found[("dec", t)][0] for t in cones})
+
+    plan = _BucketPlan(net.terminal_nodes(), deps, shape, q)
+    return _BucketSearch(plan, check, opts).report(net, build, f"nonlinear(q={q})", start)
 
 
 def classify_characteristics(

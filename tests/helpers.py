@@ -139,6 +139,23 @@ def random_sum_network(rng: random.Random, max_nodes: int = 10) -> Network:
     )
 
 
+def rename_ids(rng: random.Random, net: Network) -> Network:
+    """The same network with every node, edge and message id replaced by a fresh random one."""
+    old = [*net.nodes, *(e.id for e in net.edges), *net.messages()]
+    new = dict(zip(old, (f"i{i}" for i in rng.sample(range(10**6), len(old)))))
+
+    def demand(d: Demand) -> Demand:
+        return Demand(d.kind, None if d.messages is None else tuple(new.get(m, m) for m in d.messages))
+
+    return Network(
+        f"renamed({net.name})",
+        tuple(new[v] for v in net.nodes),
+        tuple(Edge(new[e.id], new[e.tail], new[e.head]) for e in net.edges),
+        {new[s]: tuple(new[m] for m in msgs) for s, msgs in net.sources.items()},
+        {new[t]: demand(d) for t, d in net.terminals.items()},
+    )
+
+
 def random_code(rng: random.Random, net: Network, p: int, k: int, n: int) -> LinearCode:
     """Uniformly random coefficients on every slot the network offers."""
     f = FieldSpec(p)

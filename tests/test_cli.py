@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sumnet import FieldSpec, known_code, s_m
+from sumnet import FieldSpec, SearchOptions, known_code, s_m
 from sumnet.cli import export_dot, main
 from sumnet.codes import code_from_json, code_to_json, nonlinear_to_json, additive_code
 from sumnet.families import FamilySpec
@@ -45,6 +45,12 @@ def test_search_cli_matches_library(tmp_path, capsys):
     lib = search_linear(s_m(4), FieldSpec(2), 1, 1)
     assert report["enumerated"] == lib.enumerated
     assert report["witness"]["local_coeff"]  # witness embedded
+    rc, out = run_cli(capsys, "search", "--net", str(net_file), "--field", "2", "--no-collapse")
+    assert rc == 0
+    uncollapsed = json.loads(out)
+    assert uncollapsed["verdict"] == report["verdict"]
+    lib = search_linear(s_m(4), FieldSpec(2), 1, 1, SearchOptions(collapse_chains=False))
+    assert uncollapsed["enumerated"] == lib.enumerated
 
 
 def test_verify_cli_known_code(tmp_path, capsys):
@@ -233,9 +239,19 @@ def test_malformed_json_exit_1(tmp_path, capsys):
         "null_entry": with_entry(None),
         "float_entry": with_entry(1.5),
     }
+    # The code's only source message is x.
+    bad_scales = {
+        "null_scale": {"x": None},
+        "list_scales": [1],
+        "float_scale": {"x": [[1.5]]},
+        "bool_scale": {"x": True},
+        "unknown_message": {"nope": 1},
+    }
+    bad_traces = {"list_trace": ["a"], "int_role": {"a": 1}}
     files = {}
-    for name, blob in [("net", net), ("headless", headless), ("string_messages", string_messages),
-                       ("list_node", list_node), *bad_codes.items()]:
+    for name, blob in [("net", net), ("code", code), ("headless", headless),
+                       ("string_messages", string_messages), ("list_node", list_node),
+                       *bad_codes.items(), *bad_scales.items(), *bad_traces.items()]:
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(blob))
     for argv in (
@@ -243,6 +259,10 @@ def test_malformed_json_exit_1(tmp_path, capsys):
         ["connectivity", "--net", str(files["string_messages"])],
         ["connectivity", "--net", str(files["list_node"])],
         *(["verify", "--net", str(files["net"]), "--code", str(files[name])] for name in bad_codes),
+        *(["scale-sources", "--code", str(files["code"]), "--scales", str(files[name])]
+          for name in bad_scales),
+        *(["export-dot", "--net", str(files["net"]), "--trace", str(files[name])]
+          for name in bad_traces),
     ):
         rc = main(argv)
         captured = capsys.readouterr()

@@ -12,7 +12,7 @@ from sumnet import (
     search_nonlinear,
     verify_nonlinear,
 )
-from sumnet.codes import code_to_dict
+from sumnet.codes import code_to_dict, nonlinear_to_dict
 from sumnet.families import FamilySpec, bottleneck_mun, component
 from sumnet.netmodel import Demand, Edge, Network, min_source_terminal_cut, reachable, recover
 from sumnet.transforms import c1
@@ -23,6 +23,7 @@ from helpers import (
     mun_disjoint2,
     mun_path,
     random_sum_network,
+    rename_ids,
     sum_bipartite22,
     two_message_source,
 )
@@ -72,6 +73,12 @@ def test_classify_examples():
     }
 
 
+# Exact tick counts of the reference search, which enumerates every
+# coefficient without pruning: a change to its unit order or value order
+# shows up here.
+NAIVE_TICKS = {("s_3", 2): ("unsolvable", 1052), ("two_message_source", 3): ("solvable", 1115)}
+
+
 def test_staged_matches_naive_on_micro_corpus():
     # Over GF(3) too, so the cut checks meet unsolvable inputs (s_3, disc1,
     # bottleneck_2) beyond GF(2); component alone needs about 1M naive ticks
@@ -83,8 +90,10 @@ def test_staged_matches_naive_on_micro_corpus():
             if f is F3 and net.name == "component":
                 continue
             a = search_linear(net, f, 1, 1).verdict
-            b = naive_search_linear(net, f, 1, 1).verdict
-            assert a == b, (net.name, f.p)
+            b = naive_search_linear(net, f, 1, 1)
+            assert a == b.verdict, (net.name, f.p)
+            if (net.name, f.p) in NAIVE_TICKS:
+                assert (b.verdict, b.enumerated) == NAIVE_TICKS[(net.name, f.p)]
 
 
 def test_staged_matches_naive_on_random_micro():
@@ -206,6 +215,27 @@ def test_random_sum_networks_follow_ramamoorthy():
             assert r.verdict == ("solvable" if connected else "unsolvable"), (i, f.p, r.verdict)
 
 
+def test_verdicts_survive_renaming():
+    # A metamorphic check: ids only order the search, so renaming every node,
+    # edge and message id leaves each verdict alone.  A nonlinear search that
+    # runs out of budget decides nothing, so only decided pairs are compared
+    # there; 14 of the 21 pairs decide within 5,000 ticks.
+    rng = random.Random(7)
+    nets = [random_sum_network(rng, max_nodes=8) for _ in range(20)] + [c1(mun_path())[0]]
+    rename = random.Random(1)
+    decided = 0
+    for net in nets:
+        other = rename_ids(rename, net)
+        for f in (F2, F3):
+            a, b = (search_linear(x, f, 1, 1).verdict for x in (net, other))
+            assert a == b, (net.name, f.p)
+        a, b = (search_nonlinear(x, 2, SearchOptions(budget=5_000)).verdict for x in (net, other))
+        if "budget_exceeded" not in (a, b):
+            assert a == b, net.name
+            decided += 1
+    assert decided >= 14
+
+
 def test_budget_exceeded_is_a_verdict():
     r = search_linear(s_m(4), F2, 1, 1, SearchOptions(budget=2))
     assert r.verdict == "budget_exceeded"
@@ -266,11 +296,29 @@ def test_nonlinear_pigeonhole_unsolvable():
     assert search_nonlinear(net, 2).verdict == "unsolvable"
 
 
+# The first Z_2 table code of c1(path1): every edge forwards its symbol and
+# both terminals add theirs.
+C1_PATH_Q2_WITNESS = {
+    "q": 2,
+    "edge_fn": [
+        {"edge": e, "table": [0, 1]}
+        for e in ("s_1>t_R1", "s_1>w_1", "s_2>u_1", "u_1>v_1",
+                  "v_1>t_L1", "v_1>t_R1", "w_1>z_1", "z_1>t_L1")
+    ],
+    "decode_fn": [{"terminal": t, "table": [0, 1, 1, 0]} for t in ("t_L1", "t_R1")],
+}
+
+
 def test_nonlinear_c1_equivalence_spot():
+    # The exact tick counts pin the nonlinear search's bucket order, value
+    # order and early stop.
     solvable, _ = c1(mun_path())
     unsolvable, _ = c1(mun_disconnected())
-    assert search_nonlinear(solvable, 2).verdict == "solvable"
-    assert search_nonlinear(unsolvable, 2).verdict == "unsolvable"
+    r = search_nonlinear(solvable, 2)
+    assert (r.verdict, r.enumerated) == ("solvable", 2968)
+    assert nonlinear_to_dict(r.witness) == C1_PATH_Q2_WITNESS
+    r = search_nonlinear(unsolvable, 2)
+    assert (r.verdict, r.enumerated) == ("unsolvable", 2220)
 
 
 def test_nonlinear_budget_verdict():
