@@ -72,28 +72,33 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _dot_quote(*lines: str) -> str:
+    """A DOT string literal of ``lines`` joined by label breaks, quotes and backslashes escaped."""
+    return '"' + "\\n".join(x.replace("\\", "\\\\").replace('"', '\\"') for x in lines) + '"'
+
+
 def export_dot(net: Network, trace: Optional[transforms.TransformTrace] = None) -> str:
     """Graphviz text with sources and terminals visually distinguished."""
-    lines = [f'digraph "{net.name or "network"}" {{', "  rankdir=LR;"]
+    lines = [f"digraph {_dot_quote(net.name or 'network')} {{", "  rankdir=LR;"]
     for v in net.nodes:
         attrs = ['shape=ellipse']
-        label = v
+        label = [v]
         if v in net.sources:
             attrs = ["shape=box", "style=filled", "fillcolor=lightblue"]
-            label += "\\n" + ",".join(net.sources[v])
+            label.append(",".join(net.sources[v]))
         elif v in net.terminals:
             d = net.terminals[v]
             attrs = ["shape=doubleoctagon", "style=filled", "fillcolor=lightyellow"]
-            label += "\\n" + ("sum" if d.kind == "sum" else ",".join(d.messages))
+            label.append("sum" if d.kind == "sum" else ",".join(d.messages))
         if trace is not None and trace.role(v):
-            label += "\\n[" + trace.role(v) + "]"
-        attrs.append(f'label="{label}"')
-        lines.append(f'  "{v}" [{", ".join(attrs)}];')
+            label.append("[" + trace.role(v) + "]")
+        attrs.append(f"label={_dot_quote(*label)}")
+        lines.append(f'  {_dot_quote(v)} [{", ".join(attrs)}];')
     for e in net.edges:
-        label = e.id
+        label = [e.id]
         if trace is not None and trace.role(e.id):
-            label += "\\n[" + trace.role(e.id) + "]"
-        lines.append(f'  "{e.tail}" -> "{e.head}" [label="{label}"];')
+            label.append("[" + trace.role(e.id) + "]")
+        lines.append(f"  {_dot_quote(e.tail)} -> {_dot_quote(e.head)} [label={_dot_quote(*label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

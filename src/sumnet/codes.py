@@ -55,54 +55,57 @@ class LinearCode:
         return m if m is not None else MatrixGF.zeros(self.field, self.k, self.n)
 
 
+def coefficient_table(net: Network, k: int, n: int) -> dict[tuple, tuple[int, int]]:
+    """Every coefficient of a (k, n) code on ``net``, with its (rows, cols) shape.
+
+    Keys: ``("alpha", msg, edge)`` n x k, ``("beta", in_edge, out_edge)`` n x n
+    and ``("gamma", terminal, edge, slot)`` k x n.  Alpha and beta keys come by
+    the out-edge, in topological order of its tail and then by id; gamma keys
+    follow by terminal, slot and in-edge.
+    """
+    table: dict[tuple, tuple[int, int]] = {}
+    for v in net.topo_order():
+        for e in net.out_edges(v):
+            if v in net.sources:
+                for msg in net.sources[v]:
+                    table[("alpha", msg, e.id)] = (n, k)
+            else:
+                for ein in net.in_edges(v):
+                    table[("beta", ein.id, e.id)] = (n, n)
+    for t in net.terminal_nodes():
+        for slot in range(len(net.terminals[t].slots())):
+            for e in net.in_edges(t):
+                table[("gamma", t, e.id, slot)] = (k, n)
+    return table
+
+
+def linear_code(field: FieldSpec, k: int, n: int, coeffs: Mapping[tuple, MatrixGF]) -> LinearCode:
+    """The code whose coefficient at each ``coefficient_table`` key is ``coeffs[key]``."""
+    parts: dict[str, dict] = {"alpha": {}, "beta": {}, "gamma": {}}
+    for key, m in coeffs.items():
+        parts[key[0]][key[1:]] = m
+    return LinearCode(field, k, n, parts["alpha"], parts["beta"], parts["gamma"])
+
+
 def validate_code(net: Network, code: LinearCode) -> None:
-    """Check every key references the network and every shape is exact."""
+    """Check that k, n >= 1 and every coefficient is in the network's table with its shape."""
     if code.k < 1 or code.n < 1:
         raise CodeError("k and n must be positive")
-    for (msg, eid), m in code.source_coeff.items():
-        if not net.has_edge(eid):
-            raise CodeError(f"unknown edge {eid!r}")
-        e = net.edge(eid)
-        if e.tail not in net.sources or msg not in net.sources[e.tail]:
-            raise CodeError(f"message {msg!r} is not generated at tail of {eid!r}")
-        if (m.rows, m.cols) != (code.n, code.k):
-            raise CodeError(f"source coefficient for {(msg, eid)} must be n x k")
-    for (ein, eout), m in code.local_coeff.items():
-        if not (net.has_edge(ein) and net.has_edge(eout)):
-            raise CodeError(f"unknown edge pair {(ein, eout)}")
-        if net.edge(ein).head != net.edge(eout).tail:
-            raise CodeError(f"edges {(ein, eout)} are not adjacent")
-        if net.edge(eout).tail in net.sources:
-            raise CodeError("interior coefficient at a source node")
-        if (m.rows, m.cols) != (code.n, code.n):
-            raise CodeError(f"local coefficient for {(ein, eout)} must be n x n")
-    for (t, eid, slot), m in code.decode_coeff.items():
-        if t not in net.terminals:
-            raise CodeError(f"{t!r} is not a terminal")
-        if not net.has_edge(eid) or net.edge(eid).head != t:
-            raise CodeError(f"edge {eid!r} does not enter terminal {t!r}")
-        if not 0 <= slot < len(net.terminals[t].slots()):
-            raise CodeError(f"slot {slot} out of range at {t!r}")
-        if (m.rows, m.cols) != (code.k, code.n):
-            raise CodeError(f"decode coefficient for {(t, eid, slot)} must be k x n")
+    table = coefficient_table(net, code.k, code.n)
+    for kind, coeffs in (("alpha", code.source_coeff), ("beta", code.local_coeff),
+                         ("gamma", code.decode_coeff)):
+        for key, m in coeffs.items():
+            shape = table.get((kind, *key))
+            if shape is None:
+                raise CodeError(f"{kind} coefficient {key} is not in the network's coefficient table")
+            if (m.rows, m.cols) != shape:
+                raise CodeError(f"{kind} coefficient {key} must be {shape[0]} x {shape[1]}")
 
 
 def identity_code(net: Network, field: FieldSpec, k: int = 1) -> LinearCode:
     """(k, k) code with every coefficient the identity matrix."""
     eye = MatrixGF.identity(field, k)
-    src, loc, dec = {}, {}, {}
-    for e in net.edges:
-        if e.tail in net.sources:
-            for msg in net.sources[e.tail]:
-                src[(msg, e.id)] = eye
-        else:
-            for ein in net.in_edges(e.tail):
-                loc[(ein.id, e.id)] = eye
-    for t, d in net.terminals.items():
-        for slot in range(len(d.slots())):
-            for e in net.in_edges(t):
-                dec[(t, e.id, slot)] = eye
-    return LinearCode(field, k, k, src, loc, dec)
+    return linear_code(field, k, k, dict.fromkeys(coefficient_table(net, k, k), eye))
 
 
 # -- evaluation and transfer --------------------------------------------------
@@ -113,23 +116,14 @@ def edge_symbol_maps(net: Network, code: LinearCode) -> dict[str, np.ndarray]:
     p = code.field.p
     k, n = code.k, code.n
     msgs = net.messages()
-    width = len(msgs) * k
     off = {m: i * k for i, m in enumerate(msgs)}
-    maps: dict[str, np.ndarray] = {}
-    for v in net.topo_order():
-        for e in net.out_edges(v):
-            m = np.zeros((n, width), dtype=np.int64)
-            if v in net.sources:
-                for msg in net.sources[v]:
-                    a = code.source(msg, e.id).array()
-                    if a.any():
-                        m[:, off[msg]:off[msg] + k] = (m[:, off[msg]:off[msg] + k] + a) % p
-            else:
-                for ein in net.in_edges(v):
-                    b = code.local(ein.id, e.id).array()
-                    if b.any():
-                        m = (m + b @ maps[ein.id]) % p
-            maps[e.id] = m
+    maps = {e.id: np.zeros((n, len(msgs) * k), dtype=np.int64) for e in net.edges}
+    # Table order puts every in-edge's map before the maps it feeds.
+    for kind, a, eid, *_ in coefficient_table(net, k, n):
+        if kind == "alpha" and (a, eid) in code.source_coeff:
+            maps[eid][:, off[a]:off[a] + k] = code.source_coeff[(a, eid)].array()
+        elif kind == "beta" and (a, eid) in code.local_coeff:
+            maps[eid] = (maps[eid] + code.local_coeff[(a, eid)].array() @ maps[a]) % p
     return maps
 
 

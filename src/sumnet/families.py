@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .codes import LinearCode, identity_code
+from .codes import LinearCode, coefficient_table, identity_code, linear_code
 from .gflin import FieldSpec, MatrixGF
 from .netmodel import Demand, Edge, Network, NetworkError, recover
 
@@ -173,27 +173,21 @@ def _bottleneck_fractional_code(m: int, field: FieldSpec) -> LinearCode:
     bottom = MatrixGF(field, [[0], [1]])
     both = MatrixGF(field, [[1], [1]])
     eye2 = MatrixGF.identity(field, 2)
-    src: dict[tuple[str, str], MatrixGF] = {}
-    loc: dict[tuple[str, str], MatrixGF] = {}
-    dec: dict[tuple[str, str, int], MatrixGF] = {}
-    for e in net.edges:
-        role = trace.role(e.id) or ""
-        if e.tail in net.sources:
-            msg = net.sources[e.tail][0]
-            if role.startswith("source feed"):
-                src[(msg, e.id)] = top
-            elif role.startswith("extra source feed"):
-                src[(msg, e.id)] = both
-            else:  # cross feed / direct right
-                src[(msg, e.id)] = bottom
-        else:
-            for ein in net.in_edges(e.tail):
-                loc[(ein.id, e.id)] = eye2
-    for t in net.terminal_nodes():
-        gamma = bottom.transpose() if (trace.role(t) or "").startswith("right") else top.transpose()
-        for e in net.in_edges(t):
-            dec[(t, e.id, 0)] = gamma
-    return LinearCode(field, 1, 2, src, loc, dec)
+    coeffs = {}
+    for u in coefficient_table(net, 1, 2):
+        # The role of an alpha's edge, or of a gamma's terminal.
+        role = trace.role(u[2] if u[0] == "alpha" else u[1]) or ""
+        if u[0] == "beta":
+            coeffs[u] = eye2
+        elif u[0] == "gamma":
+            coeffs[u] = (bottom if role.startswith("right") else top).transpose()
+        elif role.startswith("source feed"):
+            coeffs[u] = top
+        elif role.startswith("extra source feed"):
+            coeffs[u] = both
+        else:  # cross feed / direct right
+            coeffs[u] = bottom
+    return linear_code(field, 1, 2, coeffs)
 
 
 def known_code(spec: FamilySpec, field: FieldSpec) -> Optional[LinearCode]:
@@ -215,11 +209,9 @@ def known_code(spec: FamilySpec, field: FieldSpec) -> Optional[LinearCode]:
         net = s_m_star(spec.m)
         code = identity_code(net, field, k=1)
         inv = MatrixGF(field, [[field.inv(spec.m - 2)]])
-        dec = dict(code.decode_coeff)
         t_last = f"t_{spec.m}"
-        for e in net.in_edges(t_last):
-            dec[(t_last, e.id, 0)] = inv
-        return LinearCode(field, 1, 1, dict(code.source_coeff), dict(code.local_coeff), dec)
+        dec = {key: inv if key[0] == t_last else m for key, m in code.decode_coeff.items()}
+        return LinearCode(field, 1, 1, code.source_coeff, code.local_coeff, dec)
     if spec.family == "bottleneck_mun":
         return _bottleneck_fractional_code(spec.m, field)
     return None

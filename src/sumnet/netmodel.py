@@ -312,39 +312,50 @@ def network_from_json(text: str) -> Network:
 # -- flows and reachability -------------------------------------------------
 
 
+def _residual_search(net: Network, s: str, used: set[str], t: Optional[str] = None) -> dict:
+    """Breadth-first search from s in the residual graph of the unit flow on ``used``.
+
+    A free edge is walked forward and a flow-carrying one backward.  Returns
+    each node reached, up to t if given, with the edge it was reached by.
+    """
+    if s not in net._out:
+        raise UnknownNode(repr(s))
+    prev: dict[str, Optional[Edge]] = {s: None}
+    queue = deque([s])
+    while queue and t not in prev:
+        v = queue.popleft()
+        for e in net.out_edges(v):
+            if e.head not in prev and e.id not in used:
+                prev[e.head] = e
+                queue.append(e.head)
+        for e in net.in_edges(v):
+            if e.tail not in prev and e.id in used:
+                prev[e.tail] = e
+                queue.append(e.tail)
+    return prev
+
+
 def min_cut(net: Network, s: str, t: str) -> int:
     """Max-flow value from s to t with unit capacity per edge (Edmonds-Karp)."""
-    if s not in set(net.nodes) or t not in set(net.nodes):
-        raise UnknownNode(f"{s!r} or {t!r}")
+    if t not in net._out:
+        raise UnknownNode(repr(t))
     if s == t:
         raise NetworkError("source and sink must differ")
-    cap: dict[tuple[str, str, str], int] = {}
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in net.nodes}
-    for e in net.edges:
-        cap[(e.id, e.tail, e.head)] = 1
-        cap[(e.id, e.head, e.tail)] = 0
-        adj[e.tail].append((e.id, e.head))
-        adj[e.head].append((e.id, e.tail))
-    for v in adj:
-        adj[v].sort()
+    used: set[str] = set()
     flow = 0
     while True:
-        prev: dict[str, tuple[str, str]] = {s: ("", s)}
-        q = deque([s])
-        while q and t not in prev:
-            u = q.popleft()
-            for eid, w in adj[u]:
-                if w not in prev and cap[(eid, u, w)] > 0:
-                    prev[w] = (eid, u)
-                    q.append(w)
+        prev = _residual_search(net, s, used, t)
         if t not in prev:
             return flow
         v = t
         while v != s:
-            eid, u = prev[v]
-            cap[(eid, u, v)] -= 1
-            cap[(eid, v, u)] += 1
-            v = u
+            e = prev[v]
+            if e.id in used:
+                used.remove(e.id)
+                v = e.head
+            else:
+                used.add(e.id)
+                v = e.tail
         flow += 1
 
 
@@ -361,15 +372,8 @@ def min_source_terminal_cut(net: Network) -> int:
 
 
 def reachable(net: Network, start: str) -> set[str]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for e in net.out_edges(v):
-            if e.head not in seen:
-                seen.add(e.head)
-                stack.append(e.head)
-    return seen
+    """Every node with a path from ``start``, itself included."""
+    return set(_residual_search(net, start, set()))
 
 
 def connectivity(net: Network) -> tuple[tuple[str, ...], tuple[str, ...], list[list[bool]]]:

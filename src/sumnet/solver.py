@@ -15,8 +15,11 @@ search still justifies an "unsolvable" verdict:
 * with ``collapse_chains`` on, the coefficients behind a relay of in-degree
   one are pinned to the identity for the same reason.
 
-Both rules are applied in one place, the per-edge unit lists built by
-``_StagedProblem``; an edge with no units is pinned.
+Both pin a coefficient that is alone on its out-edge, and both are applied in
+one place: ``_StagedProblem`` keeps, per edge, the edge's keys from
+``codes.coefficient_table`` with a constant for each pinned coefficient, so
+edge evaluation and witness assembly read pinned and enumerated coefficients
+the same way.  An edge whose coefficients are all constants is pinned.
 
 The remaining unknowns are grouped into buckets, one per terminal, in greedy
 order of smallest outstanding dependency set.  A bucket with a terminal check
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -70,9 +73,11 @@ from .codes import (
     LinearCode,
     NonlinearCode,
     code_to_dict,
+    coefficient_table,
     demanded_symbol,
     edge_arity,
     is_solution,
+    linear_code,
     nonlinear_to_dict,
     table_index,
     table_symbols,
@@ -163,6 +168,29 @@ def _row_basis(rows, p: int) -> list[tuple[int, list[int]]]:
             inv = pow(r[piv], p - 2, p)
             basis.append((piv, [(x * inv) % p for x in r]))
     return basis
+
+
+@lru_cache(maxsize=None)
+def _eye(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(cols)) for i in range(rows))
+
+
+def _units_by_owner(net: Network, table: dict) -> tuple[dict[str, list], dict[str, list]]:
+    """A coefficient table's keys per out-edge, in topological order, and per decoding terminal."""
+    edges: dict[str, list] = {e.id: [] for v in net.topo_order() for e in net.out_edges(v)}
+    terminals: dict[str, list] = {t: [] for t in net.terminal_nodes()}
+    for u in table:
+        if u[0] == "gamma":
+            terminals[u[1]].append(u)
+        else:
+            edges[u[-1]].append(u)
+    return edges, terminals
+
+
+def _code_of(f: FieldSpec, k: int, n: int, values: dict) -> LinearCode:
+    """The linear code of a search result, each value a tuple of rows; equal values share a matrix."""
+    mats = {rows: MatrixGF(f, rows) for rows in set(values.values())}
+    return linear_code(f, k, n, {u: mats[rows] for u, rows in values.items()})
 
 
 def _backward_cones(net: Network) -> dict[str, list[str]]:
@@ -379,40 +407,31 @@ class _StagedProblem:
         self.msgs = net.messages()
         self.width = len(self.msgs) * k
         self.off = {m: i * k for i, m in enumerate(self.msgs)}
-        self.pinned_eye = tuple(tuple(int(i == j) for j in range(k)) for i in range(n))
 
-        # The one place the reductions are decided: each edge's enumerated
-        # units.  An edge with no units is pinned, to eye(n, k) at a source
-        # and to the identity behind an in-degree-1 relay.
-        self.units: dict[str, list[tuple]] = {}
-        for e in net.edges:
-            v = e.tail
-            if v in net.sources:
-                pinned = len(net.sources[v]) == 1 and n >= k
-                units = [("alpha", msg, e.id) for msg in net.sources[v]]
-            else:
-                ins = net.in_edges(v)
-                pinned = opts.collapse_chains and len(ins) == 1
-                units = [("beta", ein.id, e.id) for ein in ins]
-            self.units[e.id] = [] if pinned else units
-
-        shape = {
-            u: (n, k) if u[0] == "alpha" else (n, n)
-            for v in net.topo_order() for e in net.out_edges(v) for u in self.units[e.id]
-        }
+        # The one place the reductions are decided: each edge's coefficients
+        # as (unit, constant), where a pinned coefficient carries its value
+        # and an enumerated one None.  A coefficient alone on its out-edge is
+        # pinned: to eye(n, k) at a single-message source when n >= k, and to
+        # the identity behind an in-degree-1 relay when collapse_chains is on.
+        table = coefficient_table(net, k, n)
+        self.coeffs, self.decoders = _units_by_owner(net, table)
+        for eid, keys in self.coeffs.items():
+            lone = keys[0][0] if len(keys) == 1 else None
+            pin = (lone == "alpha" and n >= k) or (lone == "beta" and opts.collapse_chains)
+            self.coeffs[eid] = [(u, _eye(*table[u]) if pin else None) for u in keys]
+        # Per edge, the coefficients left to enumerate; an edge with none is pinned.
+        self.units = {eid: [u for u, const in cs if const is None] for eid, cs in self.coeffs.items()}
 
         self.cone = _backward_cones(net)
         deps = {t: {u for eid in cone for u in self.units[eid]} for t, cone in self.cone.items()}
-
+        shape = {u: table[u] for us in self.units.values() for u in us}
         self.plan = _BucketPlan(net.terminal_nodes(), deps, shape, self.p)
 
         # Edges whose symbolic map never changes during the search.
         self.const_maps: dict[str, list[list[int]]] = {}
         for v in net.topo_order():
             for e in net.out_edges(v):
-                if not self.units[e.id] and (
-                    v in net.sources or all(ein.id in self.const_maps for ein in net.in_edges(v))
-                ):
+                if not self.units[e.id] and all(ein.id in self.const_maps for ein in net.in_edges(v)):
                     self.const_maps[e.id] = self._eval_edge(e.id, {}, self.const_maps)
 
         target = target_transfer_array(net, fieldspec, k)
@@ -422,35 +441,25 @@ class _StagedProblem:
 
     def _eval_edge(self, eid: str, assign: dict, maps: dict) -> list[list[int]]:
         p, k, n = self.p, self.k, self.n
-        v = self.net.edge(eid).tail
-        pinned = not self.units[eid]
         m = [[0] * self.width for _ in range(n)]
-        if v in self.net.sources:
-            for msg in self.net.sources[v]:
-                a = self.pinned_eye if pinned else assign[("alpha", msg, eid)]
-                o = self.off[msg]
+        for u, const in self.coeffs[eid]:
+            a = assign[u] if const is None else const
+            if u[0] == "alpha":
+                o = self.off[u[1]]
                 for i in range(n):
                     row, arow = m[i], a[i]
                     for j in range(k):
                         row[o + j] = (row[o + j] + arow[j]) % p
-            return m
-        for ein in self.net.in_edges(v):
-            src = maps[ein.id]
-            if pinned:
-                for i in range(n):
-                    row, srow = m[i], src[i]
-                    for w in range(self.width):
-                        row[w] = (row[w] + srow[w]) % p
-            else:
-                b = assign[("beta", ein.id, eid)]
-                for i in range(n):
-                    row, brow = m[i], b[i]
-                    for l in range(n):
-                        c = brow[l]
-                        if c:
-                            srow = src[l]
-                            for w in range(self.width):
-                                row[w] = (row[w] + c * srow[w]) % p
+                continue
+            src = maps[u[1]]
+            for i in range(n):
+                row, brow = m[i], a[i]
+                for l in range(n):
+                    c = brow[l]
+                    if c:
+                        srow = src[l]
+                        for w in range(self.width):
+                            row[w] = (row[w] + c * srow[w]) % p
         return m
 
     def edge_maps(self, edges: Sequence[str], assign: dict) -> dict[str, list[list[int]]]:
@@ -506,10 +515,8 @@ class _StagedProblem:
                     assigned.add(b.units[d])
                     fixed: set[str] = set()
                     for eid in cone:
-                        tail = net.edge(eid).tail
-                        if all(u in assigned for u in self.units[eid]) and (
-                            tail in net.sources or all(e.id in fixed for e in net.in_edges(tail))
-                        ):
+                        ins = net.in_edges(net.edge(eid).tail)
+                        if all(u in assigned for u in self.units[eid]) and all(e.id in fixed for e in ins):
                             fixed.add(eid)
                     if any(net.edge(eid).tail in net.sources and eid not in fixed for eid in cone):
                         continue
@@ -538,31 +545,20 @@ class _StagedProblem:
 
     def witness(self, assign: dict) -> LinearCode:
         """The code of a search result, every unit assigned."""
-        f, k, n = self.field, self.k, self.n
-        src: dict[tuple[str, str], MatrixGF] = {}
-        loc: dict[tuple[str, str], MatrixGF] = {}
-        dec: dict[tuple[str, str, int], MatrixGF] = {}
-        eye_n = MatrixGF.identity(f, n)
-        for e in self.net.edges:
-            pinned = not self.units[e.id]
-            if e.tail in self.net.sources:
-                for msg in self.net.sources[e.tail]:
-                    a = self.pinned_eye if pinned else assign[("alpha", msg, e.id)]
-                    src[(msg, e.id)] = MatrixGF(f, a)
-            else:
-                for ein in self.net.in_edges(e.tail):
-                    b = eye_n if pinned else MatrixGF(f, assign[("beta", ein.id, e.id)])
-                    loc[(ein.id, e.id)] = b
-        for t in self.net.terminal_nodes():
+        k, n = self.k, self.n
+        values = {
+            u: assign[u] if const is None else const
+            for coeffs in self.coeffs.values() for u, const in coeffs
+        }
+        for t, keys in self.decoders.items():
             x = self.solve_terminal(t, assign)
             if x is None:
                 raise AssertionError("witness assembly hit an infeasible terminal")
-            slots = len(self.net.terminals[t].slots())
-            for j, e in enumerate(self.net.in_edges(t)):
-                for s in range(slots):
-                    gamma = x[j * n:(j + 1) * n, s * k:(s + 1) * k].T
-                    dec[(t, e.id, s)] = MatrixGF.from_array(f, gamma)
-        return LinearCode(f, k, n, src, loc, dec)
+            at = {e.id: j * n for j, e in enumerate(self.net.in_edges(t))}
+            for u in keys:  # ("gamma", t, in-edge, slot)
+                j, s = at[u[2]], u[3] * k
+                values[u] = tuple(map(tuple, x[j:j + n, s:s + k].T.tolist()))
+        return _code_of(self.field, k, n, values)
 
 
 def search_linear(
@@ -602,19 +598,8 @@ def naive_search_linear(
     off = {m: i * k for i, m in enumerate(msgs)}
 
     # Each edge's and each terminal's units, in canonical order.
-    units: dict[str, list[tuple]] = {}
-    for v in net.topo_order():
-        for e in net.out_edges(v):
-            if v in net.sources:
-                units[e.id] = [("alpha", msg, e.id) for msg in net.sources[v]]
-            else:
-                units[e.id] = [("beta", ein.id, e.id) for ein in net.in_edges(v)]
-    decoders = {
-        t: [("gamma", t, e.id, s) for s in range(len(net.terminals[t].slots())) for e in net.in_edges(t)]
-        for t in net.terminal_nodes()
-    }
-    kind_shape = {"alpha": (n, k), "beta": (n, n), "gamma": (k, n)}
-    shape = {u: kind_shape[u[0]] for us in (*units.values(), *decoders.values()) for u in us}
+    shape = coefficient_table(net, k, n)
+    units, decoders = _units_by_owner(net, shape)
 
     cones = _backward_cones(net)
     deps = {t: {u for eid in cone for u in units[eid]} | set(decoders[t]) for t, cone in cones.items()}
@@ -667,15 +652,9 @@ def naive_search_linear(
                 return False
         return True
 
-    def build(found: dict) -> LinearCode:
-        coeffs = {kind: {} for kind in kind_shape}
-        for u in shape:
-            coeffs[u[0]][u[1:]] = MatrixGF(fieldspec, found[u])
-        return LinearCode(fieldspec, k, n, coeffs["alpha"], coeffs["beta"], coeffs["gamma"])
-
     plan = _BucketPlan(net.terminal_nodes(), deps, shape, p)
     search = _BucketSearch(plan, check, SearchOptions(budget=budget))
-    return search.report(net, build, _mode(k, n), start)
+    return search.report(net, partial(_code_of, fieldspec, k, n), _mode(k, n), start)
 
 
 # -- nonlinear search -----------------------------------------------------------

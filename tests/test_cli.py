@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumnet import FieldSpec, SearchOptions, known_code, s_m
 from sumnet.cli import export_dot, main
@@ -295,6 +298,27 @@ def test_console_entry_point_runs():
     assert '"s_1"' in proc.stdout
 
 
+def test_export_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    net_file = tmp_path / "net.json"
+    net_file.write_text(json.dumps({
+        "name": 'say "hi"',
+        "nodes": ['s"1', "t\\2"],
+        "edges": [{"id": 'e"', "tail": 's"1', "head": "t\\2"}],
+        "sources": {'s"1': ['x"']},
+        "terminals": {"t\\2": {"kind": "sum"}},
+    }))
+    rc, out = run_cli(capsys, "export-dot", "--net", str(net_file))
+    assert rc == 0
+    assert out.splitlines() == [
+        'digraph "say \\"hi\\"" {',
+        "  rankdir=LR;",
+        '  "s\\"1" [shape=box, style=filled, fillcolor=lightblue, label="s\\"1\\nx\\""];',
+        '  "t\\\\2" [shape=doubleoctagon, style=filled, fillcolor=lightyellow, label="t\\\\2\\nsum"];',
+        '  "s\\"1" -> "t\\\\2" [label="e\\""];',
+        "}",
+    ]
+
+
 def test_export_dot_library_matches_cli(tmp_path, capsys):
     net = s_m(3)
     direct = export_dot(net)
@@ -302,3 +326,88 @@ def test_export_dot_library_matches_cli(tmp_path, capsys):
     run_cli(capsys, "family", "--name", "s_m", "--m", "3", "-o", str(net_file))
     rc, out = run_cli(capsys, "export-dot", "--net", str(net_file))
     assert out == direct
+
+
+# -- fuzz: generated JSON through the CLI ------------------------------------
+
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-2, 3) | st.text("abv0>", max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("abv0", max_size=2), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+@st.composite
+def _broken(draw, fields: dict) -> dict:
+    """``fields``, or one time in four, with one of them replaced by any JSON value."""
+    if draw(st.integers(0, 3)) < 3:
+        return fields
+    return {**fields, draw(st.sampled_from(list(fields))): draw(_JUNK)}
+
+
+@st.composite
+def _net_json(draw):
+    """A small layered network description, at most one of its parts broken."""
+    nodes = [f"v{i}" for i in range(draw(st.integers(2, 5)))]
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    edges = [draw(_broken({"id": f"e{i}", "tail": a, "head": b}))
+             for i, (a, b) in enumerate(draw(st.lists(st.sampled_from(pairs), max_size=6)))]
+    demand = draw(st.sampled_from([{"kind": "sum"}, {"kind": "recover", "messages": ["m0"]},
+                                   {"kind": "sum", "slots": ["m0", "m1"]}]))
+    return draw(_broken({
+        "name": "fuzz",
+        "nodes": nodes,
+        "edges": edges,
+        "sources": {v: [f"m{i}"] for i, v in enumerate(nodes[:draw(st.integers(1, 2))])},
+        "terminals": {nodes[-1]: draw(_broken(demand))},
+    }))
+
+
+@st.composite
+def _code_json(draw):
+    """A (k, n) code whose keys may or may not fit the network, at most one part broken."""
+    k, n = (draw(st.sampled_from([1, 2, 0])) for _ in "kn")
+    edge, node = st.sampled_from(["e0", "e1", "e2"]), st.sampled_from(["v1", "v2", "v4"])
+
+    def entries(keys: dict, rows: int, cols: int):
+        mat = st.lists(st.lists(st.integers(0, 2), min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+        return st.lists(st.fixed_dictionaries({**keys, "mat": mat}), max_size=1)
+
+    return draw(_broken({
+        "field": draw(st.sampled_from([2, 3, 4, 1])),
+        "k": k,
+        "n": n,
+        "source_coeff": draw(entries({"msg": st.sampled_from(["m0", "m1"]), "edge": edge}, n, k)),
+        "local_coeff": draw(entries({"in": edge, "out": edge}, n, n)),
+        "decode_coeff": draw(entries({"terminal": node, "edge": edge, "slot": st.integers(0, 1)}, k, n)),
+    }))
+
+
+def test_cli_fuzz_exits_cleanly(tmp_path):
+    # ROADMAP 5: whatever JSON it is given, the CLI exits 0, 1 or 2 and never
+    # prints a traceback.  An uncaught exception fails the test here.
+    net_file, code_file = tmp_path / "net.json", tmp_path / "code.json"
+    node = st.sampled_from(["v0", "v1", "v2", "v4"])
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(net=_net_json(), code=_code_json(), s=node, t=node,
+           field=st.sampled_from(["2", "3", "4"]), k=st.sampled_from(["0", "1", "2"]))
+    def run(net, code, s, t, field, k):
+        net_file.write_text(json.dumps(net))
+        code_file.write_text(json.dumps(code))
+        for argv in (
+            ["connectivity", "--net", str(net_file)],
+            ["mincut", "--net", str(net_file), "--s", s, "--t", t],
+            ["verify", "--net", str(net_file), "--code", str(code_file)],
+            ["search", "--net", str(net_file), "--field", field, "--k", k, "--budget", "1000"],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
+            assert rc in (0, 1, 2), argv
+            assert "Traceback" not in out.getvalue() + err.getvalue()
+
+    run()

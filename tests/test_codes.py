@@ -220,6 +220,44 @@ def test_validate_code_rejects_bad_shapes():
         validate_code(net, bad)
 
 
+def test_validate_code_rejects_each_bad_key():
+    # Sources a (message x) and b (y) meet at relay r, which feeds sum
+    # terminal t; a also reaches t directly.
+    net = Network(
+        "two",
+        ("a", "b", "r", "t"),
+        (Edge("a>r", "a", "r"), Edge("a>t", "a", "t"), Edge("b>r", "b", "r"), Edge("r>t", "r", "t")),
+        {"a": ("x",), "b": ("y",)},
+        {"t": Demand("sum")},
+    )
+    one, wide = MatrixGF(F2, [[1]]), MatrixGF(F2, [[1, 0]])
+    good = identity_code(net, F2)
+    validate_code(net, good)
+    bad = {
+        "unknown edge": ("source", ("x", "nope"), one),
+        "message not generated at the tail": ("source", ("y", "a>r"), one),
+        "message at a non-source tail": ("source", ("x", "r>t"), one),
+        "non-adjacent pair": ("local", ("a>t", "r>t"), one),
+        "unknown in-edge": ("local", ("nope", "r>t"), one),
+        "decoder at a non-terminal": ("decode", ("r", "a>r", 0), one),
+        "edge not into the terminal": ("decode", ("t", "a>r", 0), one),
+        "slot out of range": ("decode", ("t", "r>t", 1), one),
+        "source shape": ("source", ("x", "a>r"), wide),
+        "local shape": ("local", ("a>r", "r>t"), wide),
+        "decode shape": ("decode", ("t", "r>t", 0), wide),
+    }
+    for what, (kind, key, m) in bad.items():
+        coeffs = {x: dict(getattr(good, f"{x}_coeff")) for x in ("source", "local", "decode")}
+        coeffs[kind][key] = m
+        code = LinearCode(F2, 1, 1, coeffs["source"], coeffs["local"], coeffs["decode"])
+        with pytest.raises(CodeError) as err:
+            validate_code(net, code)
+        assert any(str(x) in str(err.value) for x in key), what
+    for k, n in ((0, 1), (1, 0)):
+        with pytest.raises(CodeError):
+            validate_code(net, LinearCode(F2, k, n, {}, {}, {}))
+
+
 def test_multi_slot_recover_terminal():
     net = Network(
         "both",

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,12 +12,14 @@ from sumnet.netmodel import (
     Network,
     NetworkError,
     SourceHasInEdge,
+    UnknownNode,
     build_network,
     connectivity,
     min_cut,
     min_source_terminal_cut,
     network_from_json,
     network_to_json,
+    reachable,
     recover,
     reverse_network,
 )
@@ -100,6 +103,61 @@ def test_min_cut_parallel_edges():
         {},
     )
     assert min_cut(net, "a", "b") == 2
+
+
+def test_min_cut_cancels_flow_on_a_used_edge():
+    # Shortest augmenting paths first route s>a, a>b, b>t; the second path
+    # s>c, c>b must then walk a>b backwards to reach a>d, d>t.
+    names = ("s>a", "s>c", "a>b", "a>d", "c>b", "b>t", "d>t")
+    net = Network("cancel", tuple("sabcdt"), tuple(Edge(x, x[0], x[2]) for x in names), {}, {})
+    assert min_cut(net, "s", "t") == 2
+
+
+def _closure(edges, start):
+    """Nodes reachable from start, by fixed-point iteration over the edge list."""
+    seen = {start}
+    while True:
+        more = {b for a, b in edges if a in seen} - seen
+        if not more:
+            return seen
+        seen |= more
+
+
+def _random_dag(rng: random.Random, n_nodes: int, n_edges: int) -> Network:
+    """A DAG on nodes v0..v{n-1}, edges forward in index order, parallel edges allowed."""
+    names = tuple(f"v{i}" for i in range(n_nodes))
+    edges = []
+    for i in range(n_edges):
+        a, b = sorted(rng.sample(range(n_nodes), 2))
+        edges.append(Edge(f"e{i}", names[a], names[b]))
+    return Network("dag", names, tuple(edges), {}, {})
+
+
+def test_min_cut_and_reachable_match_brute_force():
+    # min_cut is the fewest edges whose removal disconnects t from s
+    # (Menger); reachable is the transitive closure.  Augmenting paths that
+    # cancel flow are rare on such DAGs; the case above pins that step.
+    rng = random.Random(5)
+    for _ in range(400):
+        net = _random_dag(rng, rng.randint(5, 8), rng.randint(6, 14))
+        pairs = [(e.tail, e.head) for e in net.edges]
+        s, t = sorted(rng.sample(net.nodes, 2))
+        for v in net.nodes:
+            assert reachable(net, v) == _closure(pairs, v)
+        best = next(
+            c for c in range(len(pairs) + 1)
+            if any(t not in _closure([pairs[i] for i in range(len(pairs)) if i not in cut], s)
+                   for cut in map(set, combinations(range(len(pairs)), c)))
+        )
+        assert min_cut(net, s, t) == best
+
+
+def test_unknown_node_in_flows():
+    net = mun_path()
+    for call in (lambda: min_cut(net, "nope", "z_1"), lambda: min_cut(net, "w_1", "nope"),
+                 lambda: reachable(net, "nope")):
+        with pytest.raises(UnknownNode):
+            call()
 
 
 def test_min_cut_reversal_symmetry():

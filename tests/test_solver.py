@@ -236,6 +236,29 @@ def test_verdicts_survive_renaming():
     assert decided >= 14
 
 
+def test_an_added_edge_keeps_a_solution():
+    # ROADMAP 5(d): zero coefficients on a new edge give back the old code,
+    # so a forward edge that does not enter a source never makes a solvable
+    # network unsolvable.
+    rng, pick = random.Random(7), random.Random(3)
+    nets = [random_sum_network(rng, max_nodes=8) for _ in range(40)]
+    grown = 0
+    for net in nets:
+        order = net.topo_order()
+        for f in (F2, F3):
+            if search_linear(net, f, 1, 1).verdict != "solvable":
+                continue
+            for _ in range(2):
+                a, b = (order[i] for i in sorted(pick.sample(range(len(order)), 2)))
+                if b in net.sources:
+                    continue
+                extra = Edge(f"{a}>{b}+", a, b)
+                more = Network(net.name, net.nodes, net.edges + (extra,), net.sources, net.terminals)
+                assert search_linear(more, f, 1, 1).verdict == "solvable", (net.name, f.p, extra)
+                grown += 1
+    assert grown >= 80
+
+
 def test_budget_exceeded_is_a_verdict():
     r = search_linear(s_m(4), F2, 1, 1, SearchOptions(budget=2))
     assert r.verdict == "budget_exceeded"
@@ -258,6 +281,11 @@ def test_fractional_modes():
     r21 = search_linear(bottleneck_mun(2), F2, 2, 1)
     assert r21.mode == "fractional(2,1)"
     assert r21.verdict == "unsolvable"
+    # Two parallel edges carry a 2-symbol message at one symbol each, so a
+    # lone source coefficient may be pinned to eye(n, k) only when n >= k.
+    par = Network("par", ("s", "t"), (Edge("e1", "s", "t"), Edge("e2", "s", "t")),
+                  {"s": ("x",)}, {"t": Demand("sum")})
+    assert search_linear(par, F2, 2, 1).verdict == "solvable"
 
 
 # -- nonlinear --------------------------------------------------------------------
