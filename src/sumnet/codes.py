@@ -111,22 +111,6 @@ def identity_code(net: Network, field: FieldSpec, k: int = 1) -> LinearCode:
 # -- evaluation and transfer --------------------------------------------------
 
 
-def edge_symbol_maps(net: Network, code: LinearCode) -> dict[str, np.ndarray]:
-    """For each edge, the n x (#messages * k) map from stacked messages to Y_e."""
-    p = code.field.p
-    k, n = code.k, code.n
-    msgs = net.messages()
-    off = {m: i * k for i, m in enumerate(msgs)}
-    maps = {e.id: np.zeros((n, len(msgs) * k), dtype=np.int64) for e in net.edges}
-    # Table order puts every in-edge's map before the maps it feeds.
-    for kind, a, eid, *_ in coefficient_table(net, k, n):
-        if kind == "alpha" and (a, eid) in code.source_coeff:
-            maps[eid][:, off[a]:off[a] + k] = code.source_coeff[(a, eid)].array()
-        elif kind == "beta" and (a, eid) in code.local_coeff:
-            maps[eid] = (maps[eid] + code.local_coeff[(a, eid)].array() @ maps[a]) % p
-    return maps
-
-
 def eval_linear(
     net: Network, code: LinearCode, x: Mapping[str, Iterable[int]]
 ) -> dict[str, list[tuple[int, ...]]]:
@@ -139,10 +123,9 @@ def eval_linear(
     vec = np.concatenate([np.asarray(list(x[m]), dtype=np.int64) % p for m in msgs])
     if vec.shape != (len(msgs) * code.k,):
         raise CodeError("every message needs a k-vector")
-    tm = transfer_matrix(net, code)
-    y = (tm.matrix.array() @ vec) % p
+    y = (transfer_array(net, code) @ vec) % p
     out: dict[str, list[tuple[int, ...]]] = {}
-    for i, (t, _label) in enumerate(tm.row_labels):
+    for i, (t, _label) in enumerate(transfer_rows(net)):
         out.setdefault(t, []).append(tuple(int(v) for v in y[i * code.k:(i + 1) * code.k]))
     return out
 
@@ -167,24 +150,38 @@ def transfer_rows(net: Network) -> tuple[tuple[str, str], ...]:
     return tuple((t, label) for t in net.terminal_nodes() for label in net.terminals[t].slots())
 
 
-def transfer_matrix(net: Network, code: LinearCode) -> TransferMatrix:
-    p = code.field.p
-    k = code.k
+def transfer_array(net: Network, code: LinearCode) -> np.ndarray:
+    """The transfer matrix as a raw array, which may have no rows or no columns.
+
+    Table order puts every edge's map of the stacked messages before its consumers.
+    """
+    p, k, n = code.field.p, code.k, code.n
     msgs = net.messages()
-    maps = edge_symbol_maps(net, code)
+    off = {m: i * k for i, m in enumerate(msgs)}
     rows = transfer_rows(net)
+    first: dict[str, int] = {}
+    for i, (t, _label) in enumerate(rows):
+        first.setdefault(t, i * k)
+    maps = {e.id: np.zeros((n, len(msgs) * k), dtype=np.int64) for e in net.edges}
     out = np.zeros((len(rows) * k, len(msgs) * k), dtype=np.int64)
-    i = 0
-    for t in net.terminal_nodes():
-        for slot in range(len(net.terminals[t].slots())):
-            r = np.zeros((k, len(msgs) * k), dtype=np.int64)
-            for e in net.in_edges(t):
-                g = code.decode(t, e.id, slot).array()
-                if g.any():
-                    r = (r + g @ maps[e.id]) % p
-            out[i * k:(i + 1) * k] = r
-            i += 1
-    return TransferMatrix(code.field, k, rows, msgs, MatrixGF.from_array(code.field, out))
+    coeffs = {"alpha": code.source_coeff, "beta": code.local_coeff, "gamma": code.decode_coeff}
+    for kind, a, eid, *slot in coefficient_table(net, k, n):
+        m = coeffs[kind].get((a, eid, *slot))
+        if m is None:
+            continue
+        if kind == "alpha":
+            maps[eid][:, off[a]:off[a] + k] = m.array()
+        elif kind == "beta":
+            maps[eid] = (maps[eid] + m.array() @ maps[a]) % p
+        else:
+            r = first[a] + slot[0] * k
+            out[r:r + k] = (out[r:r + k] + m.array() @ maps[eid]) % p
+    return out
+
+
+def transfer_matrix(net: Network, code: LinearCode) -> TransferMatrix:
+    out = MatrixGF.from_array(code.field, transfer_array(net, code))
+    return TransferMatrix(code.field, code.k, transfer_rows(net), net.messages(), out)
 
 
 def target_transfer_array(net: Network, field: FieldSpec, k: int) -> np.ndarray:
@@ -206,10 +203,7 @@ def target_transfer_array(net: Network, field: FieldSpec, k: int) -> np.ndarray:
 
 def is_solution(net: Network, code: LinearCode) -> bool:
     """True iff the transfer matrix hits the demand-appropriate target exactly."""
-    t = transfer_matrix(net, code)
-    return bool(
-        np.array_equal(t.matrix.array(), target_transfer_array(net, code.field, code.k))
-    )
+    return np.array_equal(transfer_array(net, code), target_transfer_array(net, code.field, code.k))
 
 
 def path_gain(
@@ -291,34 +285,37 @@ class NonlinearCode:
     decode_fn: dict[str, tuple[int, ...]]
 
 
-def edge_arity(net: Network, edge_id: str) -> int:
-    tail = net.edge(edge_id).tail
-    if tail in net.sources:
-        return len(net.sources[tail])
-    return len(net.in_edges(tail))
+def table_arities(net: Network) -> dict[tuple[str, str], int]:
+    """Every table of a Z_q code on ``net``, with its arity: it has q**arity entries.
+
+    ``("edge", e)`` per out-edge, in topological order of its tail and then by
+    id, then ``("dec", t)`` per terminal, whose inputs are t's in-edges.  A
+    decode table outputs one symbol, so a multi-slot demand is ``CodeError``.
+    """
+    if any(len(d.slots()) != 1 for d in net.terminals.values()):
+        raise CodeError("nonlinear codes support single-slot demands only")
+    table: dict[tuple[str, str], int] = {}
+    for v in net.topo_order():
+        arity = len(net.sources[v]) if v in net.sources else len(net.in_edges(v))
+        for e in net.out_edges(v):
+            table[("edge", e.id)] = arity
+    for t in net.terminal_nodes():
+        table[("dec", t)] = len(net.in_edges(t))
+    return table
 
 
 def validate_nonlinear(net: Network, code: NonlinearCode) -> None:
     if code.q < 2:
         raise CodeError("q must be at least 2")
-    for e in net.edges:
-        table = code.edge_fn.get(e.id)
+    for (kind, at), arity in table_arities(net).items():
+        what = f"table for edge {at!r}" if kind == "edge" else f"decode table for terminal {at!r}"
+        table = (code.edge_fn if kind == "edge" else code.decode_fn).get(at)
         if table is None:
-            raise CodeError(f"missing table for edge {e.id!r}")
-        if len(table) != code.q ** edge_arity(net, e.id):
-            raise CodeError(f"table for edge {e.id!r} is not total")
+            raise CodeError(f"missing {what}")
+        if len(table) != code.q ** arity:
+            raise CodeError(f"{what} is not total")
         if any(not 0 <= v < code.q for v in table):
-            raise CodeError(f"table for edge {e.id!r} has out-of-range symbols")
-    for t, d in net.terminals.items():
-        if len(d.slots()) != 1:
-            raise CodeError("nonlinear codes support single-slot demands only")
-        table = code.decode_fn.get(t)
-        if table is None:
-            raise CodeError(f"missing decode table for terminal {t!r}")
-        if len(table) != code.q ** len(net.in_edges(t)):
-            raise CodeError(f"decode table for {t!r} is not total")
-        if any(not 0 <= v < code.q for v in table):
-            raise CodeError(f"decode table for {t!r} has out-of-range symbols")
+            raise CodeError(f"{what} has out-of-range symbols")
 
 
 def table_index(inputs: Iterable[int], q: int) -> int:
@@ -382,17 +379,10 @@ def verify_nonlinear(net: Network, code: NonlinearCode, budget: int = 1_000_000)
 
 def additive_code(net: Network, q: int) -> NonlinearCode:
     """Every edge and decoder outputs the sum of its inputs mod q."""
-    edge_fn = {}
-    for e in net.edges:
-        r = edge_arity(net, e.id)
-        edge_fn[e.id] = tuple(
-            sum(inp) % q for inp in product(range(q), repeat=r)
-        )
-    decode_fn = {}
-    for t in net.terminals:
-        r = len(net.in_edges(t))
-        decode_fn[t] = tuple(sum(inp) % q for inp in product(range(q), repeat=r))
-    return NonlinearCode(q, edge_fn, decode_fn)
+    fns: dict[str, dict[str, tuple[int, ...]]] = {"edge": {}, "dec": {}}
+    for (kind, at), arity in table_arities(net).items():
+        fns[kind][at] = tuple(sum(inp) % q for inp in product(range(q), repeat=arity))
+    return NonlinearCode(q, fns["edge"], fns["dec"])
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Stage 1 enumerates the interior coefficients (source mixing and local
 coefficients); stage 2 solves for the decoding coefficients of each terminal
 as an exact linear system, which is complete because every recovery is linear
-in the decoding coefficients once the interior is fixed.
+in the decoding coefficients once the interior is fixed.  ``search_nonlinear``
+likewise enumerates only the edge tables of ``codes.table_arities``.
 
 Two reductions shrink stage 1 without losing solvability, so an exhausted
 search still justifies an "unsolvable" verdict:
@@ -62,7 +63,7 @@ of it is freed by reference counting rather than by the cyclic collector.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
@@ -75,10 +76,10 @@ from .codes import (
     code_to_dict,
     coefficient_table,
     demanded_symbol,
-    edge_arity,
     is_solution,
     linear_code,
     nonlinear_to_dict,
+    table_arities,
     table_index,
     table_symbols,
     target_transfer_array,
@@ -111,7 +112,6 @@ class SearchReport:
     enumerated: int
     elapsed: float
     witness: Optional[object] = None
-    options: SearchOptions = field(default_factory=SearchOptions)
 
     def to_dict(self) -> dict:
         w = None
@@ -373,14 +373,13 @@ class _BucketSearch:
             feasible = all(self.check(t, self.assign) for t in self.plan.prechecks)
             found = self._walk(0) if feasible else None
         except _Budget:
-            return SearchReport(BUDGET_EXCEEDED, mode, self.count - 1,
-                                time.monotonic() - start, None, self.opts)
+            return SearchReport(BUDGET_EXCEEDED, mode, self.count - 1, time.monotonic() - start)
         finally:
             # Close the suspended enumerators now rather than leave them to
             # the cyclic garbage collector.
             self.memo.clear()
         if found is None:
-            return SearchReport(UNSOLVABLE, mode, self.count, time.monotonic() - start, None, self.opts)
+            return SearchReport(UNSOLVABLE, mode, self.count, time.monotonic() - start)
         for u in self.plan.unobserved:
             rows, cols = self.plan.shape[u]
             found[u] = ((0,) * cols,) * rows
@@ -388,7 +387,7 @@ class _BucketSearch:
         verify = verify_nonlinear if isinstance(code, NonlinearCode) else is_solution
         if not verify(net, code):
             raise AssertionError("search produced a witness that fails verification")
-        return SearchReport(SOLVABLE, mode, self.count, time.monotonic() - start, code, self.opts)
+        return SearchReport(SOLVABLE, mode, self.count, time.monotonic() - start, code)
 
 
 class _StagedProblem:
@@ -536,12 +535,9 @@ class _StagedProblem:
     def solve_terminal(self, t: str, assign: dict) -> Optional[np.ndarray]:
         """Stacked decode coefficients for t, or None if infeasible."""
         maps = self.edge_maps(self.cone[t], assign)
-        ins = self.net.in_edges(t)
-        target = np.array(self.targets[t], dtype=np.int64).reshape(-1, self.width)
-        if not ins:
-            return np.zeros((0, target.shape[0]), dtype=np.int64) if not target.any() else None
-        m = np.array([row for e in ins for row in maps[e.id]], dtype=np.int64)
-        return solve_right_arrays(m.T, target.T, self.p)
+        rows = [row for e in self.net.in_edges(t) for row in maps[e.id]]
+        m = np.array(rows, dtype=np.int64).reshape(len(rows), self.width)
+        return solve_right_arrays(m.T, np.array(self.targets[t], dtype=np.int64).T, self.p)
 
     def witness(self, assign: dict) -> LinearCode:
         """The code of a search result, every unit assigned."""
@@ -661,43 +657,38 @@ def naive_search_linear(
 
 
 def search_nonlinear(net: Network, q: int, opts: Optional[SearchOptions] = None) -> SearchReport:
-    """Exhaustive search over all Z_q table codes, terminals pruned early."""
+    """Exhaustive search over all Z_q table codes, decoders solved in stage 2."""
     opts = opts or SearchOptions()
     if q < 2:
         raise ValueError("q must be at least 2")
     start = time.monotonic()
     msgs = net.messages()
+    arity = table_arities(net)
 
-    # A table of length L is a 1 x L unit.
-    shape: dict[tuple, tuple[int, int]] = {}
-    for v in net.topo_order():
-        for e in net.out_edges(v):
-            shape[("edge", e.id)] = (1, q ** edge_arity(net, e.id))
-    for t in net.terminal_nodes():
-        if len(net.terminals[t].slots()) != 1:
-            raise ValueError("nonlinear search supports single-slot demands only")
-        shape[("dec", t)] = (1, q ** len(net.in_edges(t)))
-
+    # The units are the edge tables; a table of length L is a 1 x L unit.
+    shape = {u: (1, q ** a) for u, a in arity.items() if u[0] == "edge"}
     cones = _backward_cones(net)
-    deps = {t: {("edge", eid) for eid in cone} | {("dec", t)} for t, cone in cones.items()}
+    deps = {t: {("edge", eid) for eid in cone} for t, cone in cones.items()}
     inputs = [dict(zip(msgs, values)) for values in product(range(q), repeat=len(msgs))]
     wants = {t: [demanded_symbol(net.terminals[t], x, q) for x in inputs] for t in cones}
 
-    def check(t: str, assign: dict) -> bool:
+    def decoder(t: str, assign: dict) -> Optional[tuple[int, ...]]:
+        # Inputs that give t equal in-edge symbols must want equal symbols; the
+        # first valid table, returned here, decodes every other tuple to 0.
         tables = {eid: assign[("edge", eid)][0] for eid in cones[t]}
-        dec = assign[("dec", t)][0]
+        dec: dict[int, int] = {}
         for x, want in zip(inputs, wants[t]):
             sym = table_symbols(net, cones[t], tables, x, q)
-            if dec[table_index((sym[e.id] for e in net.in_edges(t)), q)] != want:
-                return False
-        return True
+            if dec.setdefault(table_index((sym[e.id] for e in net.in_edges(t)), q), want) != want:
+                return None
+        return tuple(dec.get(i, 0) for i in range(q ** arity[("dec", t)]))
 
     def build(found: dict) -> NonlinearCode:
-        edge_fn = {u[1]: found[u][0] for u in shape if u[0] == "edge"}
-        return NonlinearCode(q, edge_fn, {t: found[("dec", t)][0] for t in cones})
+        return NonlinearCode(q, {u[1]: found[u][0] for u in shape}, {t: decoder(t, found) for t in cones})
 
     plan = _BucketPlan(net.terminal_nodes(), deps, shape, q)
-    return _BucketSearch(plan, check, opts).report(net, build, f"nonlinear(q={q})", start)
+    search = _BucketSearch(plan, lambda t, assign: decoder(t, assign) is not None, opts)
+    return search.report(net, build, f"nonlinear(q={q})", start)
 
 
 def classify_characteristics(

@@ -13,8 +13,8 @@ from sumnet import FieldSpec, SearchOptions, known_code, s_m
 from sumnet.cli import export_dot, main
 from sumnet.codes import code_from_json, code_to_json, nonlinear_to_json, additive_code
 from sumnet.families import FamilySpec
-from sumnet.netmodel import network_from_json, network_to_json
-from sumnet.solver import search_linear
+from sumnet.netmodel import Demand, Edge, Network, network_from_json, network_to_json
+from sumnet.solver import search_linear, search_nonlinear
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -198,6 +198,25 @@ def test_search_nonlinear_cli(tmp_path, capsys):
     rc, out = run_cli(capsys, "search-nonlinear", "--net", str(net_file), "--q", "2")
     assert rc == 0
     assert json.loads(out)["verdict"] == "unsolvable"
+
+
+def test_search_decides_networks_without_terminals_or_sources(tmp_path, capsys):
+    # No terminal demands anything, and with no source the sum is 0, so the
+    # empty code solves each network.
+    nets = [
+        Network("empty", ("a",), (), {}, {}),
+        Network("no_terminal", ("s", "a"), (Edge("e", "s", "a"),), {"s": ("x",)}, {}),
+        Network("no_source", ("a", "t"), (Edge("e", "a", "t"),), {}, {"t": Demand("sum")}),
+    ]
+    for net in nets:
+        net_file = tmp_path / f"{net.name}.json"
+        net_file.write_text(network_to_json(net))
+        assert search_nonlinear(net, 2).verdict == "solvable", net.name
+        for k, n in ((1, 1), (2, 1), (1, 2)):
+            assert search_linear(net, FieldSpec(2), k, n).verdict == "solvable", (net.name, k, n)
+            rc, out = run_cli(capsys, "search", "--net", str(net_file), "--field", "2", "--k", str(k), "--n", str(n))
+            assert rc == 0, (net.name, k, n)
+            assert json.loads(out)["verdict"] == "solvable"
 
 
 def test_usage_error_exit_2(capsys):

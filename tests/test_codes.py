@@ -18,7 +18,7 @@ from sumnet import (
     validate_code,
     verify_nonlinear,
 )
-from sumnet.codes import BudgetExceededError, CodeError, LinearCode, NonlinearCode
+from sumnet.codes import BudgetExceededError, CodeError, LinearCode, NonlinearCode, validate_nonlinear
 from sumnet.families import component
 from sumnet.netmodel import Demand, Edge, Network, reverse_network
 
@@ -220,16 +220,19 @@ def test_validate_code_rejects_bad_shapes():
         validate_code(net, bad)
 
 
-def test_validate_code_rejects_each_bad_key():
-    # Sources a (message x) and b (y) meet at relay r, which feeds sum
-    # terminal t; a also reaches t directly.
-    net = Network(
+def two_source_relay(demand: Demand = Demand("sum")) -> Network:
+    """Sources a (message x) and b (y) meet at relay r, which feeds terminal t; a also reaches t."""
+    return Network(
         "two",
         ("a", "b", "r", "t"),
         (Edge("a>r", "a", "r"), Edge("a>t", "a", "t"), Edge("b>r", "b", "r"), Edge("r>t", "r", "t")),
         {"a": ("x",), "b": ("y",)},
-        {"t": Demand("sum")},
+        {"t": demand},
     )
+
+
+def test_validate_code_rejects_each_bad_key():
+    net = two_source_relay()
     one, wide = MatrixGF(F2, [[1]]), MatrixGF(F2, [[1, 0]])
     good = identity_code(net, F2)
     validate_code(net, good)
@@ -256,6 +259,37 @@ def test_validate_code_rejects_each_bad_key():
     for k, n in ((0, 1), (1, 0)):
         with pytest.raises(CodeError):
             validate_code(net, LinearCode(F2, k, n, {}, {}, {}))
+
+
+def test_validate_nonlinear_rejects_each_bad_table():
+    # Relay r has two in-edges, so r>t's table has 4 entries, and t decodes
+    # a>t and r>t.
+    net = two_source_relay()
+    good = additive_code(net, 2)
+    validate_nonlinear(net, good)
+    bad = {
+        "missing edge table": ("edge", "r>t", None),
+        "short edge table": ("edge", "r>t", (0, 1)),
+        "long edge table": ("edge", "a>r", (0, 1, 1)),
+        "out-of-range edge entry": ("edge", "a>r", (0, 2)),
+        "negative edge entry": ("edge", "a>r", (-1, 0)),
+        "missing decode table": ("dec", "t", None),
+        "wrong-length decode table": ("dec", "t", (0, 1)),
+        "out-of-range decode entry": ("dec", "t", (0, 1, 1, 2)),
+    }
+    for what, (kind, at, table) in bad.items():
+        fns = {"edge": dict(good.edge_fn), "dec": dict(good.decode_fn)}
+        if table is None:
+            del fns[kind][at]
+        else:
+            fns[kind][at] = table
+        with pytest.raises(CodeError) as err:
+            validate_nonlinear(net, NonlinearCode(2, fns["edge"], fns["dec"]))
+        assert repr(at) in str(err.value), what
+    with pytest.raises(CodeError):
+        validate_nonlinear(net, NonlinearCode(1, good.edge_fn, good.decode_fn))
+    with pytest.raises(CodeError):
+        validate_nonlinear(two_source_relay(Demand("recover", ("x", "y"))), good)
 
 
 def test_multi_slot_recover_terminal():
