@@ -22,7 +22,8 @@ from .codes import (
     is_solution,
     matrix_from_json,
     nonlinear_from_json,
-    transfer_matrix,
+    transfer_array,
+    transfer_rows,
     validate_code,
     verify_nonlinear,
 )
@@ -130,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--budget", type=int, default=50_000_000)
-    p.add_argument("--no-collapse", action="store_true")
+    p.add_argument("--no-reduce", action="store_true")
     p.add_argument("-o", "--out")
 
     p = sub.add_parser("search-nonlinear", help="decide Z_q table-code solvability")
@@ -216,7 +217,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_search(args) -> int:
     net = _load_net(args.net)
-    opts = SearchOptions(budget=args.budget, collapse_chains=not args.no_collapse)
+    opts = SearchOptions(budget=args.budget, reduce=not args.no_reduce)
     report = solver.search_linear(net, FieldSpec(args.field), args.k, args.n, opts)
     _write(args.out, _dump_json(report.to_dict()))
     return 0
@@ -248,12 +249,13 @@ def _cmd_classify(args) -> int:
 
 
 def _format_transfer(net: Network, code: LinearCode) -> dict:
-    t = transfer_matrix(net, code)
+    # The raw array, since a network without terminals or messages has an
+    # empty transfer matrix, which MatrixGF rejects.
     return {
-        "k": t.k,
-        "rows": [[term, label] for term, label in t.row_labels],
-        "cols": list(t.col_labels),
-        "matrix": t.matrix.tolists(),
+        "k": code.k,
+        "rows": [[term, label] for term, label in transfer_rows(net)],
+        "cols": list(net.messages()),
+        "matrix": transfer_array(net, code).tolist(),
     }
 
 

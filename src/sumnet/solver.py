@@ -6,21 +6,20 @@ as an exact linear system, which is complete because every recovery is linear
 in the decoding coefficients once the interior is fixed.  ``search_nonlinear``
 likewise enumerates only the edge tables of ``codes.table_arities``.
 
-Two reductions shrink stage 1 without losing solvability, so an exhausted
-search still justifies an "unsolvable" verdict:
-
-* an out-edge of a source generating a single message carries ``alpha @ X``;
-  any downstream consumer can absorb an invertible change of basis, and for
-  n >= k the canonical ``eye(n, k)`` reaches every achievable composite, so
-  the coefficient is pinned instead of enumerated;
-* with ``collapse_chains`` on, the coefficients behind a relay of in-degree
-  one are pinned to the identity for the same reason.
-
-Both pin a coefficient that is alone on its out-edge, and both are applied in
-one place: ``_StagedProblem`` keeps, per edge, the edge's keys from
-``codes.coefficient_table`` with a constant for each pinned coefficient, so
-edge evaluation and witness assembly read pinned and enumerated coefficients
-the same way.  An edge whose coefficients are all constants is pinned.
+One lossless reduction, gauge fixing, shrinks stage 1, so an exhausted
+search still justifies an "unsolvable" verdict.  An out-edge's coefficients
+side by side form its block, ``[alpha_1 | ... | alpha_s]`` (n x sk) at a
+source or ``[B_1 | ... | B_d]`` (n x dn) behind a relay, and the edge carries
+the block times the stacked symbols it reads.  If a block B equals N B', every
+consumer of the edge can use C N in place of C, and decoders are solved
+exactly in stage 2.  So one block per row space suffices, and a larger row
+space dominates a smaller one.  A block with cols <= n columns is therefore
+pinned to ``eye(n, cols)``; a wider one runs over the full-rank n x cols
+matrices in reduced row echelon form, pivot sets in lexicographic order, then
+free entries row-major.  With ``reduce`` off, a wider block runs over every
+matrix instead, while narrow blocks stay pinned.  ``_StagedProblem`` makes
+each enumerated block one unit, ``("block", eid)``, and the witness splits
+blocks back into the keys of ``codes.coefficient_table`` by column slice.
 
 The remaining unknowns are grouped into buckets, one per terminal, in greedy
 order of smallest outstanding dependency set.  A bucket with a terminal check
@@ -34,19 +33,21 @@ outer search applies the bucket's cross-bucket checks to each survivor.  A
 bucket whose every check is cross-bucket would share only its whole product,
 so it is enumerated afresh under each assignment of the earlier buckets
 instead, with each check tried as soon as its terminal's last unknown is
-assigned.  Within a bucket, values run 0..p-1 per entry in row-major order and
+assigned.  Within a bucket, each unit runs over its candidates in order and
 buckets nest in emission order, so the first witness is deterministic.
 
 ``search_linear``, the reference ``naive_search_linear`` and
 ``search_nonlinear`` share one driver, ``_BucketSearch``: each passes its
 plan, its terminal check and a function that builds a code from a full
-assignment.  Every unit is a (rows, cols) matrix over one base, p or q; a
-Z_q table of length L is a 1 x L unit.  The driver gives units no terminal
-observes the value zero, re-verifies the witness and writes the report.  The
-nonlinear check evaluates a cone with ``codes.table_symbols``, the Z_q
-evaluator of ``eval_nonlinear``, and ``codes.demanded_symbol``.
+assignment.  The plan gives each unit its candidate sequence: gauge-fixed or
+all blocks, every coefficient matrix for the naive search, every Z_q table,
+as a 1 x L matrix, for the nonlinear one.  The driver gives a unit no
+terminal observes its first candidate, re-verifies the witness and writes the
+report.  The nonlinear check evaluates a cone with ``codes.table_symbols``,
+the Z_q evaluator of ``eval_nonlinear``, and ``codes.demanded_symbol``.
 
-The linear search prunes a bucket earlier than its terminals' last units.
+The linear search prunes a bucket earlier than its terminals' last units,
+from before its first unit on.
 Once every source out-edge of terminal t's cone has a fixed map, the fixed
 cone edges that enter t or feed a cone edge not yet fixed form a cut: every
 symbol entering t is a linear image of the cut's symbols.  A target row of t
@@ -65,7 +66,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import product
+from itertools import accumulate, combinations, product
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -98,7 +99,9 @@ BUDGET_EXCEEDED = "budget_exceeded"
 @dataclass(frozen=True)
 class SearchOptions:
     budget: int = 50_000_000
-    collapse_chains: bool = True
+    # Off, a block wider than n runs over every matrix instead of one RREF
+    # block per row space; blocks at most n wide stay pinned either way.
+    reduce: bool = True
 
     def __post_init__(self) -> None:
         if self.budget < 1:
@@ -140,12 +143,27 @@ def _mode(k: int, n: int) -> str:
     return f"fractional({k},{n})"
 
 
-def _index_matrix(idx: int, rows: int, cols: int, p: int) -> tuple[tuple[int, ...], ...]:
-    flat = [0] * (rows * cols)
-    for pos in range(rows * cols - 1, -1, -1):
-        flat[pos] = idx % p
-        idx //= p
-    return tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows))
+def _all_matrices(rows: int, cols: int, base: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every rows x cols matrix over 0..base-1, entries row-major, the last varying fastest."""
+    for flat in product(range(base), repeat=rows * cols):
+        yield tuple(flat[r * cols:(r + 1) * cols] for r in range(rows))
+
+
+def _rref_matrices(rows: int, cols: int, p: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The full-rank rows x cols matrices in reduced row echelon form, one per row space.
+
+    Pivot sets come in lexicographic order, then the free entries row-major
+    over 0..p-1, the last varying fastest.
+    """
+    for pivots in combinations(range(cols), rows):
+        free = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, cols) if j not in pivots]
+        for vals in product(range(p), repeat=len(free)):
+            m = [[0] * cols for _ in range(rows)]
+            for i, c in enumerate(pivots):
+                m[i][c] = 1
+            for (i, j), v in zip(free, vals):
+                m[i][j] = v
+            yield tuple(map(tuple, m))
 
 
 def _reduce(basis, row, p: int) -> list[int]:
@@ -227,19 +245,18 @@ class _Bucket:
 class _BucketPlan:
     """Greedy grouping of unknowns into per-terminal buckets.
 
-    ``shape`` lists every unit in canonical order with its (rows, cols): the
-    unit's values are the rows x cols matrices with entries in 0..base-1.
+    ``candidates`` lists every unit in canonical order with a function that
+    returns a fresh iterator over the unit's values, in enumeration order.
     """
 
     def __init__(
         self,
         terminals: Sequence[str],
         deps: dict[str, set],
-        shape: dict[tuple, tuple[int, int]],
-        base: int,
+        candidates: dict[tuple, Callable[[], Iterator[tuple]]],
     ):
-        self.shape, self.base = shape, base
-        pos = {u: i for i, u in enumerate(shape)}
+        self.candidates = candidates
+        pos = {u: i for i, u in enumerate(candidates)}
         self.prechecks = sorted(t for t in terminals if not deps[t])
         todo = sorted(t for t in terminals if deps[t])
         placed: set = set()
@@ -263,7 +280,7 @@ class _BucketPlan:
             self.buckets.append(bucket)
             placed |= fresh_set
             todo = [t for t in todo if t not in fired]
-        self.unobserved = [u for u in shape if u not in placed]
+        self.unobserved = [u for u in candidates if u not in placed]
 
 
 class _BucketSearch:
@@ -273,7 +290,8 @@ class _BucketSearch:
     of terminal t, and passes ``report`` a function that builds its code from
     a result.  ``cut_checks[bi]`` optionally lists extra (depth, test) pairs for
     bucket bi: ``test(assign)`` is a necessary condition of one of the
-    bucket's checks, tried once the unit at that depth is assigned.
+    bucket's checks, tried once the unit at that depth is assigned, or before
+    the bucket's first unit at depth -1.
 
     A bucket with local checks has one survivor list, shared by every
     assignment of the earlier buckets and extended lazily; its cross checks
@@ -319,12 +337,12 @@ class _BucketSearch:
             yield tuple(assign[u] for u in units)
             return
         u = units[depth]
+        if depth == 0 and not all(c(assign) for c in self.checks_at[bi].get(-1, ())):
+            return
         checks = self.checks_at[bi].get(depth, ())
-        rows, cols = self.plan.shape[u]
-        base = self.plan.base
-        for idx in range(base ** (rows * cols)):
+        for value in self.plan.candidates[u]():
             self._tick()
-            assign[u] = _index_matrix(idx, rows, cols, base)
+            assign[u] = value
             if all(c(assign) for c in checks):
                 yield from self._enumerate(bi, assign, depth + 1)
         del assign[u]
@@ -368,7 +386,7 @@ class _BucketSearch:
     def report(
         self, net: Network, build: Callable[[dict], object], mode: str, start: float
     ) -> SearchReport:
-        """Run the search; a witness, its unobserved units zero, is built and re-verified."""
+        """Run the search; a witness, each unobserved unit at its first value, is built and re-verified."""
         try:
             feasible = all(self.check(t, self.assign) for t in self.plan.prechecks)
             found = self._walk(0) if feasible else None
@@ -381,8 +399,7 @@ class _BucketSearch:
         if found is None:
             return SearchReport(UNSOLVABLE, mode, self.count, time.monotonic() - start)
         for u in self.plan.unobserved:
-            rows, cols = self.plan.shape[u]
-            found[u] = ((0,) * cols,) * rows
+            found[u] = next(self.plan.candidates[u]())
         code = build(found)
         verify = verify_nonlinear if isinstance(code, NonlinearCode) else is_solution
         if not verify(net, code):
@@ -403,62 +420,64 @@ class _StagedProblem:
         self.field = fieldspec
         self.p = fieldspec.p
         self.k, self.n = k, n
-        self.msgs = net.messages()
-        self.width = len(self.msgs) * k
-        self.off = {m: i * k for i, m in enumerate(self.msgs)}
+        msgs = net.messages()
+        self.width = len(msgs) * k
 
-        # The one place the reductions are decided: each edge's coefficients
-        # as (unit, constant), where a pinned coefficient carries its value
-        # and an enumerated one None.  A coefficient alone on its out-edge is
-        # pinned: to eye(n, k) at a single-message source when n >= k, and to
-        # the identity behind an in-degree-1 relay when collapse_chains is on.
+        # The one place the reduction is decided: each out-edge's coefficients
+        # side by side form one n x cols block, pinned to eye(n, cols) when
+        # cols <= n and otherwise enumerated, as RREF blocks when reducing.
         table = coefficient_table(net, k, n)
-        self.coeffs, self.decoders = _units_by_owner(net, table)
-        for eid, keys in self.coeffs.items():
-            lone = keys[0][0] if len(keys) == 1 else None
-            pin = (lone == "alpha" and n >= k) or (lone == "beta" and opts.collapse_chains)
-            self.coeffs[eid] = [(u, _eye(*table[u]) if pin else None) for u in keys]
-        # Per edge, the coefficients left to enumerate; an edge with none is pinned.
-        self.units = {eid: [u for u, const in cs if const is None] for eid, cs in self.coeffs.items()}
+        keys, self.decoders = _units_by_owner(net, table)
+        # Per edge, each coefficient with its column slice of the block.
+        self.slices: dict[str, list[tuple[tuple, int, int]]] = {}
+        self.pinned: dict[str, tuple[tuple[int, ...], ...]] = {}
+        candidates: dict[tuple, Callable[[], Iterator[tuple]]] = {}
+        for eid, us in keys.items():
+            ends = list(accumulate((table[u][1] for u in us), initial=0))
+            self.slices[eid] = list(zip(us, ends, ends[1:]))
+            if ends[-1] <= n:
+                self.pinned[eid] = _eye(n, ends[-1])
+            else:
+                enum = _rref_matrices if opts.reduce else _all_matrices
+                candidates[("block", eid)] = partial(enum, n, ends[-1], self.p)
+        # A message's k symbols enter its source's blocks as unit rows.
+        self.unit_rows = {
+            m: [[int(w == i * k + j) for w in range(self.width)] for j in range(k)]
+            for i, m in enumerate(msgs)
+        }
 
         self.cone = _backward_cones(net)
-        deps = {t: {u for eid in cone for u in self.units[eid]} for t, cone in self.cone.items()}
-        shape = {u: table[u] for us in self.units.values() for u in us}
-        self.plan = _BucketPlan(net.terminal_nodes(), deps, shape, self.p)
+        deps = {t: {("block", eid) for eid in cone if eid not in self.pinned} for t, cone in self.cone.items()}
+        self.plan = _BucketPlan(net.terminal_nodes(), deps, candidates)
 
         # Edges whose symbolic map never changes during the search.
         self.const_maps: dict[str, list[list[int]]] = {}
-        for v in net.topo_order():
-            for e in net.out_edges(v):
-                if not self.units[e.id] and all(ein.id in self.const_maps for ein in net.in_edges(v)):
-                    self.const_maps[e.id] = self._eval_edge(e.id, {}, self.const_maps)
+        for eid, us in keys.items():
+            if eid in self.pinned and all(u[0] == "alpha" or u[1] in self.const_maps for u in us):
+                self.const_maps[eid] = self._eval_edge(eid, {}, self.const_maps)
 
         target = target_transfer_array(net, fieldspec, k)
         self.targets: dict[str, list[list[int]]] = {}
         for i, (t, _label) in enumerate(transfer_rows(net)):
             self.targets.setdefault(t, []).extend(target[i * k:(i + 1) * k].tolist())
 
+    def _block(self, eid: str, assign: dict) -> tuple[tuple[int, ...], ...]:
+        return self.pinned[eid] if eid in self.pinned else assign[("block", eid)]
+
     def _eval_edge(self, eid: str, assign: dict, maps: dict) -> list[list[int]]:
-        p, k, n = self.p, self.k, self.n
-        m = [[0] * self.width for _ in range(n)]
-        for u, const in self.coeffs[eid]:
-            a = assign[u] if const is None else const
-            if u[0] == "alpha":
-                o = self.off[u[1]]
-                for i in range(n):
-                    row, arow = m[i], a[i]
-                    for j in range(k):
-                        row[o + j] = (row[o + j] + arow[j]) % p
-                continue
-            src = maps[u[1]]
-            for i in range(n):
-                row, brow = m[i], a[i]
-                for l in range(n):
-                    c = brow[l]
-                    if c:
-                        srow = src[l]
-                        for w in range(self.width):
-                            row[w] = (row[w] + c * srow[w]) % p
+        """The edge's block times the rows it reads: in-edge maps, or a source's messages."""
+        p = self.p
+        ins = [
+            row for u, _, _ in self.slices[eid]
+            for row in (self.unit_rows[u[1]] if u[0] == "alpha" else maps[u[1]])
+        ]
+        m = []
+        for brow in self._block(eid, assign):
+            row = [0] * self.width
+            for c, srow in zip(brow, ins):
+                if c:
+                    row = [x + c * y for x, y in zip(row, srow)]
+            m.append([x % p for x in row])
         return m
 
     def edge_maps(self, edges: Sequence[str], assign: dict) -> dict[str, list[list[int]]]:
@@ -490,8 +509,8 @@ class _StagedProblem:
         """Per bucket, span checks at cuts of a terminal's cone before its last unit.
 
         At depth d of a bucket, the units of earlier buckets and the bucket's
-        first d + 1 units are assigned.  An edge of t's cone is fixed once its
-        own units and those of every cone edge upstream of it are assigned.
+        first d + 1 units are assigned, from d = -1 before its first unit.  An edge of t's cone is fixed once its
+        block is pinned or assigned and every cone edge upstream of it is fixed.
         The fixed edges that enter t or feed an unfixed cone edge form a cut of
         the cone, provided every source out-edge in the cone is fixed.  An
         entry is added only at the depths where that cut changes.
@@ -510,12 +529,14 @@ class _StagedProblem:
                 }
                 assigned = set(earlier)
                 prev: Optional[tuple[str, ...]] = None
-                for d in range(last):
-                    assigned.add(b.units[d])
+                for d in range(-1, last):
+                    if d >= 0:
+                        assigned.add(b.units[d])
                     fixed: set[str] = set()
                     for eid in cone:
                         ins = net.in_edges(net.edge(eid).tail)
-                        if all(u in assigned for u in self.units[eid]) and all(e.id in fixed for e in ins):
+                        known = eid in self.pinned or ("block", eid) in assigned
+                        if known and all(e.id in fixed for e in ins):
                             fixed.add(eid)
                     if any(net.edge(eid).tail in net.sources and eid not in fixed for eid in cone):
                         continue
@@ -543,8 +564,8 @@ class _StagedProblem:
         """The code of a search result, every unit assigned."""
         k, n = self.k, self.n
         values = {
-            u: assign[u] if const is None else const
-            for coeffs in self.coeffs.values() for u, const in coeffs
+            u: tuple(row[a:b] for row in self._block(eid, assign))
+            for eid, slices in self.slices.items() for u, a, b in slices
         }
         for t, keys in self.decoders.items():
             x = self.solve_terminal(t, assign)
@@ -648,7 +669,8 @@ def naive_search_linear(
                 return False
         return True
 
-    plan = _BucketPlan(net.terminal_nodes(), deps, shape, p)
+    candidates = {u: partial(_all_matrices, rows, cols, p) for u, (rows, cols) in shape.items()}
+    plan = _BucketPlan(net.terminal_nodes(), deps, candidates)
     search = _BucketSearch(plan, check, SearchOptions(budget=budget))
     return search.report(net, partial(_code_of, fieldspec, k, n), _mode(k, n), start)
 
@@ -666,7 +688,7 @@ def search_nonlinear(net: Network, q: int, opts: Optional[SearchOptions] = None)
     arity = table_arities(net)
 
     # The units are the edge tables; a table of length L is a 1 x L unit.
-    shape = {u: (1, q ** a) for u, a in arity.items() if u[0] == "edge"}
+    tables = {u: partial(_all_matrices, 1, q ** a, q) for u, a in arity.items() if u[0] == "edge"}
     cones = _backward_cones(net)
     deps = {t: {("edge", eid) for eid in cone} for t, cone in cones.items()}
     inputs = [dict(zip(msgs, values)) for values in product(range(q), repeat=len(msgs))]
@@ -684,9 +706,9 @@ def search_nonlinear(net: Network, q: int, opts: Optional[SearchOptions] = None)
         return tuple(dec.get(i, 0) for i in range(q ** arity[("dec", t)]))
 
     def build(found: dict) -> NonlinearCode:
-        return NonlinearCode(q, {u[1]: found[u][0] for u in shape}, {t: decoder(t, found) for t in cones})
+        return NonlinearCode(q, {u[1]: found[u][0] for u in tables}, {t: decoder(t, found) for t in cones})
 
-    plan = _BucketPlan(net.terminal_nodes(), deps, shape, q)
+    plan = _BucketPlan(net.terminal_nodes(), deps, tables)
     search = _BucketSearch(plan, lambda t, assign: decoder(t, assign) is not None, opts)
     return search.report(net, build, f"nonlinear(q={q})", start)
 

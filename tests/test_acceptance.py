@@ -170,8 +170,8 @@ def test_criterion_03_vector_clause():
     naive = naive_search_linear(s_m(3), F2, 1, 1).verdict
     assert naive == staged
 
-    # cross-validation 2: chain collapsing on/off agree at k=2
-    off = search_linear(s_m(3), F2, 2, 2, SearchOptions(collapse_chains=False))
+    # cross-validation 2: reductions on/off agree at k=2
+    off = search_linear(s_m(3), F2, 2, 2, SearchOptions(reduce=False))
     assert off.verdict == "unsolvable"
 
     elapsed = time.monotonic() - start

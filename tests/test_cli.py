@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from sumnet import FieldSpec, SearchOptions, known_code, s_m
 from sumnet.cli import export_dot, main
-from sumnet.codes import code_from_json, code_to_json, nonlinear_to_json, additive_code
+from sumnet.codes import code_from_json, code_to_json, nonlinear_to_json, additive_code, linear_code
 from sumnet.families import FamilySpec
 from sumnet.netmodel import Demand, Edge, Network, network_from_json, network_to_json
 from sumnet.solver import search_linear, search_nonlinear
@@ -48,12 +48,12 @@ def test_search_cli_matches_library(tmp_path, capsys):
     lib = search_linear(s_m(4), FieldSpec(2), 1, 1)
     assert report["enumerated"] == lib.enumerated
     assert report["witness"]["local_coeff"]  # witness embedded
-    rc, out = run_cli(capsys, "search", "--net", str(net_file), "--field", "2", "--no-collapse")
+    rc, out = run_cli(capsys, "search", "--net", str(net_file), "--field", "2", "--no-reduce")
     assert rc == 0
-    uncollapsed = json.loads(out)
-    assert uncollapsed["verdict"] == report["verdict"]
-    lib = search_linear(s_m(4), FieldSpec(2), 1, 1, SearchOptions(collapse_chains=False))
-    assert uncollapsed["enumerated"] == lib.enumerated
+    unreduced = json.loads(out)
+    assert unreduced["verdict"] == report["verdict"]
+    lib = search_linear(s_m(4), FieldSpec(2), 1, 1, SearchOptions(reduce=False))
+    assert unreduced["enumerated"] == lib.enumerated
 
 
 def test_verify_cli_known_code(tmp_path, capsys):
@@ -219,6 +219,23 @@ def test_search_decides_networks_without_terminals_or_sources(tmp_path, capsys):
             assert json.loads(out)["verdict"] == "solvable"
 
 
+def test_transfer_and_verify_on_an_empty_transfer_matrix(tmp_path, capsys):
+    # No terminal and no message: the transfer matrix has no rows and no
+    # columns, and the empty code solves the network.
+    net_file, code_file = tmp_path / "net.json", tmp_path / "code.json"
+    net_file.write_text(network_to_json(Network("empty", ("a",), (), {}, {})))
+    code_file.write_text(code_to_json(linear_code(FieldSpec(2), 1, 1, {})))
+    want = {"k": 1, "rows": [], "cols": [], "matrix": []}
+    rc, out = run_cli(capsys, "transfer", "--net", str(net_file), "--code", str(code_file))
+    assert rc == 0
+    assert json.loads(out) == want
+    rc, out = run_cli(capsys, "verify", "--net", str(net_file), "--code", str(code_file))
+    assert rc == 0
+    head, body = out.split("\n", 1)
+    assert head == "SOLUTION"
+    assert json.loads(body) == want
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["family", "--name", "not-a-family"])
@@ -296,7 +313,7 @@ def test_malformed_json_exit_1(tmp_path, capsys):
 def test_removed_search_flags_are_usage_errors(tmp_path, capsys):
     net_file = tmp_path / "net.json"
     run_cli(capsys, "family", "--name", "s_m", "--m", "3", "-o", str(net_file))
-    for flag in ("--parallel", "--normalize-sources"):
+    for flag in ("--parallel", "--normalize-sources", "--no-collapse"):
         with pytest.raises(SystemExit) as exc:
             main(["search", "--net", str(net_file), "--field", "2", flag])
         assert exc.value.code == 2

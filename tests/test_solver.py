@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 from sumnet import (
     FieldSpec,
@@ -15,7 +16,8 @@ from sumnet import (
 from sumnet.codes import code_to_dict, nonlinear_to_dict
 from sumnet.families import FamilySpec, bottleneck_mun, component
 from sumnet.netmodel import Demand, Edge, Network, min_source_terminal_cut, reachable, recover
-from sumnet.transforms import c1
+from sumnet.solver import _rref_matrices
+from sumnet.transforms import c1, c2, c3
 
 from helpers import (
     mun_crossed,
@@ -105,13 +107,84 @@ def test_staged_matches_naive_on_random_micro():
         assert a == b, net.name
 
 
-def test_collapse_on_off_agree():
+def test_reduce_on_off_agree():
     corpus = [mun_path(), mun_disconnected(), mun_disjoint2(), mun_crossed(),
               sum_bipartite22(), component(), s_m(3), s_m(4), bottleneck_mun(2)]
     for net in corpus:
         on = search_linear(net, F2, 1, 1)
-        off = search_linear(net, F2, 1, 1, SearchOptions(collapse_chains=False))
+        off = search_linear(net, F2, 1, 1, SearchOptions(reduce=False))
         assert on.verdict == off.verdict, net.name
+
+
+def test_rref_blocks_list_each_row_space_once():
+    # The count of n-dimensional subspaces of GF(p)^cols is the Gaussian
+    # binomial; every block must have rank n and a row space of its own.
+    for rows, cols, p, count in ((1, 3, 2, 7), (1, 2, 5, 6), (2, 4, 2, 35), (2, 3, 3, 13), (3, 5, 2, 155)):
+        spaces = set()
+        for block in _rref_matrices(rows, cols, p):
+            span = frozenset(
+                tuple(sum(c * x for c, x in zip(cs, col)) % p for col in zip(*block))
+                for cs in product(range(p), repeat=rows)
+            )
+            assert len(span) == p ** rows, block
+            spaces.add(span)
+        assert len(spaces) == count, (rows, cols, p)
+        assert next(_rref_matrices(rows, cols, p)) == tuple(
+            tuple(int(i == j) for j in range(cols)) for i in range(rows)
+        )
+
+
+RATES = ((1, 1), (2, 1), (1, 2), (2, 2))
+FRACTIONAL_AND_VECTOR = RATES[1:]
+# Per (network, p), the rates other than (1, 1) at which the naive search runs
+# too: it decides each of these within 60,000 ticks.  Elsewhere it needs from
+# about 100,000 to millions of ticks, too slow for this suite, so only the
+# gauge-fixed and unreduced searches are compared there.  The scalar rate is
+# checked against the naive search by test_staged_matches_naive_on_micro_corpus.
+NAIVE_AT = {
+    ("path1", 2): FRACTIONAL_AND_VECTOR, ("path1", 3): FRACTIONAL_AND_VECTOR,
+    ("disc1", 2): FRACTIONAL_AND_VECTOR, ("disc1", 3): FRACTIONAL_AND_VECTOR,
+    ("disjoint2", 2): FRACTIONAL_AND_VECTOR, ("disjoint2", 3): FRACTIONAL_AND_VECTOR,
+    ("bi22", 2): FRACTIONAL_AND_VECTOR, ("bi22", 3): ((2, 1), (1, 2)),
+    ("crossed2", 2): ((2, 1),), ("s_3", 2): ((2, 1),),
+    ("bottleneck_2", 2): ((2, 1),), ("bottleneck_2", 3): ((2, 1),),
+    ("two_message_source", 2): ((2, 1), (1, 2)),
+}
+
+
+def test_gauge_fixed_unreduced_and_naive_agree():
+    # The micro corpus, with a two-message source, at the scalar, vector and
+    # both fractional rates.  Unreduced, component needs more than 300,000
+    # ticks over GF(3) at (2, 2), so that one case is left out there.
+    corpus = [mun_path(), mun_disconnected(), mun_disjoint2(), mun_crossed(),
+              sum_bipartite22(), component(), s_m(3), bottleneck_mun(2), two_message_source()]
+    for net in corpus:
+        for f in (F2, F3):
+            for k, n in RATES:
+                key = (net.name, f.p, k, n)
+                on = search_linear(net, f, k, n)
+                assert on.verdict != "budget_exceeded", key
+                assert on.witness is None or is_solution(net, on.witness), key
+                if key != ("component", 3, 2, 2):
+                    assert search_linear(net, f, k, n, SearchOptions(reduce=False)).verdict == on.verdict, key
+                if (k, n) in NAIVE_AT.get((net.name, f.p), ()):
+                    assert naive_search_linear(net, f, k, n, budget=60_000).verdict == on.verdict, key
+
+
+def test_gauge_fixing_decides_the_slow_cases():
+    # Each of these took from seconds to more than 2,000,000 ticks when every
+    # coefficient matrix was enumerated; with one RREF block per row space
+    # they decide in at most about 100,000 ticks.
+    cases = [
+        (s_m(10), FieldSpec(5), 1, 1, "unsolvable"),
+        (s_m(9), FieldSpec(5), 1, 1, "unsolvable"),
+        (c3(sum_bipartite22())[0], F3, 1, 1, "solvable"),
+        (c2(bottleneck_mun(3))[0], F2, 1, 2, "solvable"),
+    ]
+    for net, f, k, n, verdict in cases:
+        r = search_linear(net, f, k, n, SearchOptions(budget=500_000))
+        assert r.verdict == verdict, (net.name, f.p, k, n)
+        assert r.witness is None or is_solution(net, r.witness)
 
 
 def test_vector_search_on_recover_demands():
@@ -175,22 +248,28 @@ S4_STAR_GF3_WITNESS = {
 
 
 def test_determinism():
-    # The exact tick counts pin what the reductions and the cut checks
-    # enumerate: a change to the pinning rules, the bucket order or the
+    # The exact tick counts pin what the gauge fixing and the cut checks
+    # enumerate: a change to the block candidates, the bucket order or the
     # pruning shows up here.  A solvable search counts up to its first witness.
     rng = random.Random(7)
     rand = [random_sum_network(rng, max_nodes=8) for _ in range(46)]
+    # t never sees x: the cut at r's in-edges is fixed before r's block, the
+    # bucket's first unit, so the bucket is rejected before any candidate.
+    blind = Network("blind", ("a", "b", "z", "r", "t"),
+                    (Edge("b>r", "b", "r"), Edge("z>r", "z", "r"), Edge("r>t", "r", "t")),
+                    {"a": ("x",), "b": ("y",)}, {"t": Demand("sum")})
     cases = [
-        (s_m(4), F2, 1, "solvable", 21),
-        (s_m_star(4), F3, 1, "solvable", 24),
-        (s_m(5), F3, 1, "solvable", 32),
-        (s_m(3), F2, 2, "unsolvable", 586),
-        (rand[22], F3, 1, "solvable", 14),
-        (rand[40], F2, 1, "solvable", 53),
+        (blind, F3, 1, "unsolvable", 0),
+        (s_m(4), F2, 1, "solvable", 9),
+        (s_m_star(4), F3, 1, "solvable", 9),
+        (s_m(5), F3, 1, "solvable", 12),
+        (s_m(3), F2, 2, "unsolvable", 72),
+        (rand[22], F3, 1, "solvable", 6),
+        (rand[40], F2, 1, "solvable", 8),
         # Its second bucket has only a cross check, so it is enumerated under
         # the first bucket's assignment with that check and its cuts inline.
-        (rand[45], F2, 1, "solvable", 26),
-        (rand[45], F3, 1, "solvable", 30),
+        (rand[45], F2, 1, "solvable", 8),
+        (rand[45], F3, 1, "solvable", 8),
     ]
     for net, f, k, verdict, enumerated in cases:
         a = search_linear(net, f, k, k)
@@ -199,6 +278,9 @@ def test_determinism():
         assert (b.verdict, b.enumerated) == (verdict, enumerated), (net.name, f.p, k)
         assert a.witness == b.witness
     assert code_to_dict(search_linear(s_m_star(4), F3, 1, 1).witness) == S4_STAR_GF3_WITNESS
+    # Unreduced, the 2 x 4 relay blocks run over all 256 matrices, not 35.
+    off = search_linear(s_m(3), F2, 2, 2, SearchOptions(reduce=False))
+    assert (off.verdict, off.enumerated) == ("unsolvable", 554)
 
 
 def test_random_sum_networks_follow_ramamoorthy():
