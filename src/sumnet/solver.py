@@ -56,6 +56,16 @@ check at t's in-edges is ``feasible`` itself, and the cut checks are
 necessary conditions of it, so survivors and witnesses are unchanged.
 ``naive_search_linear`` is the reference oracle and runs no cut check.
 
+The block at which t is checked is its last unit, so t's in-edge maps are
+A M X + K, with X the rows the block M multiplies.  ``_rref_matrices`` walks
+M's free entries as a prefix tree.  With a prefix's open entries at 0, M = P + S
+and the rows of A S X lie in the span of X's rows at the open columns, so a
+target row of t outside that span plus the span of t's in-edge maps under P
+rules out every completion.  A prefix is checked if it leaves at least two
+entries open, and fewer columns open than its parent, which answers the same.
+The first pivot set's empty prefix is not: where the block's edge enters t,
+P X and the open rows make up X, so it repeats the cut check at its in-edges.
+
 A search leaves no reference cycle behind: suspended enumerators are closed
 when it ends, and the cut checks live in the search, not the problem, so all
 of it is freed by reference counting rather than by the cyclic collector.
@@ -99,8 +109,8 @@ BUDGET_EXCEEDED = "budget_exceeded"
 @dataclass(frozen=True)
 class SearchOptions:
     budget: int = 50_000_000
-    # Off, a block wider than n runs over every matrix instead of one RREF
-    # block per row space; blocks at most n wide stay pinned either way.
+    # Off, a block wider than n runs over every matrix, unpruned, not one RREF
+    # block per row space, which cross-checks both; narrower ones stay pinned.
     reduce: bool = True
 
     def __post_init__(self) -> None:
@@ -149,21 +159,34 @@ def _all_matrices(rows: int, cols: int, base: int) -> Iterator[tuple[tuple[int, 
         yield tuple(flat[r * cols:(r + 1) * cols] for r in range(rows))
 
 
-def _rref_matrices(rows: int, cols: int, p: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _rref_matrices(rows: int, cols: int, p: int, prune: Optional[Callable] = None) -> Iterator[tuple]:
     """The full-rank rows x cols matrices in reduced row echelon form, one per row space.
 
     Pivot sets come in lexicographic order, then the free entries row-major
-    over 0..p-1, the last varying fastest.
+    over 0..p-1, the last varying fastest.  ``prune(block, open)`` is offered
+    the prefixes the module docstring names, with the free entries ``open``
+    at 0 in ``block``; a False answer skips the prefix's completions.
     """
     for pivots in combinations(range(cols), rows):
         free = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, cols) if j not in pivots]
-        for vals in product(range(p), repeat=len(free)):
-            m = [[0] * cols for _ in range(rows)]
-            for i, c in enumerate(pivots):
-                m[i][c] = 1
-            for (i, j), v in zip(free, vals):
-                m[i][j] = v
-            yield tuple(map(tuple, m))
+        m = [[int(j == c) for j in range(cols)] for c in pivots]
+        yield from _completions(m, free, p, prune, pivots != tuple(range(rows)))
+
+
+def _completions(m: list, free: list, p: int, prune, check: bool) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """``m`` with its ``free`` entries run over 0..p-1 in order; ``check`` offers this prefix to ``prune``."""
+    if prune is not None and len(free) >= 2 and check and not prune(m, free):
+        return
+    if prune is not None and len(free) >= 3:
+        (i, j), rest = free[0], free[1:]
+        for v in range(p):
+            m[i][j] = v
+            yield from _completions([row[:] for row in m], rest, p, prune, all(c != j for _, c in rest))
+        return
+    for vals in product(range(p), repeat=len(free)):
+        for (i, j), v in zip(free, vals):
+            m[i][j] = v
+        yield tuple(map(tuple, m))
 
 
 def _reduce(basis, row, p: int) -> list[int]:
@@ -291,7 +314,8 @@ class _BucketSearch:
     a result.  ``cut_checks[bi]`` optionally lists extra (depth, test) pairs for
     bucket bi: ``test(assign)`` is a necessary condition of one of the
     bucket's checks, tried once the unit at that depth is assigned, or before
-    the bucket's first unit at depth -1.
+    the bucket's first unit at depth -1.  With ``prune``, ``check(t, assign, u, open)``
+    rules out every completion of unit u's block prefix; a rejection costs one tick.
 
     A bucket with local checks has one survivor list, shared by every
     assignment of the earlier buckets and extended lazily; its cross checks
@@ -307,17 +331,20 @@ class _BucketSearch:
         check: Callable[[str, dict], bool],
         opts: SearchOptions,
         cut_checks: Sequence[Sequence[tuple[int, Callable[[dict], bool]]]] = (),
+        prune: bool = False,
     ):
         self.plan = plan
         self.check = check
         self.opts = opts
         self.count = 0
-        # Per bucket: the checks due once the unit at each depth is assigned.
+        # Per bucket and depth: the checks due once that unit is assigned, and those pruning its prefixes.
         self.checks_at: list[dict[int, list[Callable[[dict], bool]]]] = []
+        self.relaxed_at: list[dict[int, list[Callable]]] = []
         for bi, b in enumerate(plan.buckets):
             at: dict[int, list[Callable[[dict], bool]]] = {}
             for depth, t in b.checks:
                 at.setdefault(depth, []).append(partial(check, t))
+            self.relaxed_at.append({d: list(cs) for d, cs in at.items()} if prune else {})
             for depth, test in cut_checks[bi] if cut_checks else ():
                 at.setdefault(depth, []).append(test)
             self.checks_at.append(at)
@@ -340,7 +367,17 @@ class _BucketSearch:
         if depth == 0 and not all(c(assign) for c in self.checks_at[bi].get(-1, ())):
             return
         checks = self.checks_at[bi].get(depth, ())
-        for value in self.plan.candidates[u]():
+        values = self.plan.candidates[u]
+        relaxed = self.relaxed_at[bi].get(depth)
+        if relaxed:
+            def keep(block: list, open_: list) -> bool:
+                assign[u] = block
+                if all(c(assign, u, open_) for c in relaxed):
+                    return True
+                self._tick()
+                return False
+            values = partial(values, prune=keep)
+        for value in values():
             self._tick()
             assign[u] = value
             if all(c(assign) for c in checks):
@@ -464,15 +501,13 @@ class _StagedProblem:
     def _block(self, eid: str, assign: dict) -> tuple[tuple[int, ...], ...]:
         return self.pinned[eid] if eid in self.pinned else assign[("block", eid)]
 
-    def _eval_edge(self, eid: str, assign: dict, maps: dict) -> list[list[int]]:
-        """The edge's block times the rows it reads: in-edge maps, or a source's messages."""
+    def _eval_edge(self, eid: str, assign: dict, maps: dict, block: Sequence = ()) -> list[list[int]]:
+        """The edge's block, or ``block``, times the rows it reads: in-edge maps, or a source's messages."""
         p = self.p
-        ins = [
-            row for u, _, _ in self.slices[eid]
-            for row in (self.unit_rows[u[1]] if u[0] == "alpha" else maps[u[1]])
-        ]
+        ins = [row for u, _, _ in self.slices[eid]
+               for row in (self.unit_rows[u[1]] if u[0] == "alpha" else maps[u[1]])]
         m = []
-        for brow in self._block(eid, assign):
+        for brow in block or self._block(eid, assign):
             row = [0] * self.width
             for c, srow in zip(brow, ins):
                 if c:
@@ -490,20 +525,29 @@ class _StagedProblem:
                 maps[eid] = self._eval_edge(eid, assign, maps)
         return maps
 
-    def spans(self, t: str, edges: Sequence[str], cut: Sequence[str], assign: dict) -> bool:
+    def spans(self, t: str, edges: Sequence[str], cut: Sequence[str], assign: dict, loose: tuple = ()) -> bool:
         """Every target row of t lies in the row span of the maps of ``cut``.
 
         ``edges`` are the cone edges to evaluate, ``cut`` a subset of them that
         every path from a source to t crosses, so every symbol entering t is a
         linear image of the cut's symbols.  A False answer proves t infeasible.
+        ``loose`` = (eid, columns) adds the rows eid's block multiplies at those columns.
         """
         maps = self.edge_maps(edges, assign)
-        basis = _row_basis([row for eid in cut for row in maps[eid]], self.p)
+        rows = [row for eid in cut for row in maps[eid]]
+        if loose:
+            w = self.slices[loose[0]][-1][2]
+            rows += self._eval_edge(loose[0], assign, maps, [_eye(w, w)[j] for j in loose[1]])
+        basis = _row_basis(rows, self.p)
         return not any(any(_reduce(basis, trow, self.p)) for trow in self.targets[t])
 
-    def feasible(self, t: str, assign: dict) -> bool:
-        """Decoders exist iff every target row lies in the span of t's in-edge maps."""
-        return self.spans(t, self.cone[t], [e.id for e in self.net.in_edges(t)], assign)
+    def feasible(self, t: str, assign: dict, u: tuple = (), open_: Sequence = ()) -> bool:
+        """Decoders exist iff every target row lies in the span of t's in-edge maps.
+
+        With block u's ``open_`` entries at 0, False rules out every completion.
+        """
+        loose = (u[1], {j for _, j in open_}) if open_ else ()
+        return self.spans(t, self.cone[t], [e.id for e in self.net.in_edges(t)], assign, loose)
 
     def cut_checks(self) -> list[list[tuple[int, Callable[[dict], bool]]]]:
         """Per bucket, span checks at cuts of a terminal's cone before its last unit.
@@ -591,7 +635,7 @@ def search_linear(
         raise ValueError("k and n must be positive")
     start = time.monotonic()
     prob = _StagedProblem(net, fieldspec, k, n, opts)
-    search = _BucketSearch(prob.plan, prob.feasible, opts, prob.cut_checks())
+    search = _BucketSearch(prob.plan, prob.feasible, opts, prob.cut_checks(), prune=opts.reduce)
     return search.report(net, prob.witness, _mode(k, n), start)
 
 

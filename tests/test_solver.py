@@ -1,9 +1,11 @@
+import gc
 import random
 from itertools import product
 
 from sumnet import (
     FieldSpec,
     SearchOptions,
+    canonical_reverse_code,
     classify_characteristics,
     is_solution,
     naive_search_linear,
@@ -15,8 +17,8 @@ from sumnet import (
 )
 from sumnet.codes import code_to_dict, nonlinear_to_dict
 from sumnet.families import FamilySpec, bottleneck_mun, component
-from sumnet.netmodel import Demand, Edge, Network, min_source_terminal_cut, reachable, recover
-from sumnet.solver import _rref_matrices
+from sumnet.netmodel import Demand, Edge, Network, min_source_terminal_cut, reachable, recover, reverse_network
+from sumnet.solver import _rref_matrices, _StagedProblem
 from sumnet.transforms import c1, c2, c3
 
 from helpers import (
@@ -134,6 +136,26 @@ def test_rref_blocks_list_each_row_space_once():
         )
 
 
+def test_rref_prefix_tree_is_lossless():
+    # Every prefix offered to prune, rejected alone, removes exactly the
+    # matrices that agree with it off its open entries, and nothing else
+    # moves; a prune that keeps everything changes nothing.
+    for rows, cols, p in ((1, 5, 2), (2, 4, 3), (2, 5, 2)):
+        full = list(_rref_matrices(rows, cols, p))
+        offered = []
+        kept = list(_rref_matrices(rows, cols, p, lambda m, o: offered.append(([r[:] for r in m], o)) or True))
+        assert kept == full and offered, (rows, cols, p)
+        for block, open_ in offered:
+            assert len(open_) >= 2 and all(block[i][j] == 0 for i, j in open_)
+            rest = list(_rref_matrices(rows, cols, p, lambda m, o: (m, o) != (block, open_)))
+            loose = set(open_)
+            assert rest == [
+                m for m in full
+                if any(m[i][j] != block[i][j] for i in range(rows) for j in range(cols) if (i, j) not in loose)
+            ], (rows, cols, p, block, open_)
+            assert len(full) - len(rest) == p ** len(open_)
+
+
 RATES = ((1, 1), (2, 1), (1, 2), (2, 2))
 FRACTIONAL_AND_VECTOR = RATES[1:]
 # Per (network, p), the rates other than (1, 1) at which the naive search runs
@@ -171,6 +193,22 @@ def test_gauge_fixed_unreduced_and_naive_agree():
                     assert naive_search_linear(net, f, k, n, budget=60_000).verdict == on.verdict, key
 
 
+def test_relaxed_check_keeps_every_verdict_and_witness(monkeypatch):
+    # The prefix check is necessary for the terminal check it precedes, so a
+    # search whose prefix checks always pass, and so walk every block in full,
+    # finds the same verdicts and first witnesses in as many ticks or more.
+    rng = random.Random(3)
+    nets = [random_sum_network(rng, max_nodes=6) for _ in range(40)]
+    real = [search_linear(net, f, k, n) for net in nets for f in (F2, F3) for k, n in RATES]
+    exact = _StagedProblem.feasible
+    monkeypatch.setattr(_StagedProblem, "feasible",
+                        lambda self, t, assign, u=(), open_=(): bool(open_) or exact(self, t, assign))
+    loose = [search_linear(net, f, k, n) for net in nets for f in (F2, F3) for k, n in RATES]
+    assert [(r.verdict, r.witness) for r in real] == [(r.verdict, r.witness) for r in loose]
+    assert all(r.enumerated <= r2.enumerated for r, r2 in zip(real, loose))
+    assert sum(r.enumerated for r in real) < sum(r.enumerated for r in loose)
+
+
 def test_gauge_fixing_decides_the_slow_cases():
     # Each of these took from seconds to more than 2,000,000 ticks when every
     # coefficient matrix was enumerated; with one RREF block per row space
@@ -185,6 +223,37 @@ def test_gauge_fixing_decides_the_slow_cases():
         r = search_linear(net, f, k, n, SearchOptions(budget=500_000))
         assert r.verdict == verdict, (net.name, f.p, k, n)
         assert r.witness is None or is_solution(net, r.witness)
+
+
+def test_prefix_pruning_decides_the_slow_s_m_star_cases():
+    # Each 1 x (m - 2) relay block runs over all (p^(m-2) - 1)/(p - 1) RREF
+    # rows unless its prefixes are checked: s_m_star(9) / GF(7) then took
+    # more than 1,000,000 ticks, and s_m_star(5) at k = n = 2 exceeded 300,000.
+    cases = [
+        (s_m_star(9), FieldSpec(7), 1, "unsolvable"),
+        (s_m_star(10), FieldSpec(5), 1, "solvable"),
+        (s_m_star(5), FieldSpec(5), 2, "solvable"),
+        (s_m_star(5), FieldSpec(7), 2, "solvable"),
+    ]
+    for net, f, k, verdict in cases:
+        r = search_linear(net, f, k, k, SearchOptions(budget=20_000))
+        assert r.verdict == verdict, (net.name, f.p, k)
+        assert r.witness is None or is_solution(net, r.witness)
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # The module docstring promises that a search is freed by reference
+    # counting; a recursive closure in the pruned block walk once broke that.
+    cases = [(s_m_star(7), FieldSpec(5), 1, 10**6), (s_m_star(7), FieldSpec(5), 1, 100),
+             (s_m(3), F2, 2, 10**6), (s_m(4), F2, 1, 10**6)]
+    gc.collect()
+    gc.disable()
+    try:
+        for net, f, k, budget in cases:
+            search_linear(net, f, k, k, SearchOptions(budget=budget))
+            assert gc.collect() == 0, (net.name, f.p, k, budget)
+    finally:
+        gc.enable()
 
 
 def test_vector_search_on_recover_demands():
@@ -263,7 +332,9 @@ def test_determinism():
         (s_m(4), F2, 1, "solvable", 9),
         (s_m_star(4), F3, 1, "solvable", 9),
         (s_m(5), F3, 1, "solvable", 12),
-        (s_m(3), F2, 2, "unsolvable", 72),
+        (s_m(3), F2, 2, "unsolvable", 54),
+        # The 1 x 5 relay blocks are pruned by prefix: 4,692 ticks unpruned.
+        (s_m_star(7), FieldSpec(5), 1, "unsolvable", 252),
         (rand[22], F3, 1, "solvable", 6),
         (rand[40], F2, 1, "solvable", 8),
         # Its second bucket has only a cross check, so it is enumerated under
@@ -325,6 +396,21 @@ def test_verdicts_survive_renaming():
             assert a == b, net.name
             decided += 1
     assert decided >= 17
+
+
+def test_reverse_network_has_the_same_verdict():
+    # ROADMAP 5(b): a sum network and its reverse are equivalent under
+    # fractional linear coding, and the transposed code solves the reverse.
+    rng = random.Random(5)
+    for _ in range(60):
+        net = random_sum_network(rng, max_nodes=6)
+        rev = reverse_network(net)
+        for f in (F2, F3):
+            for k, n in RATES:
+                r = search_linear(net, f, k, n)
+                assert search_linear(rev, f, k, n).verdict == r.verdict, (net.name, f.p, k, n)
+                if r.witness is not None:
+                    assert is_solution(rev, canonical_reverse_code(net, r.witness)), (net.name, f.p, k, n)
 
 
 def test_an_added_edge_keeps_a_solution():
