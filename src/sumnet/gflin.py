@@ -195,18 +195,10 @@ def solve_right(a: MatrixGF, b: MatrixGF) -> Optional[MatrixGF]:
     _check_same_field(a, b)
     if a.rows != b.rows:
         raise DimensionMismatch("solve_right needs matching row counts")
-    x = solve_right_arrays(a.array(), b.array(), a.field.p)
-    return None if x is None else MatrixGF.from_array(a.field, x)
-
-
-def solve_right_arrays(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """solve_right on raw integer arrays."""
-    aug = np.concatenate([a, b], axis=1) % p
-    r, pivots = _rref(aug, p)
-    ncols = a.shape[1]
-    if any(c >= ncols for c in pivots):
+    r, pivots = _rref(np.concatenate([a.array(), b.array()], axis=1) % a.field.p, a.field.p)
+    if any(c >= a.cols for c in pivots):
         return None
-    x = np.zeros((ncols, b.shape[1]), dtype=np.int64)
+    x = np.zeros((a.cols, b.cols), dtype=np.int64)
     for i, c in enumerate(pivots):
-        x[c] = r[i, ncols:]
-    return x
+        x[c] = r[i, a.cols:]
+    return MatrixGF.from_array(a.field, x)

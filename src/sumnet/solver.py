@@ -21,6 +21,13 @@ matrix instead, while narrow blocks stay pinned.  ``_StagedProblem`` makes
 each enumerated block one unit, ``("block", eid)``, and the witness splits
 blocks back into the keys of ``codes.coefficient_table`` by column slice.
 
+The Z_q table search has the same gauge: if an edge's table is g h, with h
+onto min(q, L) values, its consumers read g(h) and absorb g and any renaming
+of h's values.  So ``_growth_tables`` lists only the restricted-growth tables
+(symbols first occur as 0, 1, ...) with exactly min(q, L) values, in
+lexicographic order, which pins an edge that reads one symbol to the identity.
+With ``reduce`` off, every table is enumerated.
+
 The remaining unknowns are grouped into buckets, one per terminal, in greedy
 order of smallest outstanding dependency set.  A bucket with a terminal check
 that reads only its own unknowns has a context-independent survivor list.
@@ -40,11 +47,12 @@ buckets nest in emission order, so the first witness is deterministic.
 ``search_nonlinear`` share one driver, ``_BucketSearch``: each passes its
 plan, its terminal check and a function that builds a code from a full
 assignment.  The plan gives each unit its candidate sequence: gauge-fixed or
-all blocks, every coefficient matrix for the naive search, every Z_q table,
-as a 1 x L matrix, for the nonlinear one.  The driver gives a unit no
-terminal observes its first candidate, re-verifies the witness and writes the
-report.  The nonlinear check evaluates a cone with ``codes.table_symbols``,
-the Z_q evaluator of ``eval_nonlinear``, and ``codes.demanded_symbol``.
+all blocks, every coefficient matrix for the naive search, gauge-fixed or
+all Z_q tables, each a 1 x L matrix, for the nonlinear one.  The driver gives
+a unit no terminal observes its first candidate, re-verifies the witness and
+writes the report.  The nonlinear check evaluates a cone with
+``codes.table_symbols``, the Z_q evaluator of ``eval_nonlinear``, and
+``codes.demanded_symbol``.
 
 The linear search prunes a bucket earlier than its terminals' last units,
 from before its first unit on.
@@ -79,8 +87,6 @@ from functools import lru_cache, partial
 from itertools import accumulate, combinations, product
 from typing import Callable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from .codes import (
     LinearCode,
     NonlinearCode,
@@ -98,7 +104,7 @@ from .codes import (
     verify_nonlinear,
 )
 from .families import FamilySpec, generate
-from .gflin import FieldSpec, MatrixGF, solve_right_arrays
+from .gflin import FieldSpec, MatrixGF
 from .netmodel import Network
 
 SOLVABLE = "solvable"
@@ -110,7 +116,8 @@ BUDGET_EXCEEDED = "budget_exceeded"
 class SearchOptions:
     budget: int = 50_000_000
     # Off, a block wider than n runs over every matrix, unpruned, not one RREF
-    # block per row space, which cross-checks both; narrower ones stay pinned.
+    # block per row space, and a Z_q table over all q^L tables, not the
+    # restricted-growth ones, which cross-checks both; narrow blocks stay pinned.
     reduce: bool = True
 
     def __post_init__(self) -> None:
@@ -187,6 +194,21 @@ def _completions(m: list, free: list, p: int, prune, check: bool) -> Iterator[tu
         for (i, j), v in zip(free, vals):
             m[i][j] = v
         yield tuple(map(tuple, m))
+
+
+def _growth_tables(length: int, q: int, prefix: tuple = (), used: int = 0) -> Iterator[tuple[tuple[int, ...]]]:
+    """The 1 x length restricted-growth tables with exactly min(q, length) values, lexicographically.
+
+    Symbols first occur as 0, 1, ...; ``prefix`` takes ``used`` of them so far.
+    """
+    if len(prefix) == length:
+        yield (prefix,)
+        return
+    need = min(q, length) - used
+    for v in range(min(used + 1, q)):
+        new = v == used
+        if length - len(prefix) - 1 >= need - new:
+            yield from _growth_tables(length, q, prefix + (v,), used + new)
 
 
 def _reduce(basis, row, p: int) -> list[int]:
@@ -447,9 +469,9 @@ class _BucketSearch:
 class _StagedProblem:
     """Precomputation for one (network, field, k, n, options) linear search.
 
-    Symbolic edge maps are n x (#messages * k) integer row lists; the hot
-    feasibility check works on them with plain integer arithmetic, numpy is
-    only used when assembling the witness.
+    Symbolic edge maps are n x (#messages * k) integer row lists; the
+    feasibility check and the decoder solve work on them with plain integer
+    arithmetic.
     """
 
     def __init__(self, net: Network, fieldspec: FieldSpec, k: int, n: int, opts: SearchOptions):
@@ -597,12 +619,21 @@ class _StagedProblem:
             earlier.update(b.units)
         return out
 
-    def solve_terminal(self, t: str, assign: dict) -> Optional[np.ndarray]:
-        """Stacked decode coefficients for t, or None if infeasible."""
+    def solve_terminal(self, t: str, assign: dict) -> Optional[list[list[int]]]:
+        """Per target row of t, its coefficients on t's stacked in-edge rows, or None if infeasible.
+
+        Each row carries its unit vector, and only rows independent of the
+        earlier ones enter the basis, so every free variable is 0.
+        """
         maps = self.edge_maps(self.cone[t], assign)
         rows = [row for e in self.net.in_edges(t) for row in maps[e.id]]
-        m = np.array(rows, dtype=np.int64).reshape(len(rows), self.width)
-        return solve_right_arrays(m.T, np.array(self.targets[t], dtype=np.int64).T, self.p)
+        w, p = self.width, self.p
+        basis: list[tuple[int, list[int]]] = []
+        for j, row in enumerate(rows):
+            r = _reduce(basis, row + [int(i == j) for i in range(len(rows))], p)
+            basis += _row_basis([r], p) if any(r[:w]) else []
+        rest = [_reduce(basis, trow + [0] * len(rows), p) for trow in self.targets[t]]
+        return None if any(any(r[:w]) for r in rest) else [[-x % p for x in r[w:]] for r in rest]
 
     def witness(self, assign: dict) -> LinearCode:
         """The code of a search result, every unit assigned."""
@@ -618,7 +649,7 @@ class _StagedProblem:
             at = {e.id: j * n for j, e in enumerate(self.net.in_edges(t))}
             for u in keys:  # ("gamma", t, in-edge, slot)
                 j, s = at[u[2]], u[3] * k
-                values[u] = tuple(map(tuple, x[j:j + n, s:s + k].T.tolist()))
+                values[u] = tuple(tuple(x[s + i][j:j + n]) for i in range(k))
         return _code_of(self.field, k, n, values)
 
 
@@ -723,7 +754,7 @@ def naive_search_linear(
 
 
 def search_nonlinear(net: Network, q: int, opts: Optional[SearchOptions] = None) -> SearchReport:
-    """Exhaustive search over all Z_q table codes, decoders solved in stage 2."""
+    """Exhaustive search over the gauge-fixed Z_q table codes, decoders solved in stage 2."""
     opts = opts or SearchOptions()
     if q < 2:
         raise ValueError("q must be at least 2")
@@ -732,7 +763,8 @@ def search_nonlinear(net: Network, q: int, opts: Optional[SearchOptions] = None)
     arity = table_arities(net)
 
     # The units are the edge tables; a table of length L is a 1 x L unit.
-    tables = {u: partial(_all_matrices, 1, q ** a, q) for u, a in arity.items() if u[0] == "edge"}
+    enum = _growth_tables if opts.reduce else partial(_all_matrices, 1)
+    tables = {u: partial(enum, q ** a, q) for u, a in arity.items() if u[0] == "edge"}
     cones = _backward_cones(net)
     deps = {t: {("edge", eid) for eid in cone} for t, cone in cones.items()}
     inputs = [dict(zip(msgs, values)) for values in product(range(q), repeat=len(msgs))]

@@ -18,7 +18,7 @@ from sumnet import (
 from sumnet.codes import code_to_dict, nonlinear_to_dict
 from sumnet.families import FamilySpec, bottleneck_mun, component
 from sumnet.netmodel import Demand, Edge, Network, min_source_terminal_cut, reachable, recover, reverse_network
-from sumnet.solver import _rref_matrices, _StagedProblem
+from sumnet.solver import _all_matrices, _growth_tables, _rref_matrices, _StagedProblem
 from sumnet.transforms import c1, c2, c3
 
 from helpers import (
@@ -358,7 +358,7 @@ def test_random_sum_networks_follow_ramamoorthy():
     # Ramamoorthy (ISIT 2008): with at most two sources or two terminals, a
     # sum network is solvable iff every source reaches every terminal.
     rng = random.Random(7)
-    decided = 0
+    decided = {2: 0, 3: 0}
     for i in range(200):
         net = random_sum_network(rng, max_nodes=8)
         connected = all(
@@ -368,20 +368,21 @@ def test_random_sum_networks_follow_ramamoorthy():
         for f in (F2, F3):
             r = search_linear(net, f, 1, 1, SearchOptions(budget=20_000))
             assert r.verdict == want, (i, f.p, r.verdict)
-        # No code beats a missing path, and a linear code over GF(2) is a
-        # Z_2 table code, so the rule holds for table codes too.
-        r = search_nonlinear(net, 2, SearchOptions(budget=2_000))
-        if r.verdict != "budget_exceeded":
-            assert r.verdict == want, (i, r.verdict)
-            decided += 1
-    assert decided >= 143
+        # No code beats a missing path, and a linear code over GF(q), q
+        # prime, is a Z_q table code, so the rule holds for table codes too.
+        for q in (2, 3):
+            r = search_nonlinear(net, q, SearchOptions(budget=2_000))
+            if r.verdict != "budget_exceeded":
+                assert r.verdict == want, (i, q, r.verdict)
+                decided[q] += 1
+    assert decided[2] >= 196 and decided[3] >= 172, decided
 
 
 def test_verdicts_survive_renaming():
     # A metamorphic check: ids only order the search, so renaming every node,
     # edge and message id leaves each verdict alone.  A nonlinear search that
     # runs out of budget decides nothing, so only decided pairs are compared
-    # there; 17 of the 21 pairs decide within 5,000 ticks.
+    # there; all 21 pairs decide within 5,000 ticks.
     rng = random.Random(7)
     nets = [random_sum_network(rng, max_nodes=8) for _ in range(20)] + [c1(mun_path())[0]]
     rename = random.Random(1)
@@ -395,7 +396,7 @@ def test_verdicts_survive_renaming():
         if "budget_exceeded" not in (a, b):
             assert a == b, net.name
             decided += 1
-    assert decided >= 17
+    assert decided >= 21
 
 
 def test_reverse_network_has_the_same_verdict():
@@ -485,13 +486,14 @@ def test_nonlinear_single_edge_relay():
 
 
 def test_nonlinear_decoder_is_the_first_valid_table():
-    # Under the first edge tables, e1 is constant and e2 forwards x, so t sees
-    # (0, 0) and (0, 1); the tuples no input gives decode to 0.
+    # Both edges carry the one message of their source, so both are pinned
+    # to the identity (0, 1) and t sees (0, 0) and (1, 1); the tuples no
+    # input gives decode to 0.
     net = Network("par", ("s", "t"), (Edge("e1", "s", "t"), Edge("e2", "s", "t")),
                   {"s": ("x",)}, {"t": Demand("sum")})
     r = search_nonlinear(net, 2)
-    assert r.witness.edge_fn == {"e1": (0, 0), "e2": (0, 1)}
-    assert r.witness.decode_fn == {"t": (0, 1, 0, 0)}
+    assert r.witness.edge_fn == {"e1": (0, 1), "e2": (0, 1)}
+    assert r.witness.decode_fn == {"t": (0, 0, 0, 1)}
 
 
 def test_nonlinear_pigeonhole_unsolvable():
@@ -530,10 +532,73 @@ def test_nonlinear_c1_equivalence_spot():
     solvable, _ = c1(mun_path())
     unsolvable, _ = c1(mun_disconnected())
     r = search_nonlinear(solvable, 2)
-    assert (r.verdict, r.enumerated) == ("solvable", 234)
+    assert (r.verdict, r.enumerated) == ("solvable", 10)
     assert nonlinear_to_dict(r.witness) == C1_PATH_Q2_WITNESS
     r = search_nonlinear(unsolvable, 2)
-    assert (r.verdict, r.enumerated) == ("unsolvable", 172)
+    assert (r.verdict, r.enumerated) == ("unsolvable", 4)
+
+
+def test_growth_tables_are_the_canonical_tables():
+    # Restricted growth with exactly min(q, L) values: the Stirling number
+    # S(L, min(q, L)) of tables, in the order _all_matrices lists them.
+    def stirling(n, k):
+        return int(n == k) if n == 0 or k == 0 else k * stirling(n - 1, k) + stirling(n - 1, k - 1)
+
+    def canonical(table, values):
+        first = {}
+        for v in table:
+            first.setdefault(v, len(first))
+        return len(first) == values and all(first[v] == v for v in table)
+
+    for q in (2, 3):
+        for length in range(1, 10):
+            values = min(q, length)
+            got = list(_growth_tables(length, q))
+            assert got == [m for m in _all_matrices(1, length, q) if canonical(m[0], values)], (q, length)
+            assert len(got) == stirling(length, values), (q, length)
+    assert len(list(_growth_tables(4, 2))) == 7 and len(list(_growth_tables(9, 3))) == 3025
+
+
+def test_table_gauge_keeps_every_verdict():
+    # Unreduced, search_nonlinear runs over every table; wherever that
+    # decides within 20,000 ticks, the gauge-fixed search must agree.
+    corpus = [mun_path(), mun_disconnected(), mun_disjoint2(), mun_crossed()]
+    corpus += [c1(net)[0] for net in corpus] + [sum_bipartite22(), two_message_source()]
+    rng = random.Random(7)
+    corpus += [random_sum_network(rng, max_nodes=8) for _ in range(20)]
+    compared = 0
+    for net in corpus:
+        for q in (2, 3):
+            off = search_nonlinear(net, q, SearchOptions(budget=20_000, reduce=False))
+            if off.verdict == "budget_exceeded":
+                continue
+            on = search_nonlinear(net, q)
+            assert on.verdict == off.verdict, (net.name, q)
+            compared += 1
+    assert compared >= 40
+
+
+def test_c1_keeps_table_code_verdicts():
+    # ROADMAP 5(c), for table codes: a multiple-unicast network and its c1
+    # sum network have the same verdict.  Over Z_3, c1(crossed2) still
+    # exceeds 50,000 ticks, so it is compared over Z_2 only.
+    for make in (mun_path, mun_disconnected, mun_disjoint2, mun_crossed):
+        for q in (2, 3):
+            if (make, q) == (mun_crossed, 3):
+                continue
+            net = make()
+            a, b = (search_nonlinear(x, q, SearchOptions(budget=50_000)) for x in (net, c1(net)[0]))
+            assert a.verdict == b.verdict != "budget_exceeded", (net.name, q)
+
+
+def test_table_gauge_decides_the_slow_cases():
+    # bench/README.md leaves both out as too slow.  Over every table,
+    # c1(crossed2) at q = 2 exceeds 20,000 ticks; bi22 at q = 3 took 269 s
+    # before decoders were solved in stage 2, and 296 ticks since.
+    for net, q in ((c1(mun_crossed())[0], 2), (sum_bipartite22(), 3)):
+        r = search_nonlinear(net, q, SearchOptions(budget=20_000))
+        assert r.verdict == "solvable", (net.name, q)
+        assert verify_nonlinear(net, r.witness)
 
 
 def test_nonlinear_budget_verdict():
