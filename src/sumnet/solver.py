@@ -54,29 +54,31 @@ writes the report.  The nonlinear check evaluates a cone with
 ``codes.table_symbols``, the Z_q evaluator of ``eval_nonlinear``, and
 ``codes.demanded_symbol``.
 
-The linear search prunes a bucket earlier than its terminals' last units,
-from before its first unit on.
-Once every source out-edge of terminal t's cone has a fixed map, the fixed
-cone edges that enter t or feed a cone edge not yet fixed form a cut: every
-symbol entering t is a linear image of the cut's symbols.  A target row of t
-outside the cut's row span therefore proves t infeasible at that depth.  The
-check at t's in-edges is ``feasible`` itself, and the cut checks are
-necessary conditions of it, so survivors and witnesses are unchanged.
-``naive_search_linear`` is the reference oracle and runs no cut check.
-
-The block at which t is checked is its last unit, so t's in-edge maps are
-A M X + K, with X the rows the block M multiplies.  ``_rref_matrices`` walks
-M's free entries as a prefix tree.  With a prefix's open entries at 0, M = P + S
-and the rows of A S X lie in the span of X's rows at the open columns, so a
-target row of t outside that span plus the span of t's in-edge maps under P
-rules out every completion.  A prefix is checked if it leaves at least two
-entries open, and fewer columns open than its parent, which answers the same.
-The first pivot set's empty prefix is not: where the block's edge enters t,
-P X and the open rows make up X, so it repeats the cut check at its in-edges.
+The linear search prunes with one check, ``feasible``, sound under any
+partial assignment: the row-space view of Koetter & Medard (2003) used as
+forward checking.  It walks terminal t's cone once in topological order.  An
+assigned or pinned block gives its edge a map; an unassigned one gives a zero
+map and makes the rows it multiplies loose; the block being enumerated, with
+a prefix's open entries at 0, makes its rows at the open columns loose; and
+each edge passes on its in-edges' loose rows.  Under any completion an edge's
+true map is its map plus rows in the span of the loose rows it passes on, so
+a target row of t outside the span of t's in-edge maps and their loose rows
+rules out every completion.  With every block assigned the check is exact.
+The driver tries it before a bucket's first unit, after each earlier unit of
+t's cone, at t's last unit, and, with ``reduce`` on, on the block prefixes of
+t's cone units: ``_rref_matrices`` walks a block's free entries as a prefix
+tree.  A prefix is checked if it leaves at least two entries open and fewer
+columns open than its parent, which answers the same.  The first pivot set's
+empty prefix is not: P X and the open rows make up X, as for an unassigned
+block, so it repeats the check before the unit.  A rejected prefix costs one
+tick for at least p^2 leaves, each of which would cost one and then fail, and
+every check is necessary for the exact one, so survivors and witnesses are
+unchanged and no count rises.  ``naive_search_linear`` is the reference
+oracle and checks each terminal only at its last unit.
 
 A search leaves no reference cycle behind: suspended enumerators are closed
-when it ends, and the cut checks live in the search, not the problem, so all
-of it is freed by reference counting rather than by the cyclic collector.
+when it ends, so all of it is freed by reference counting rather than by the
+cyclic collector.
 """
 
 from __future__ import annotations
@@ -115,9 +117,10 @@ BUDGET_EXCEEDED = "budget_exceeded"
 @dataclass(frozen=True)
 class SearchOptions:
     budget: int = 50_000_000
-    # Off, a block wider than n runs over every matrix, unpruned, not one RREF
-    # block per row space, and a Z_q table over all q^L tables, not the
-    # restricted-growth ones, which cross-checks both; narrow blocks stay pinned.
+    # Off, a block wider than n runs over every matrix, not one RREF block per
+    # row space, and no block prefix is checked, though the relaxed check still
+    # runs between units; a Z_q table runs over all q^L tables, not the
+    # restricted-growth ones.  This cross-checks both; narrow blocks stay pinned.
     reduce: bool = True
 
     def __post_init__(self) -> None:
@@ -224,7 +227,7 @@ def _reduce(basis, row, p: int) -> list[int]:
 def _row_basis(rows, p: int) -> list[tuple[int, list[int]]]:
     """Echelonized spanning set as (pivot column, normalized row) pairs."""
     basis: list[tuple[int, list[int]]] = []
-    for row in rows:
+    for row in filter(any, rows):
         r = _reduce(basis, row, p)
         piv = next((i for i, x in enumerate(r) if x), None)
         if piv is not None:
@@ -301,6 +304,7 @@ class _BucketPlan:
         candidates: dict[tuple, Callable[[], Iterator[tuple]]],
     ):
         self.candidates = candidates
+        self.deps = deps
         pos = {u: i for i, u in enumerate(candidates)}
         self.prechecks = sorted(t for t in terminals if not deps[t])
         todo = sorted(t for t in terminals if deps[t])
@@ -333,11 +337,13 @@ class _BucketSearch:
 
     A search supplies its plan and ``check(t, assign)``, the feasibility test
     of terminal t, and passes ``report`` a function that builds its code from
-    a result.  ``cut_checks[bi]`` optionally lists extra (depth, test) pairs for
-    bucket bi: ``test(assign)`` is a necessary condition of one of the
-    bucket's checks, tried once the unit at that depth is assigned, or before
-    the bucket's first unit at depth -1.  With ``prune``, ``check(t, assign, u, open)``
-    rules out every completion of unit u's block prefix; a rejection costs one tick.
+    a result.  Terminal t is checked once its last unit is assigned.  With
+    ``relaxed``, ``check`` must also be sound under a partial assignment: it
+    may answer False only if no completion passes.  The driver then checks t
+    before its bucket's first unit and after each earlier unit of
+    ``plan.deps[t]`` too, and with ``opts.reduce`` offers it each block
+    prefix of those units as ``check(t, assign, u, open)``; a rejected prefix
+    costs one tick.
 
     A bucket with local checks has one survivor list, shared by every
     assignment of the earlier buckets and extended lazily; its cross checks
@@ -347,29 +353,29 @@ class _BucketSearch:
     as a filtered full product would.
     """
 
-    def __init__(
-        self,
-        plan: _BucketPlan,
-        check: Callable[[str, dict], bool],
-        opts: SearchOptions,
-        cut_checks: Sequence[Sequence[tuple[int, Callable[[dict], bool]]]] = (),
-        prune: bool = False,
-    ):
+    def __init__(self, plan: _BucketPlan, check: Callable[..., bool], opts: SearchOptions, relaxed: bool = False):
         self.plan = plan
         self.check = check
         self.opts = opts
         self.count = 0
-        # Per bucket and depth: the checks due once that unit is assigned, and those pruning its prefixes.
-        self.checks_at: list[dict[int, list[Callable[[dict], bool]]]] = []
-        self.relaxed_at: list[dict[int, list[Callable]]] = []
-        for bi, b in enumerate(plan.buckets):
-            at: dict[int, list[Callable[[dict], bool]]] = {}
-            for depth, t in b.checks:
-                at.setdefault(depth, []).append(partial(check, t))
-            self.relaxed_at.append({d: list(cs) for d, cs in at.items()} if prune else {})
-            for depth, test in cut_checks[bi] if cut_checks else ():
-                at.setdefault(depth, []).append(test)
+        # Per bucket and depth: the terminals checked once that unit is
+        # assigned, from -1 before the first, and those offered its prefixes.
+        self.checks_at: list[dict[int, list[str]]] = []
+        self.prefixes_at: list[dict[int, list[str]]] = []
+        for b in plan.buckets:
+            at: dict[int, list[str]] = {}
+            prefixes: dict[int, list[str]] = {}
+            for last, t in b.checks:
+                at.setdefault(last, []).append(t)
+                if not relaxed:
+                    continue
+                cone = [d for d in range(last) if b.units[d] in plan.deps[t]]
+                for d in [-1] + cone:
+                    at.setdefault(d, []).append(t)
+                for d in cone + [last] if opts.reduce else ():
+                    prefixes.setdefault(d, []).append(t)
             self.checks_at.append(at)
+            self.prefixes_at.append(prefixes)
         # Per shared bucket: the survivors found so far and the suspended enumerator.
         self.memo: dict[int, tuple[list[tuple], Iterator[tuple]]] = {}
         self.assign: dict = {}
@@ -386,15 +392,15 @@ class _BucketSearch:
             yield tuple(assign[u] for u in units)
             return
         u = units[depth]
-        if depth == 0 and not all(c(assign) for c in self.checks_at[bi].get(-1, ())):
+        if depth == 0 and not all(self.check(t, assign) for t in self.checks_at[bi].get(-1, ())):
             return
         checks = self.checks_at[bi].get(depth, ())
         values = self.plan.candidates[u]
-        relaxed = self.relaxed_at[bi].get(depth)
-        if relaxed:
+        prefixes = self.prefixes_at[bi].get(depth)
+        if prefixes:
             def keep(block: list, open_: list) -> bool:
                 assign[u] = block
-                if all(c(assign, u, open_) for c in relaxed):
+                if all(self.check(t, assign, u, open_) for t in prefixes):
                     return True
                 self._tick()
                 return False
@@ -402,7 +408,7 @@ class _BucketSearch:
         for value in values():
             self._tick()
             assign[u] = value
-            if all(c(assign) for c in checks):
+            if all(self.check(t, assign) for t in checks):
                 yield from self._enumerate(bi, assign, depth + 1)
         del assign[u]
 
@@ -504,6 +510,8 @@ class _StagedProblem:
             m: [[int(w == i * k + j) for w in range(self.width)] for j in range(k)]
             for i, m in enumerate(msgs)
         }
+        # The map of an edge whose block is unassigned; nothing mutates its rows.
+        self.zero = [[0] * self.width] * n
 
         self.cone = _backward_cones(net)
         deps = {t: {("block", eid) for eid in cone if eid not in self.pinned} for t, cone in self.cone.items()}
@@ -513,111 +521,81 @@ class _StagedProblem:
         self.const_maps: dict[str, list[list[int]]] = {}
         for eid, us in keys.items():
             if eid in self.pinned and all(u[0] == "alpha" or u[1] in self.const_maps for u in us):
-                self.const_maps[eid] = self._eval_edge(eid, {}, self.const_maps)
+                self.const_maps[eid] = self._eval_edge(self.pinned[eid], self._inputs(eid, self.const_maps))
 
         target = target_transfer_array(net, fieldspec, k)
         self.targets: dict[str, list[list[int]]] = {}
         for i, (t, _label) in enumerate(transfer_rows(net)):
             self.targets.setdefault(t, []).extend(target[i * k:(i + 1) * k].tolist())
 
-    def _block(self, eid: str, assign: dict) -> tuple[tuple[int, ...], ...]:
-        return self.pinned[eid] if eid in self.pinned else assign[("block", eid)]
+    def _block(self, eid: str, assign: dict) -> Optional[Sequence]:
+        """The edge's pinned or assigned block, or None while it is unassigned."""
+        return self.pinned[eid] if eid in self.pinned else assign.get(("block", eid))
 
-    def _eval_edge(self, eid: str, assign: dict, maps: dict, block: Sequence = ()) -> list[list[int]]:
-        """The edge's block, or ``block``, times the rows it reads: in-edge maps, or a source's messages."""
+    def _inputs(self, eid: str, maps: dict) -> list[list[int]]:
+        """The rows edge eid's block multiplies: its in-edges' maps, or its source's message rows."""
+        return [row for u, _, _ in self.slices[eid]
+                for row in (self.unit_rows[u[1]] if u[0] == "alpha" else maps[u[1]])]
+
+    def _eval_edge(self, block: Sequence, ins: list[list[int]]) -> list[list[int]]:
+        """``block`` times the stacked rows ``ins``."""
         p = self.p
-        ins = [row for u, _, _ in self.slices[eid]
-               for row in (self.unit_rows[u[1]] if u[0] == "alpha" else maps[u[1]])]
         m = []
-        for brow in block or self._block(eid, assign):
+        for brow in block:
             row = [0] * self.width
             for c, srow in zip(brow, ins):
-                if c:
+                if c and any(srow):
                     row = [x + c * y for x, y in zip(row, srow)]
             m.append([x % p for x in row])
         return m
 
-    def edge_maps(self, edges: Sequence[str], assign: dict) -> dict[str, list[list[int]]]:
-        """Maps of ``edges``, listed in topological order and closed under in-edges."""
+    def _cone_maps(self, t: str, assign: dict, u: tuple = (), open_: Sequence = ()) -> tuple[dict, list]:
+        """Maps of t's cone edges under a partial assignment, and the loose rows t's in-edges pass on.
+
+        An unassigned block gives its edge the zero map and makes the rows it
+        multiplies loose; block u, with its ``open_`` entries at 0, makes its
+        rows at the open columns loose; each edge passes on its in-edges'
+        loose rows.  Under any completion, an edge's true map is its map plus
+        rows in the span of the loose rows it passes on.
+        """
         maps: dict[str, list[list[int]]] = {}
-        for eid in edges:
+        loose: dict[str, list[list[int]]] = {}
+        # Per edge, the edges whose loose rows it passes on.
+        passes: dict[str, set[str]] = {}
+        for eid in self.cone[t]:
             if eid in self.const_maps:
                 maps[eid] = self.const_maps[eid]
+                continue
+            ins = self._inputs(eid, maps)
+            block = self._block(eid, assign)
+            if block is None:
+                maps[eid] = self.zero
+                loose[eid] = ins
             else:
-                maps[eid] = self._eval_edge(eid, assign, maps)
-        return maps
-
-    def spans(self, t: str, edges: Sequence[str], cut: Sequence[str], assign: dict, loose: tuple = ()) -> bool:
-        """Every target row of t lies in the row span of the maps of ``cut``.
-
-        ``edges`` are the cone edges to evaluate, ``cut`` a subset of them that
-        every path from a source to t crosses, so every symbol entering t is a
-        linear image of the cut's symbols.  A False answer proves t infeasible.
-        ``loose`` = (eid, columns) adds the rows eid's block multiplies at those columns.
-        """
-        maps = self.edge_maps(edges, assign)
-        rows = [row for eid in cut for row in maps[eid]]
-        if loose:
-            w = self.slices[loose[0]][-1][2]
-            rows += self._eval_edge(loose[0], assign, maps, [_eye(w, w)[j] for j in loose[1]])
-        basis = _row_basis(rows, self.p)
-        return not any(any(_reduce(basis, trow, self.p)) for trow in self.targets[t])
+                maps[eid] = self._eval_edge(block, ins)
+                if open_ and u[1] == eid:
+                    loose[eid] = [ins[j] for j in {j for _, j in open_}]
+            if passes or eid in loose:
+                via = {x for key, _, _ in self.slices[eid] if key[0] == "beta" for x in passes.get(key[1], ())}
+                if eid in loose:
+                    via.add(eid)
+                if via:
+                    passes[eid] = via
+        if not passes:
+            return maps, []
+        origins = set().union(*(passes.get(e.id, ()) for e in self.net.in_edges(t)))
+        return maps, [row for x in origins for row in loose[x]]
 
     def feasible(self, t: str, assign: dict, u: tuple = (), open_: Sequence = ()) -> bool:
-        """Decoders exist iff every target row lies in the span of t's in-edge maps.
+        """Every target row of t lies in the span of its in-edge maps and the loose rows they pass on.
 
-        With block u's ``open_`` entries at 0, False rules out every completion.
+        With every block assigned this is exact: decoders exist iff it holds.
+        Under a partial assignment, or with block u's ``open_`` entries at 0,
+        a False answer rules out every completion.
         """
-        loose = (u[1], {j for _, j in open_}) if open_ else ()
-        return self.spans(t, self.cone[t], [e.id for e in self.net.in_edges(t)], assign, loose)
-
-    def cut_checks(self) -> list[list[tuple[int, Callable[[dict], bool]]]]:
-        """Per bucket, span checks at cuts of a terminal's cone before its last unit.
-
-        At depth d of a bucket, the units of earlier buckets and the bucket's
-        first d + 1 units are assigned, from d = -1 before its first unit.  An edge of t's cone is fixed once its
-        block is pinned or assigned and every cone edge upstream of it is fixed.
-        The fixed edges that enter t or feed an unfixed cone edge form a cut of
-        the cone, provided every source out-edge in the cone is fixed.  An
-        entry is added only at the depths where that cut changes.
-        """
-        net = self.net
-        out: list[list[tuple[int, Callable[[dict], bool]]]] = []
-        earlier: set = set()
-        for b in self.plan.buckets:
-            entries: list[tuple[int, Callable[[dict], bool]]] = []
-            for last, t in b.checks:
-                cone = self.cone[t]
-                in_cone = set(cone)
-                feeds = {
-                    eid: [f.id for f in net.out_edges(net.edge(eid).head) if f.id in in_cone]
-                    for eid in cone
-                }
-                assigned = set(earlier)
-                prev: Optional[tuple[str, ...]] = None
-                for d in range(-1, last):
-                    if d >= 0:
-                        assigned.add(b.units[d])
-                    fixed: set[str] = set()
-                    for eid in cone:
-                        ins = net.in_edges(net.edge(eid).tail)
-                        known = eid in self.pinned or ("block", eid) in assigned
-                        if known and all(e.id in fixed for e in ins):
-                            fixed.add(eid)
-                    if any(net.edge(eid).tail in net.sources and eid not in fixed for eid in cone):
-                        continue
-                    cut = tuple(
-                        eid for eid in cone
-                        if eid in fixed
-                        and (net.edge(eid).head == t or any(f not in fixed for f in feeds[eid]))
-                    )
-                    if cut != prev:
-                        edges = tuple(eid for eid in cone if eid in fixed)
-                        entries.append((d, partial(self.spans, t, edges, cut)))
-                        prev = cut
-            out.append(entries)
-            earlier.update(b.units)
-        return out
+        maps, spare = self._cone_maps(t, assign, u, open_)
+        basis = _row_basis([row for e in self.net.in_edges(t) for row in maps[e.id]] + spare, self.p)
+        return not any(any(_reduce(basis, trow, self.p)) for trow in self.targets[t])
 
     def solve_terminal(self, t: str, assign: dict) -> Optional[list[list[int]]]:
         """Per target row of t, its coefficients on t's stacked in-edge rows, or None if infeasible.
@@ -625,7 +603,7 @@ class _StagedProblem:
         Each row carries its unit vector, and only rows independent of the
         earlier ones enter the basis, so every free variable is 0.
         """
-        maps = self.edge_maps(self.cone[t], assign)
+        maps = self._cone_maps(t, assign)[0]
         rows = [row for e in self.net.in_edges(t) for row in maps[e.id]]
         w, p = self.width, self.p
         basis: list[tuple[int, list[int]]] = []
@@ -666,7 +644,7 @@ def search_linear(
         raise ValueError("k and n must be positive")
     start = time.monotonic()
     prob = _StagedProblem(net, fieldspec, k, n, opts)
-    search = _BucketSearch(prob.plan, prob.feasible, opts, prob.cut_checks(), prune=opts.reduce)
+    search = _BucketSearch(prob.plan, prob.feasible, opts, relaxed=True)
     return search.report(net, prob.witness, _mode(k, n), start)
 
 
@@ -678,10 +656,10 @@ def naive_search_linear(
 ) -> SearchReport:
     """Reference search enumerating every coefficient, decoders included.
 
-    No folding, no collapsing, no stage-2 solving: terminals are checked by
-    direct comparison of their transfer rows once all their coefficients are
-    assigned.  Exponentially slower than the staged search; exists so the two
-    can be cross-checked on micro networks.
+    No gauge fixing, no relaxed checks, no stage-2 solving: terminals are
+    checked by direct comparison of their transfer rows once all their
+    coefficients are assigned.  Exponentially slower than the staged search;
+    exists so the two can be cross-checked on micro networks.
     """
     start = time.monotonic()
     p = fieldspec.p

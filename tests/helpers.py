@@ -93,8 +93,8 @@ def sum_disconnected22() -> Network:
 def two_message_source() -> Network:
     """t recovers y from a two-message source: solvable, once a's coefficients are set.
 
-    a's coefficients are enumerated, and until both are assigned the fixed
-    edges into t form no cut of t's cone.
+    a's two coefficients form one enumerated block, so until it is assigned
+    t's relaxed check sees a's messages only as loose rows.
     """
     return Network(
         "two_message_source",

@@ -84,7 +84,7 @@ NAIVE_TICKS = {("s_3", 2): ("unsolvable", 1052), ("two_message_source", 3): ("so
 
 
 def test_staged_matches_naive_on_micro_corpus():
-    # Over GF(3) too, so the cut checks meet unsolvable inputs (s_3, disc1,
+    # Over GF(3) too, so the relaxed checks meet unsolvable inputs (s_3, disc1,
     # bottleneck_2) beyond GF(2); component alone needs about 1M naive ticks
     # there and is checked over GF(2) only.
     corpus = [mun_path(), mun_disconnected(), mun_disjoint2(), mun_crossed(),
@@ -194,19 +194,65 @@ def test_gauge_fixed_unreduced_and_naive_agree():
 
 
 def test_relaxed_check_keeps_every_verdict_and_witness(monkeypatch):
-    # The prefix check is necessary for the terminal check it precedes, so a
-    # search whose prefix checks always pass, and so walk every block in full,
-    # finds the same verdicts and first witnesses in as many ticks or more.
+    # The relaxed check is necessary for the exact check it precedes, so a
+    # search whose prefix checks and checks under a partial cone assignment
+    # always pass, and so walk every block in full, finds the same verdicts
+    # and first witnesses in as many ticks or more.
     rng = random.Random(3)
     nets = [random_sum_network(rng, max_nodes=6) for _ in range(40)]
     real = [search_linear(net, f, k, n) for net in nets for f in (F2, F3) for k, n in RATES]
     exact = _StagedProblem.feasible
-    monkeypatch.setattr(_StagedProblem, "feasible",
-                        lambda self, t, assign, u=(), open_=(): bool(open_) or exact(self, t, assign))
+
+    def last_unit_only(self, t, assign, u=(), open_=()):
+        return bool(open_) or not self.plan.deps[t].issubset(assign) or exact(self, t, assign)
+
+    monkeypatch.setattr(_StagedProblem, "feasible", last_unit_only)
     loose = [search_linear(net, f, k, n) for net in nets for f in (F2, F3) for k, n in RATES]
     assert [(r.verdict, r.witness) for r in real] == [(r.verdict, r.witness) for r in loose]
     assert all(r.enumerated <= r2.enumerated for r, r2 in zip(real, loose))
     assert sum(r.enumerated for r in real) < sum(r.enumerated for r in loose)
+
+
+def test_relaxed_check_is_sound_under_partial_assignments():
+    # feasible may reject a partial assignment, or a block prefix with its
+    # open entries at 0, only if no completion passes the exact check: brute
+    # force over every matrix of each unassigned cone block and every value
+    # of the open entries.  With every block assigned it is the exact check.
+    rng = random.Random(11)
+    rejected = exact = 0
+    for _ in range(40):
+        net = random_sum_network(rng, max_nodes=6)
+        for f in (F2, F3):
+            for k, n in ((1, 1), (2, 1)):
+                prob = _StagedProblem(net, f, k, n, SearchOptions())
+                for t in net.terminal_nodes():
+                    shape = {u: (n, prob.slices[u[1]][-1][2]) for u in sorted(prob.plan.deps[t])}
+                    for _ in range(4):
+                        assign = {u: [[rng.randrange(f.p) for _ in range(c)] for _ in range(r)]
+                                  for u, (r, c) in shape.items() if rng.random() < 0.5}
+                        u, open_ = (), []
+                        if assign and rng.random() < 0.5:
+                            u = rng.choice(sorted(assign))
+                            entries = [(i, j) for i in range(n) for j in range(shape[u][1])]
+                            open_ = rng.sample(entries, rng.randint(1, len(entries)))
+                            for i, j in open_:
+                                assign[u][i][j] = 0
+                        free = [x for x in shape if x not in assign]
+                        if f.p ** (sum(r * c for r, c in map(shape.get, free)) + len(open_)) > 2_000:
+                            continue
+                        options = [list(_all_matrices(*shape[x], f.p)) for x in free]
+                        ok = prob.feasible(t, assign, u, open_)
+                        for values in product(*options, *[range(f.p)] * len(open_)):
+                            full = {x: [row[:] for row in m] for x, m in assign.items()}
+                            full.update(zip(free, values))
+                            for (i, j), v in zip(open_, values[len(free):]):
+                                full[u][i][j] = v
+                            passes = prob.solve_terminal(t, full) is not None
+                            assert ok or not passes, (net.name, f.p, k, n, t, assign, u, open_)
+                            assert prob.feasible(t, full) == passes, (net.name, f.p, k, n, t, full)
+                            exact += 1
+                        rejected += not ok and bool(free or open_)
+    assert rejected >= 100 and exact >= 10_000, (rejected, exact)
 
 
 def test_gauge_fixing_decides_the_slow_cases():
@@ -317,36 +363,40 @@ S4_STAR_GF3_WITNESS = {
 
 
 def test_determinism():
-    # The exact tick counts pin what the gauge fixing and the cut checks
-    # enumerate: a change to the block candidates, the bucket order or the
-    # pruning shows up here.  A solvable search counts up to its first witness.
+    # The exact tick counts pin what the gauge fixing and the relaxed span
+    # checks enumerate: a change to the block candidates, the bucket order or
+    # the pruning shows up here.  A solvable search counts up to its first witness.
     rng = random.Random(7)
     rand = [random_sum_network(rng, max_nodes=8) for _ in range(46)]
-    # t never sees x: the cut at r's in-edges is fixed before r's block, the
-    # bucket's first unit, so the bucket is rejected before any candidate.
+    # t never sees x: with r's block unassigned, t's span holds only y, so
+    # the bucket is rejected before its first unit, before any candidate.
     blind = Network("blind", ("a", "b", "z", "r", "t"),
                     (Edge("b>r", "b", "r"), Edge("z>r", "z", "r"), Edge("r>t", "r", "t")),
                     {"a": ("x",), "b": ("y",)}, {"t": Demand("sum")})
     cases = [
-        (blind, F3, 1, "unsolvable", 0),
-        (s_m(4), F2, 1, "solvable", 9),
-        (s_m_star(4), F3, 1, "solvable", 9),
-        (s_m(5), F3, 1, "solvable", 12),
-        (s_m(3), F2, 2, "unsolvable", 54),
+        (blind, F3, 1, 1, "unsolvable", 0),
+        (s_m(4), F2, 1, 1, "solvable", 9),
+        (s_m_star(4), F3, 1, 1, "solvable", 9),
+        (s_m(5), F3, 1, 1, "solvable", 12),
+        (s_m(3), F2, 2, 2, "unsolvable", 54),
         # The 1 x 5 relay blocks are pruned by prefix: 4,692 ticks unpruned.
-        (s_m_star(7), FieldSpec(5), 1, "unsolvable", 252),
-        (rand[22], F3, 1, "solvable", 6),
-        (rand[40], F2, 1, "solvable", 8),
+        (s_m_star(7), FieldSpec(5), 1, 1, "unsolvable", 252),
+        # Rejected under partial assignments, before their last units; a
+        # check of fixed cuts alone takes 340 and 840 ticks on these.
+        (component(), F3, 2, 1, "unsolvable", 4),
+        (two_message_source(), F3, 2, 1, "unsolvable", 40),
+        (rand[22], F3, 1, 1, "solvable", 6),
+        (rand[40], F2, 1, 1, "solvable", 8),
         # Its second bucket has only a cross check, so it is enumerated under
-        # the first bucket's assignment with that check and its cuts inline.
-        (rand[45], F2, 1, "solvable", 8),
-        (rand[45], F3, 1, "solvable", 8),
+        # the first bucket's assignment with that check inline.
+        (rand[45], F2, 1, 1, "solvable", 8),
+        (rand[45], F3, 1, 1, "solvable", 8),
     ]
-    for net, f, k, verdict, enumerated in cases:
-        a = search_linear(net, f, k, k)
-        b = search_linear(net, f, k, k)
-        assert (a.verdict, a.enumerated) == (verdict, enumerated), (net.name, f.p, k)
-        assert (b.verdict, b.enumerated) == (verdict, enumerated), (net.name, f.p, k)
+    for net, f, k, n, verdict, enumerated in cases:
+        a = search_linear(net, f, k, n)
+        b = search_linear(net, f, k, n)
+        assert (a.verdict, a.enumerated) == (verdict, enumerated), (net.name, f.p, k, n)
+        assert (b.verdict, b.enumerated) == (verdict, enumerated), (net.name, f.p, k, n)
         assert a.witness == b.witness
     assert code_to_dict(search_linear(s_m_star(4), F3, 1, 1).witness) == S4_STAR_GF3_WITNESS
     # Unreduced, the 2 x 4 relay blocks run over all 256 matrices, not 35.
