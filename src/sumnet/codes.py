@@ -22,7 +22,9 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .gflin import FieldSpec, MatrixGF
-from .netmodel import Demand, Network, json_int, json_key, json_list, json_str, reverse_id, reverse_network
+from .netmodel import (
+    Demand, Network, json_int, json_key, json_list, json_str, json_text, reverse_id, reverse_network,
+)
 
 
 class CodeError(ValueError):
@@ -154,6 +156,8 @@ def transfer_array(net: Network, code: LinearCode) -> np.ndarray:
     """The transfer matrix as a raw array, which may have no rows or no columns.
 
     Table order puts every edge's map of the stacked messages before its consumers.
+    A map sums its in-edge products unreduced and is reduced mod p when first
+    read: each entry stays below in-degree * n * p**2, far under 2**63 for p <= 2**16.
     """
     p, k, n = code.field.p, code.k, code.n
     msgs = net.messages()
@@ -164,6 +168,14 @@ def transfer_array(net: Network, code: LinearCode) -> np.ndarray:
         first.setdefault(t, i * k)
     maps = {e.id: np.zeros((n, len(msgs) * k), dtype=np.int64) for e in net.edges}
     out = np.zeros((len(rows) * k, len(msgs) * k), dtype=np.int64)
+    reduced: set[str] = set()
+
+    def read(eid: str) -> np.ndarray:
+        if eid not in reduced:
+            maps[eid] %= p
+            reduced.add(eid)
+        return maps[eid]
+
     coeffs = {"alpha": code.source_coeff, "beta": code.local_coeff, "gamma": code.decode_coeff}
     for kind, a, eid, *slot in coefficient_table(net, k, n):
         m = coeffs[kind].get((a, eid, *slot))
@@ -172,10 +184,11 @@ def transfer_array(net: Network, code: LinearCode) -> np.ndarray:
         if kind == "alpha":
             maps[eid][:, off[a]:off[a] + k] = m.array()
         elif kind == "beta":
-            maps[eid] = (maps[eid] + m.array() @ maps[a]) % p
+            maps[eid] += m.array() @ read(a)
         else:
             r = first[a] + slot[0] * k
-            out[r:r + k] = (out[r:r + k] + m.array() @ maps[eid]) % p
+            out[r:r + k] += m.array() @ read(eid)
+    out %= p
     return out
 
 
@@ -469,7 +482,7 @@ def code_from_dict(d: dict) -> LinearCode:
 
 
 def code_to_json(code: LinearCode) -> str:
-    return json.dumps(code_to_dict(code), indent=2, sort_keys=True) + "\n"
+    return json_text(code_to_dict(code))
 
 
 def code_from_json(text: str) -> LinearCode:
@@ -506,7 +519,7 @@ def nonlinear_from_dict(d: dict) -> NonlinearCode:
 
 
 def nonlinear_to_json(code: NonlinearCode) -> str:
-    return json.dumps(nonlinear_to_dict(code), indent=2, sort_keys=True) + "\n"
+    return json_text(nonlinear_to_dict(code))
 
 
 def nonlinear_from_json(text: str) -> NonlinearCode:

@@ -52,7 +52,10 @@ class MatrixGF:
     __slots__ = ("field", "rows", "cols", "_a", "_hash")
 
     def __init__(self, field: FieldSpec, rows: Iterable[Iterable[int]]):
-        a = np.array([[int(x) for x in r] for r in rows], dtype=np.int64)
+        self._own(field, np.array([[int(x) for x in r] for r in rows], dtype=np.int64))
+
+    def _own(self, field: FieldSpec, a: np.ndarray) -> None:
+        """Take ``a``, an int64 array no one else holds, as the entries."""
         if a.ndim != 2 or a.size == 0:
             raise DimensionMismatch("matrix needs at least one row and column")
         object.__setattr__(self, "field", field)
@@ -68,7 +71,10 @@ class MatrixGF:
 
     @classmethod
     def from_array(cls, field: FieldSpec, a: np.ndarray) -> "MatrixGF":
-        return cls(field, a.tolist())
+        """The matrix of a copy of ``a``, reduced mod p."""
+        m = cls.__new__(cls)
+        m._own(field, np.array(a, dtype=np.int64))
+        return m
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "MatrixGF":
@@ -151,7 +157,6 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     deterministic for a given input.
     """
     m = a % p
-    m = m.copy()
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
@@ -166,9 +171,9 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             m[[r, i]] = m[[i, r]]
         inv = pow(int(m[r, c]), p - 2, p)
         m[r] = (m[r] * inv) % p
-        for j in range(rows):
-            if j != r and m[j, c]:
-                m[j] = (m[j] - m[j, c] * m[r]) % p
+        nz = np.nonzero(m[:, c])[0]
+        nz = nz[nz != r]
+        m[nz] = (m[nz] - np.outer(m[nz, c], m[r])) % p
         pivots.append(c)
         r += 1
     return m, pivots
@@ -195,7 +200,7 @@ def solve_right(a: MatrixGF, b: MatrixGF) -> Optional[MatrixGF]:
     _check_same_field(a, b)
     if a.rows != b.rows:
         raise DimensionMismatch("solve_right needs matching row counts")
-    r, pivots = _rref(np.concatenate([a.array(), b.array()], axis=1) % a.field.p, a.field.p)
+    r, pivots = _rref(np.concatenate([a.array(), b.array()], axis=1), a.field.p)
     if any(c >= a.cols for c in pivots):
         return None
     x = np.zeros((a.cols, b.cols), dtype=np.int64)

@@ -301,8 +301,27 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
+def json_text(obj: dict) -> str:
+    """``obj`` as JSON text with sorted keys: one line per key, and per item of a list value.
+
+    Each line is written by the C encoder, which ``indent`` would turn off.
+    """
+    lines = []
+    for key in sorted(obj):
+        value = obj[key]
+        if isinstance(value, list) and value:
+            items = ",\n".join("    " + _ENCODE(x) for x in value)
+            lines.append(f"  {_ENCODE(key)}: [\n{items}\n  ]")
+        else:
+            lines.append(f"  {_ENCODE(key)}: {_ENCODE(value)}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 def network_to_json(net: Network) -> str:
-    return json.dumps(network_to_dict(net), indent=2, sort_keys=True) + "\n"
+    return json_text(network_to_dict(net))
 
 
 def network_from_json(text: str) -> Network:
@@ -337,13 +356,18 @@ def _residual_search(net: Network, s: str, used: set[str], t: Optional[str] = No
 
 def min_cut(net: Network, s: str, t: str) -> int:
     """Max-flow value from s to t with unit capacity per edge (Edmonds-Karp)."""
+    return _flow(net, s, t)
+
+
+def _flow(net: Network, s: str, t: str, cap: Optional[int] = None) -> int:
+    """``min_cut(net, s, t)``, or ``cap`` if that is smaller: augmenting stops at ``cap``."""
     if t not in net._out:
         raise UnknownNode(repr(t))
     if s == t:
         raise NetworkError("source and sink must differ")
     used: set[str] = set()
     flow = 0
-    while True:
+    while flow != cap:
         prev = _residual_search(net, s, used, t)
         if t not in prev:
             return flow
@@ -357,15 +381,21 @@ def min_cut(net: Network, s: str, t: str) -> int:
                 used.add(e.id)
                 v = e.tail
         flow += 1
+    return flow
 
 
 def min_source_terminal_cut(net: Network) -> int:
-    """Minimum of min-cuts over every (source node, terminal node) pair."""
+    """Minimum of min-cuts over every (source node, terminal node) pair.
+
+    Each pair's augmenting stops at the best cut found so far, so only a pair
+    that lowers it runs to a failing search, and a cut of 0 ends the scan.
+    """
     best = None
     for s in net.source_nodes():
         for t in net.terminal_nodes():
-            c = min_cut(net, s, t)
-            best = c if best is None else min(best, c)
+            best = _flow(net, s, t, best)
+            if best == 0:
+                return 0
     if best is None:
         raise NetworkError("network needs at least one source and one terminal")
     return best

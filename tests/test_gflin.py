@@ -11,6 +11,7 @@ from sumnet.gflin import (
     mat_mul,
     rank,
     solve_right,
+    _rref,
 )
 
 from helpers import dumb_mat_mul
@@ -136,3 +137,43 @@ def test_solve_right_verified_by_remultiplication(data):
     x = solve_right(a, b)
     assert x is not None
     assert mat_mul(a, x) == b
+
+
+def _rref_by_rows(a, p):
+    """Gauss-Jordan elimination clearing one row at a time: the reference for ``_rref``."""
+    m = (a % p).copy()
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        inv = pow(int(m[r, c]), p - 2, p)
+        m[r] = (m[r] * inv) % p
+        for j in range(rows):
+            if j != r and m[j, c]:
+                m[j] = (m[j] - m[j, c] * m[r]) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_rref_matches_row_by_row_elimination(data):
+    # Square, wide and tall shapes; a product through a narrower inner
+    # dimension makes the matrix rank-deficient.
+    p = data.draw(st.sampled_from([2, 3, 5, 65521]))
+    rows, cols = data.draw(st.sampled_from([(3, 3), (5, 5), (2, 6), (3, 7), (6, 2), (7, 3), (1, 4), (4, 1)]))
+    inner = data.draw(st.integers(1, min(rows, cols)))
+    a = data.draw(matrices(p, rows, inner)).array() @ data.draw(matrices(p, inner, cols)).array()
+    got, got_pivots = _rref(a, p)
+    want, want_pivots = _rref_by_rows(a, p)
+    assert got_pivots == want_pivots
+    assert got.dtype == want.dtype and np.array_equal(got, want)

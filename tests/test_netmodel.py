@@ -23,8 +23,8 @@ from sumnet.netmodel import (
     recover,
     reverse_network,
 )
-from sumnet.families import s_m
-from sumnet.transforms import c1
+from sumnet.families import bottleneck_mun, s_m, s_m_star
+from sumnet.transforms import c1, c2
 
 from helpers import mun_path, random_sum_network
 
@@ -174,6 +174,27 @@ def test_min_cut_reversal_symmetry():
 
 def test_min_source_terminal_cut_s4():
     assert min_source_terminal_cut(s_m(4)) == 1
+
+
+def test_min_source_terminal_cut_is_the_least_pair_cut():
+    # Each pair's flow stops at the best cut so far, and a cut of 0 ends the
+    # scan; the answer must still be the least full min_cut over all pairs.
+    rng = random.Random(7)
+    nets = [random_sum_network(rng, max_nodes=8) for _ in range(60)]
+    nets += [s_m(m) for m in range(3, 7)] + [s_m_star(m) for m in range(3, 7)]
+    nets += [c2(bottleneck_mun(m))[0] for m in range(2, 5)]
+    split = Network("split", ("a", "b", "t"), (Edge("a>t", "a", "t"),), {"a": ("x",), "b": ("y",)},
+                    {"t": Demand("sum")})
+    parallel = Network("parallel", ("a", "t"), (Edge("e1", "a", "t"), Edge("e2", "a", "t")),
+                       {"a": ("x",)}, {"t": Demand("sum")})
+    nets += [split, parallel]
+    cuts = []
+    for net in nets:
+        want = min(min_cut(net, s, t) for s in net.source_nodes() for t in net.terminal_nodes())
+        cuts.append(min_source_terminal_cut(net))
+        assert cuts[-1] == want, net.name
+    assert cuts[-2:] == [0, 2]
+    assert 0 in cuts[:60] and max(cuts[:60]) >= 2
 
 
 def test_connectivity_s3_all_true():

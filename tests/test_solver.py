@@ -428,6 +428,26 @@ def test_random_sum_networks_follow_ramamoorthy():
     assert decided[2] >= 196 and decided[3] >= 172, decided
 
 
+def test_scalar_linear_codes_are_table_codes():
+    # ROADMAP 5(e): over GF(q), q prime, a scalar linear code is a Z_q table
+    # code, so a linear `solvable` rules out a table `unsolvable`, and a
+    # table `unsolvable` forces a linear `unsolvable`.
+    rng = random.Random(7)
+    seen = {"linear solvable": 0, "table unsolvable": 0}
+    for i in range(40):
+        net = random_sum_network(rng, max_nodes=8)
+        for q in (2, 3):
+            lin = search_linear(net, FieldSpec(q), 1, 1, SearchOptions(budget=2_000)).verdict
+            table = search_nonlinear(net, q, SearchOptions(budget=2_000)).verdict
+            if lin == "solvable":
+                assert table != "unsolvable", (i, q)
+                seen["linear solvable"] += 1
+            if table == "unsolvable":
+                assert lin == "unsolvable", (i, q)
+                seen["table unsolvable"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 def test_verdicts_survive_renaming():
     # A metamorphic check: ids only order the search, so renaming every node,
     # edge and message id leaves each verdict alone.  A nonlinear search that
