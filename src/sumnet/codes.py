@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from .gflin import FieldSpec, MatrixGF
 from .netmodel import (
-    Demand, Network, json_int, json_key, json_list, json_str, json_text, reverse_id, reverse_network,
+    Demand, Network, NetworkError, json_int, json_key, json_list, json_str, json_text, reverse_id,
+    reverse_network,
 )
 
 
@@ -166,15 +168,15 @@ def transfer_array(net: Network, code: LinearCode) -> np.ndarray:
     first: dict[str, int] = {}
     for i, (t, _label) in enumerate(rows):
         first.setdefault(t, i * k)
-    maps = {e.id: np.zeros((n, len(msgs) * k), dtype=np.int64) for e in net.edges}
+    maps: dict[str, np.ndarray] = {}  # an edge never written carries the zero map
     out = np.zeros((len(rows) * k, len(msgs) * k), dtype=np.int64)
     reduced: set[str] = set()
 
-    def read(eid: str) -> np.ndarray:
-        if eid not in reduced:
+    def read(eid: str) -> Optional[np.ndarray]:
+        if eid in maps and eid not in reduced:
             maps[eid] %= p
             reduced.add(eid)
-        return maps[eid]
+        return maps.get(eid)
 
     coeffs = {"alpha": code.source_coeff, "beta": code.local_coeff, "gamma": code.decode_coeff}
     for kind, a, eid, *slot in coefficient_table(net, k, n):
@@ -182,12 +184,16 @@ def transfer_array(net: Network, code: LinearCode) -> np.ndarray:
         if m is None:
             continue
         if kind == "alpha":
+            if eid not in maps:
+                maps[eid] = np.zeros((n, len(msgs) * k), dtype=np.int64)
             maps[eid][:, off[a]:off[a] + k] = m.array()
+        elif (x := read(a if kind == "beta" else eid)) is None:
+            continue
         elif kind == "beta":
-            maps[eid] += m.array() @ read(a)
+            maps[eid] = m.array() @ x + maps[eid] if eid in maps else m.array() @ x
         else:
             r = first[a] + slot[0] * k
-            out[r:r + k] += m.array() @ read(eid)
+            out[r:r + k] += m.array() @ x
     out %= p
     return out
 
@@ -269,10 +275,12 @@ def canonical_reverse_code(net: Network, code: LinearCode) -> LinearCode:
         (reverse_id(eout), reverse_id(ein)): m.transpose()
         for (ein, eout), m in code.local_coeff.items()
     }
+    source_slot = {msg: (s, slot) for s, ms in net.sources.items() for slot, msg in enumerate(ms)}
     dec: dict[tuple[str, str, int], MatrixGF] = {}
     for (msg, eid), m in code.source_coeff.items():
-        s = net.message_source(msg)
-        slot = net.sources[s].index(msg)
+        if msg not in source_slot:
+            raise NetworkError(f"unknown message {msg!r}")
+        s, slot = source_slot[msg]
         dec[(s, reverse_id(eid), slot)] = m.transpose()
     src: dict[tuple[str, str], MatrixGF] = {}
     for (t, eid, slot), m in code.decode_coeff.items():
@@ -455,18 +463,42 @@ def matrix_from_json(value, field: FieldSpec, what: str) -> MatrixGF:
     rows = [_list(r, f"{what} row") for r in _list(value, what)]
     if any(type(x) is not int for r in rows for x in r):
         raise CodeError(f"{what} entries must be integers")
+    if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
+        raise CodeError(f"{what} must have at least one row, all of one nonzero length")
     # Reduced here, so an entry beyond int64 cannot overflow MatrixGF.
     return MatrixGF(field, [[x % field.p for x in r] for r in rows])
+
+
+def _uniform_coeffs(entries: tuple, keys: tuple[str, ...], field: FieldSpec) -> Optional[dict]:
+    """A section's coefficients built from one array, or None unless every entry is
+    well-formed and every matrix has one shape; the caller then reads entry by entry."""
+    types = {tuple(int if key == "slot" else str for key in keys)}
+    try:
+        at = list(map(itemgetter(*keys), entries))
+        mats = list(map(itemgetter("mat"), entries))
+        rows = list(chain.from_iterable(mats))
+        a = np.array(mats, dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError):  # also ragged, or beyond int64
+        return None
+    if (set(map(type, entries)) != {dict} or set(map(type, mats)) | set(map(type, rows)) != {list}
+            or set(map(type, chain.from_iterable(rows))) != {int}
+            or {tuple(map(type, key)) for key in at} != types or a.ndim != 3 or a.size == 0):
+        return None
+    a %= field.p
+    return dict(zip(at, (MatrixGF._reduced(field, m) for m in a)))
 
 
 def code_from_dict(d: dict) -> LinearCode:
     f = FieldSpec(_int(_key(d, "field", "linear code"), "field"))
 
     def coeffs(section: str, keys: tuple[str, ...]) -> dict:
+        entries = _list(d.get(section, []), section)
+        if (out := _uniform_coeffs(entries, keys, f)) is not None:
+            return out
         out = {}
         what = f"{section} entry"
         checks = [(key, _int if key == "slot" else _str, f"{what} {key}") for key in keys]
-        for e in _list(d.get(section, []), section):
+        for e in entries:
             at = tuple(check(_key(e, key, what), about) for key, check, about in checks)
             out[at] = matrix_from_json(_key(e, "mat", what), f, f"{section} mat")
         return out

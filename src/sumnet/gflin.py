@@ -49,32 +49,35 @@ class FieldSpec:
 class MatrixGF:
     """Immutable dense matrix over GF(p); entries are residues in [0, p)."""
 
-    __slots__ = ("field", "rows", "cols", "_a", "_hash")
+    __slots__ = ("field", "_a", "_hash")
 
-    def __init__(self, field: FieldSpec, rows: Iterable[Iterable[int]]):
-        self._own(field, np.array([[int(x) for x in r] for r in rows], dtype=np.int64))
-
-    def _own(self, field: FieldSpec, a: np.ndarray) -> None:
-        """Take ``a``, an int64 array no one else holds, as the entries."""
-        if a.ndim != 2 or a.size == 0:
-            raise DimensionMismatch("matrix needs at least one row and column")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", a.shape[0])
-        object.__setattr__(self, "cols", a.shape[1])
-        a %= field.p
-        a.setflags(write=False)
-        object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, field: FieldSpec, rows: Iterable[Iterable[int]]) -> "MatrixGF":
+        return cls.from_array(field, [[int(x) for x in r] for r in rows])
 
     def __setattr__(self, *_):  # pragma: no cover - guard
         raise AttributeError("MatrixGF is immutable")
 
     @classmethod
+    def _reduced(cls, field: FieldSpec, a: np.ndarray) -> "MatrixGF":
+        """The matrix of ``a``, a nonempty 2-d int64 array of residues that no one else writes."""
+        m = object.__new__(cls)
+        a.setflags(write=False)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "_a", a)
+        object.__setattr__(m, "_hash", None)
+        return m
+
+    @classmethod
     def from_array(cls, field: FieldSpec, a: np.ndarray) -> "MatrixGF":
         """The matrix of a copy of ``a``, reduced mod p."""
-        m = cls.__new__(cls)
-        m._own(field, np.array(a, dtype=np.int64))
-        return m
+        a = np.array(a, dtype=np.int64)
+        if a.ndim != 2 or a.size == 0:
+            raise DimensionMismatch("matrix needs at least one row and column")
+        a %= field.p
+        return cls._reduced(field, a)
+
+    rows = property(lambda self: self._a.shape[0])
+    cols = property(lambda self: self._a.shape[1])
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "MatrixGF":
@@ -96,7 +99,7 @@ class MatrixGF:
         return tuple(int(x) for x in self._a.reshape(-1))
 
     def transpose(self) -> "MatrixGF":
-        return MatrixGF.from_array(self.field, self._a.T)
+        return MatrixGF._reduced(self.field, self._a.T)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and bool(
@@ -147,7 +150,7 @@ def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     _check_same_field(a, b)
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    return MatrixGF.from_array(a.field, (a.array() @ b.array()) % a.field.p)
+    return MatrixGF._reduced(a.field, (a.array() @ b.array()) % a.field.p)
 
 
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -169,11 +172,12 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         i = r + int(nz[0])
         if i != r:
             m[[r, i]] = m[[i, r]]
+        # Row r is zero left of c, so columns < c stay as they are.
         inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
+        m[r, c:] = (m[r, c:] * inv) % p
         nz = np.nonzero(m[:, c])[0]
         nz = nz[nz != r]
-        m[nz] = (m[nz] - np.outer(m[nz, c], m[r])) % p
+        m[nz, c:] = (m[nz, c:] - np.outer(m[nz, c], m[r, c:])) % p
         pivots.append(c)
         r += 1
     return m, pivots

@@ -387,17 +387,21 @@ def _flow(net: Network, s: str, t: str, cap: Optional[int] = None) -> int:
 def min_source_terminal_cut(net: Network) -> int:
     """Minimum of min-cuts over every (source node, terminal node) pair.
 
-    Each pair's augmenting stops at the best cut found so far, so only a pair
-    that lowers it runs to a failing search, and a cut of 0 ends the scan.
+    One reachability search per source finds a cut of 0.  Past that, each
+    pair's augmenting stops at the best cut found so far, so only a pair that
+    lowers it runs to a failing search, and a cut of 1 ends the scan.
     """
-    best = None
-    for s in net.source_nodes():
-        for t in net.terminal_nodes():
-            best = _flow(net, s, t, best)
-            if best == 0:
-                return 0
-    if best is None:
+    srcs, terms = net.source_nodes(), net.terminal_nodes()
+    if not srcs or not terms:
         raise NetworkError("network needs at least one source and one terminal")
+    if any(not reachable(net, s).issuperset(terms) for s in srcs):
+        return 0
+    best = None
+    for s in srcs:
+        for t in terms:
+            best = _flow(net, s, t, best)
+            if best == 1:
+                return 1
     return best
 
 

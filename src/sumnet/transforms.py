@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .codes import CodeError, LinearCode
-from .gflin import MatrixGF, mat_inv
+from .gflin import MatrixGF, rank
 from .netmodel import (
     Demand,
     Edge,
@@ -277,12 +279,18 @@ def scale_sources(code: LinearCode, a: dict[str, MatrixGF]) -> LinearCode:
     for msg, mat in a.items():
         if (mat.rows, mat.cols) != (code.k, code.k):
             raise CodeError(f"scale for {msg!r} must be k x k")
-        if mat_inv(mat) is None:
+        if rank(mat) != code.k:
             raise CodeError(f"scale for {msg!r} is singular")
-    src = {
-        (msg, eid): (coeff @ a[msg] if msg in a else coeff)
-        for (msg, eid), coeff in code.source_coeff.items()
-    }
+    keys = [key for key in code.source_coeff if key[0] in a]
+    coeffs = [code.source_coeff[key] for key in keys]
+    scales = [a[msg] for msg, _ in keys]
+    src = dict(code.source_coeff)
+    if ({m.field for m in coeffs + scales} == {code.field}
+            and {m.array().shape for m in coeffs} == {(code.n, code.k)}):
+        prod = np.matmul(np.stack([m.array() for m in coeffs]), np.stack([m.array() for m in scales]))
+        src.update(zip(keys, (MatrixGF._reduced(code.field, m) for m in prod % code.field.p)))
+    else:  # a code validate_code rejects: each product checks its own shapes and fields
+        src.update((key, m @ scale) for key, m, scale in zip(keys, coeffs, scales))
     return LinearCode(
         code.field, code.k, code.n, src, dict(code.local_coeff), dict(code.decode_coeff)
     )

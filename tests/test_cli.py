@@ -268,15 +268,28 @@ def test_malformed_json_exit_1(tmp_path, capsys):
             "source_coeff": [{"msg": "x", "edge": "a>t", "mat": [[1]]}],
             "decode_coeff": [{"terminal": "t", "edge": "a>t", "slot": 0, "mat": [[1]]}]}
 
-    def with_entry(value):
-        return dict(code, source_coeff=[{"msg": "x", "edge": "a>t", "mat": [[value]]}])
+    def with_mat(mat):
+        return dict(code, source_coeff=[{"msg": "x", "edge": "a>t", "mat": mat}])
 
+    def with_entry(value):
+        return with_mat([[value]])
+
+    bad_mats = {
+        "ragged_mat": with_mat([[1], [1, 0]]),
+        "no_rows": with_mat([]),
+        "empty_row": with_mat([[]]),
+        "nested_entry": with_mat([[[1]]]),
+        "bool_entry": with_entry(True),
+        "float_entry": with_entry(1.5),
+    }
     bad_codes = {
         "fieldless": {"k": 1, "n": 1},
         "string_k": dict(code, k="1"),
         "bool_k": dict(code, k=True),
         "null_entry": with_entry(None),
-        "float_entry": with_entry(1.5),
+        # Loads, and fails validation by the coefficient's key.
+        "wrong_shape": with_mat([[1, 0], [0, 1]]),
+        **bad_mats,
     }
     # The code's only source message is x.
     bad_scales = {
@@ -308,6 +321,17 @@ def test_malformed_json_exit_1(tmp_path, capsys):
         assert rc == 1, argv
         assert "error:" in captured.err
         assert "Traceback" not in captured.out + captured.err
+        name = Path(argv[-1]).stem
+        if name in bad_mats:
+            assert "source_coeff mat" in captured.err, name
+        if name == "wrong_shape":
+            assert "('x', 'a>t')" in captured.err
+    # An entry beyond int64 loads, reduced mod p: 10**30 is even, so the
+    # source coefficient is 0 and the code is no solution.
+    files["huge"] = tmp_path / "huge.json"
+    files["huge"].write_text(json.dumps(with_entry(10**30)))
+    assert main(["verify", "--net", str(files["net"]), "--code", str(files["huge"])]) == 0
+    assert capsys.readouterr().out.startswith("NOT A SOLUTION\n")
 
 
 def test_removed_search_flags_are_usage_errors(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumnet import (
     FieldSpec,
@@ -390,6 +391,103 @@ def test_json_writers_keep_the_old_layout_readable():
   "terminals": {"t": {"kind": "sum"}}
 }
 """
+
+
+def test_code_reader_rejects_malformed_matrices():
+    from sumnet.codes import code_from_dict, code_to_dict
+
+    net = two_source_relay()
+    good = code_to_dict(identity_code(net, F7))
+    bad = {
+        "ragged rows": [[1], [1, 0]],
+        "no rows": [],
+        "an empty row": [[]],
+        "a list entry": [[[1]]],
+        "a bool entry": [[True]],
+        "a float entry": [[1.5]],
+    }
+    for what, mat in bad.items():
+        # Alone in its section, and next to well-formed entries.
+        for i in (0, 1):
+            d = json.loads(json.dumps(good))
+            d["local_coeff"][i]["mat"] = mat
+            with pytest.raises(CodeError, match="local_coeff mat") as err:
+                code_from_dict(d)
+            assert "inhomogeneous" not in str(err.value), what
+    # An entry beyond int64 loads, reduced mod p.
+    d = json.loads(json.dumps(good))
+    d["local_coeff"][1]["mat"] = [[10**30]]
+    key = (d["local_coeff"][1]["in"], d["local_coeff"][1]["out"])
+    assert code_from_dict(d).local_coeff[key] == MatrixGF(F7, [[10**30 % 7]])
+    # A wrong-shaped coefficient loads and fails validation, by its key: one
+    # shape among others, and every coefficient of a section wrong alike.
+    for wrong in ([1], [0, 1]):
+        d = json.loads(json.dumps(good))
+        for i in wrong:
+            d["local_coeff"][i]["mat"] = [[1, 0], [0, 1]]
+        key = (d["local_coeff"][wrong[0]]["in"], d["local_coeff"][wrong[0]]["out"])
+        code = code_from_dict(d)
+        assert code.local_coeff[key] == MatrixGF.identity(F7, 2)
+        with pytest.raises(CodeError, match="must be 1 x 1") as err:
+            validate_code(net, code)
+        assert str(key) in str(err.value)
+
+
+def test_code_reader_reads_each_entry_alike_in_bulk_and_one_by_one():
+    # A section whose matrices share one shape is read from one array; a
+    # section that mixes shapes is read entry by entry.  Both give the
+    # matrices the entries spell, reduced mod p, with the last of repeated keys.
+    from sumnet.codes import code_from_dict
+
+    entries = [{"in": "a", "out": "b", "mat": [[7, -1], [3, 12]]},
+               {"in": "c", "out": "d", "mat": [[2**63 - 1, 0], [-2**63, 5]]},
+               {"in": "a", "out": "b", "mat": [[1, 2], [3, 4]]}]
+    for extra in ([], [{"in": "e", "out": "f", "mat": [[1]]}]):
+        code = code_from_dict({"field": 5, "k": 2, "n": 2, "local_coeff": entries + extra})
+        assert list(code.local_coeff) == [("a", "b"), ("c", "d")] + [("e", "f")] * bool(extra)
+        assert code.local_coeff[("a", "b")].tolists() == [[1, 2], [3, 4]]
+        assert code.local_coeff[("c", "d")].tolists() == [[(2**63 - 1) % 5, 0], [(-2**63) % 5, 0]]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_every_built_matrix_keeps_the_matrix_invariants(data):
+    # Matrices built without a copy or a second reduction (transposes,
+    # products, scaled, reversed and read coefficients) are read-only residues
+    # in [0, p) that equal, and hash like, the matrix of their own entries.
+    from sumnet.codes import code_from_json, code_to_json
+    from sumnet.gflin import mat_mul, rank
+    from sumnet.transforms import scale_sources
+
+    p = data.draw(st.sampled_from([2, 3, 5, 65521]))
+    k, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    net = data.draw(st.sampled_from([two_source_relay(), s_m(3), sum_bipartite22()]))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    code = random_code(rng, net, p, k, n)
+    f = code.field
+    scales = {}
+    for msg in net.messages():
+        a = MatrixGF.zeros(f, k, k)
+        while rank(a) < k:
+            a = MatrixGF(f, [[rng.randrange(p) for _ in range(k)] for _ in range(k)])
+        scales[msg] = a
+    built = [m.transpose() for m in code.local_coeff.values()]
+    built += [mat_mul(m, m.transpose()) for m in code.decode_coeff.values()]
+    for c in (scale_sources(code, scales), canonical_reverse_code(net, code),
+              code_from_json(code_to_json(code))):
+        built += [*c.source_coeff.values(), *c.local_coeff.values(), *c.decode_coeff.values()]
+    assert built
+    for m in built:
+        a = m.array()
+        assert a.flags.writeable is False
+        assert a.dtype == np.int64 and ((0 <= a) & (a < p)).all()
+        assert (m.rows, m.cols) == a.shape
+        twin = MatrixGF(f, m.tolists())
+        assert m == twin and hash(m) == hash(twin)
+        with pytest.raises(AttributeError):
+            m.rows = 1
+        with pytest.raises(AttributeError):
+            m.field = f
 
 
 # -- nonlinear -----------------------------------------------------------------

@@ -197,6 +197,34 @@ def test_min_source_terminal_cut_is_the_least_pair_cut():
     assert 0 in cuts[:60] and max(cuts[:60]) >= 2
 
 
+def test_min_source_terminal_cut_scans_past_a_larger_first_cut():
+    # (a, t) has cut 2 and comes first; (b, t) has cut 1.
+    net = Network("two_then_one", ("a", "b", "t"),
+                  (Edge("a1", "a", "t"), Edge("a2", "a", "t"), Edge("b1", "b", "t")),
+                  {"a": ("x",), "b": ("y",)}, {"t": Demand("sum")})
+    assert [min_cut(net, s, "t") for s in ("a", "b")] == [2, 1]
+    assert min_source_terminal_cut(net) == 1
+
+
+def test_min_source_terminal_cut_is_0_when_a_later_pair_is_unreachable():
+    # The first source reaches both terminals over two edges each; the last
+    # pair, (b, t2), has no path.
+    edges = (Edge("a1", "a", "t1"), Edge("a2", "a", "t1"), Edge("a3", "a", "t2"),
+             Edge("a4", "a", "t2"), Edge("b1", "b", "t1"))
+    net = Network("late_gap", ("a", "b", "t1", "t2"), edges, {"a": ("x",), "b": ("y",)},
+                  {"t1": Demand("sum"), "t2": Demand("sum")})
+    assert [min_cut(net, s, t) for s in ("a", "b") for t in ("t1", "t2")] == [2, 2, 1, 0]
+    assert min_source_terminal_cut(net) == 0
+
+
+def test_min_source_terminal_cut_needs_a_source_and_a_terminal():
+    edge = (Edge("e", "a", "t"),)
+    for sources, terminals in (({}, {"t": Demand("sum")}), ({"a": ("x",)}, {}), ({}, {})):
+        net = Network("bare", ("a", "t"), edge, sources, terminals)
+        with pytest.raises(NetworkError):
+            min_source_terminal_cut(net)
+
+
 def test_connectivity_s3_all_true():
     srcs, terms, matrix = connectivity(s_m(3))
     assert srcs == ("s_1", "s_2", "s_3")

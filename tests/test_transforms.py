@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from sumnet import FieldSpec, MatrixGF, eval_linear, identity_code, s_m
+from sumnet.codes import CodeError, LinearCode
 from sumnet.families import bottleneck_mun
+from sumnet.gflin import DimensionMismatch, rank
 from sumnet.netmodel import Demand, Edge, Network, NetworkError, recover, reverse_network
 from sumnet.transforms import c1, c2, c3, scale_sources, to_type_ia
 
@@ -9,6 +13,7 @@ from helpers import (
     mun_crossed,
     mun_disjoint2,
     mun_path,
+    random_code,
     sum_bipartite22,
     sum_disconnected22,
 )
@@ -242,3 +247,59 @@ def test_scale_sources_rejects_singular():
 
     with pytest.raises(CodeError):
         scale_sources(code, {"x1": MatrixGF(F5, [[0]])})
+
+
+def test_scale_sources_rejects_singular_nonzero_scale_gf2():
+    net = two_source_relay()
+    code = identity_code(net, F2, k=2)
+    eye = MatrixGF.identity(F2, 2)
+    with pytest.raises(CodeError, match="singular"):
+        scale_sources(code, {"x1": eye, "x2": MatrixGF(F2, [[1, 1], [1, 1]])})
+
+
+def test_scale_sources_matches_per_coefficient_products():
+    # The batched product must equal coeff @ a[msg] coefficient by coefficient.
+    rng = random.Random(12)
+    for p in (2, 5, 65521):
+        f = FieldSpec(p)
+        for net in (two_source_relay(), s_m(3), s_m(4)):
+            for _ in range(4):
+                code = random_code(rng, net, p, 2, 2)
+                msgs = sorted({msg for msg, _ in code.source_coeff})
+                scales = {}
+                for msg in msgs[:-1]:  # the last message is left unscaled
+                    a = MatrixGF(f, [[0, 0], [0, 0]])
+                    while rank(a) < 2:
+                        a = MatrixGF(f, [[rng.randrange(p) for _ in range(2)] for _ in range(2)])
+                    scales[msg] = a
+                got = scale_sources(code, scales)
+                want = {key: (m @ scales[key[0]] if key[0] in scales else m)
+                        for key, m in code.source_coeff.items()}
+                assert got.source_coeff == want
+                assert got.local_coeff == code.local_coeff and got.decode_coeff == code.decode_coeff
+
+
+def test_scale_sources_validates_then_ignores_scales_of_other_messages():
+    net = two_source_relay()
+    code = identity_code(net, F5)
+    two = MatrixGF(F5, [[2]])
+    scaled = scale_sources(code, {"x1": two})
+    assert scale_sources(code, {"x1": two, "elsewhere": MatrixGF(F5, [[3]])}) == scaled
+    with pytest.raises(CodeError, match="k x k"):
+        scale_sources(code, {"x1": two, "elsewhere": MatrixGF(F5, [[1, 0]])})
+    with pytest.raises(CodeError, match="singular"):
+        scale_sources(code, {"x1": two, "elsewhere": MatrixGF(F5, [[0]])})
+
+
+def test_scale_sources_on_a_code_of_mixed_shapes():
+    # A code that validate_code rejects still scales coefficient by coefficient,
+    # and a coefficient the scale cannot multiply still fails as a product.
+    three = MatrixGF(F5, [[3]])
+    mixed = LinearCode(F5, 1, 1, {("x1", "a>t"): MatrixGF(F5, [[1], [2]]), ("x2", "b>t"): three},
+                       {}, {})
+    scaled = scale_sources(mixed, {"x1": MatrixGF(F5, [[2]]), "x2": three})
+    assert scaled.source_coeff == {("x1", "a>t"): MatrixGF(F5, [[2], [4]]),
+                                   ("x2", "b>t"): MatrixGF(F5, [[4]])}
+    wide = LinearCode(F5, 1, 1, {("x1", "a>t"): MatrixGF(F5, [[1, 2]])}, {}, {})
+    with pytest.raises(DimensionMismatch):
+        scale_sources(wide, {"x1": three})
