@@ -25,7 +25,7 @@ import numpy as np
 from .gflin import FieldSpec, MatrixGF
 from .netmodel import (
     Demand, Network, NetworkError, json_int, json_key, json_list, json_str, json_text, reverse_id,
-    reverse_network,
+    reverse_roles,
 )
 
 
@@ -270,7 +270,7 @@ def canonical_reverse_code(net: Network, code: LinearCode) -> LinearCode:
     vice versa; every path gain in the reverse network is the transpose of the
     original, hence so is the whole transfer matrix.
     """
-    rev = reverse_network(net)
+    rev_sources = reverse_roles(net)[0]
     loc = {
         (reverse_id(eout), reverse_id(ein)): m.transpose()
         for (ein, eout), m in code.local_coeff.items()
@@ -284,7 +284,7 @@ def canonical_reverse_code(net: Network, code: LinearCode) -> LinearCode:
         dec[(s, reverse_id(eid), slot)] = m.transpose()
     src: dict[tuple[str, str], MatrixGF] = {}
     for (t, eid, slot), m in code.decode_coeff.items():
-        src[(rev.sources[t][slot], reverse_id(eid))] = m.transpose()
+        src[(rev_sources[t][slot], reverse_id(eid))] = m.transpose()
     return LinearCode(code.field, code.k, code.n, src, loc, dec)
 
 

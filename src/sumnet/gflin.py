@@ -49,7 +49,7 @@ class FieldSpec:
 class MatrixGF:
     """Immutable dense matrix over GF(p); entries are residues in [0, p)."""
 
-    __slots__ = ("field", "_a", "_hash")
+    __slots__ = ("field", "_a")
 
     def __new__(cls, field: FieldSpec, rows: Iterable[Iterable[int]]) -> "MatrixGF":
         return cls.from_array(field, [[int(x) for x in r] for r in rows])
@@ -64,7 +64,6 @@ class MatrixGF:
         a.setflags(write=False)
         object.__setattr__(m, "field", field)
         object.__setattr__(m, "_a", a)
-        object.__setattr__(m, "_hash", None)
         return m
 
     @classmethod
@@ -94,10 +93,6 @@ class MatrixGF:
     def tolists(self) -> list[list[int]]:
         return self._a.tolist()
 
-    @property
-    def entries(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in self._a.reshape(-1))
-
     def transpose(self) -> "MatrixGF":
         return MatrixGF._reduced(self.field, self._a.T)
 
@@ -115,26 +110,10 @@ class MatrixGF:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.field, self._a.shape, self.entries))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.field, self._a.shape, self._a.tobytes()))
 
     def __repr__(self) -> str:
         return f"MatrixGF(p={self.field.p}, {self.tolists()})"
-
-    def __add__(self, other: "MatrixGF") -> "MatrixGF":
-        _check_same_field(self, other)
-        if self._a.shape != other._a.shape:
-            raise DimensionMismatch("addition needs equal shapes")
-        return MatrixGF.from_array(self.field, (self._a + other._a) % self.field.p)
-
-    def __sub__(self, other: "MatrixGF") -> "MatrixGF":
-        _check_same_field(self, other)
-        if self._a.shape != other._a.shape:
-            raise DimensionMismatch("subtraction needs equal shapes")
-        return MatrixGF.from_array(self.field, (self._a - other._a) % self.field.p)
 
     def __matmul__(self, other: "MatrixGF") -> "MatrixGF":
         return mat_mul(self, other)

@@ -429,8 +429,8 @@ def reverse_id(x: str) -> str:
     return x[:-1] if x.endswith("~") else x + "~"
 
 
-def reverse_network(net: Network) -> Network:
-    """Edges reversed, source and terminal roles interchanged.
+def reverse_roles(net: Network) -> tuple[dict[str, tuple[str, ...]], dict[str, Demand]]:
+    """The sources and terminals of the reversed network: roles interchanged.
 
     Two shapes are supported.  All-sum networks reverse to all-sum networks:
     each old terminal becomes a source generating one fresh message per
@@ -445,7 +445,6 @@ def reverse_network(net: Network) -> Network:
         raise UnsupportedReverse("mixed sum/recover demands")
     kind = kinds.pop() if kinds else "sum"
 
-    edges = tuple(Edge(reverse_id(e.id), e.head, e.tail) for e in net.edges)
     sources: dict[str, tuple[str, ...]] = {}
     terminals: dict[str, Demand] = {}
 
@@ -470,11 +469,16 @@ def reverse_network(net: Network) -> Network:
             sources[t] = tuple(reverse_id(m) for m in net.terminals[t].messages)
         for s in net.source_nodes():
             terminals[s] = Demand("recover", tuple(reverse_id(m) for m in net.sources[s]))
+    return sources, terminals
 
+
+def reverse_network(net: Network) -> Network:
+    """Edges reversed, source and terminal roles interchanged as in ``reverse_roles``."""
+    sources, terminals = reverse_roles(net)
     return Network(
         name=reverse_id(net.name) if net.name else "",
         nodes=net.nodes,
-        edges=edges,
+        edges=tuple(Edge(reverse_id(e.id), e.head, e.tail) for e in net.edges),
         sources=sources,
         terminals=terminals,
     )

@@ -58,12 +58,15 @@ The linear search prunes with one check, ``feasible``, sound under any
 partial assignment: the row-space view of Koetter & Medard (2003) used as
 forward checking.  It walks terminal t's cone once in topological order.  An
 assigned or pinned block gives its edge a map; an unassigned one gives a zero
-map and makes the rows it multiplies loose; the block being enumerated, with
-a prefix's open entries at 0, makes its rows at the open columns loose; and
-each edge passes on its in-edges' loose rows.  Under any completion an edge's
-true map is its map plus rows in the span of the loose rows it passes on, so
-a target row of t outside the span of t's in-edge maps and their loose rows
-rules out every completion.  With every block assigned the check is exact.
+map and makes the rows it multiplies loose; and the block being enumerated,
+with a prefix's open entries at 0, makes its rows at the open columns loose.
+Under any completion an edge's true map is its map plus rows in the span of
+the loose rows made upstream of it.  Every cone edge has a path to t whose
+every step e -> e' is a local coefficient, as tail(e') has an in-edge, and no
+edge below an open block has a constant map, so every loose row of the cone
+reaches t.  A target row of t outside the span of t's in-edge maps and the
+cone's loose rows therefore rules out every completion.  With every block
+assigned the check is exact.
 The driver tries it before a bucket's first unit, after each earlier unit of
 t's cone, at t's last unit, and, with ``reduce`` on, on the block prefixes of
 t's cone units: ``_rref_matrices`` walks a block's free entries as a prefix
@@ -550,18 +553,20 @@ class _StagedProblem:
         return m
 
     def _cone_maps(self, t: str, assign: dict, u: tuple = (), open_: Sequence = ()) -> tuple[dict, list]:
-        """Maps of t's cone edges under a partial assignment, and the loose rows t's in-edges pass on.
+        """Maps of t's cone edges under a partial assignment, and the cone's loose rows.
 
         An unassigned block gives its edge the zero map and makes the rows it
         multiplies loose; block u, with its ``open_`` entries at 0, makes its
-        rows at the open columns loose; each edge passes on its in-edges'
-        loose rows.  Under any completion, an edge's true map is its map plus
-        rows in the span of the loose rows it passes on.
+        rows at the open columns loose.  Under any completion, an edge's true
+        map is its map plus rows in the span of the loose rows made upstream
+        of it.  Every cone edge has a path to t, each step e -> e' of which is
+        a ("beta", e, e') key, as tail(e') has an in-edge and is no source,
+        and no edge downstream of an open block has a constant map.  So every
+        loose row of the cone reaches t's in-edges, and no edge needs to track
+        which loose rows it carries.
         """
         maps: dict[str, list[list[int]]] = {}
-        loose: dict[str, list[list[int]]] = {}
-        # Per edge, the edges whose loose rows it passes on.
-        passes: dict[str, set[str]] = {}
+        loose: list[list[int]] = []
         for eid in self.cone[t]:
             if eid in self.const_maps:
                 maps[eid] = self.const_maps[eid]
@@ -570,25 +575,20 @@ class _StagedProblem:
             block = self._block(eid, assign)
             if block is None:
                 maps[eid] = self.zero
-                loose[eid] = ins
+                loose += ins
             else:
                 maps[eid] = self._eval_edge(block, ins)
                 if open_ and u[1] == eid:
-                    loose[eid] = [ins[j] for j in {j for _, j in open_}]
-            if passes or eid in loose:
-                via = {x for key, _, _ in self.slices[eid] if key[0] == "beta" for x in passes.get(key[1], ())}
-                if eid in loose:
-                    via.add(eid)
-                if via:
-                    passes[eid] = via
-        if not passes:
-            return maps, []
-        origins = set().union(*(passes.get(e.id, ()) for e in self.net.in_edges(t)))
-        return maps, [row for x in origins for row in loose[x]]
+                    loose += [ins[j] for j in {j for _, j in open_}]
+        return maps, loose
 
     def feasible(self, t: str, assign: dict, u: tuple = (), open_: Sequence = ()) -> bool:
-        """Every target row of t lies in the span of its in-edge maps and the loose rows they pass on.
+        """Every target row of t lies in the span of its in-edge maps and its cone's loose rows.
 
+        The loose rows are the rows each unassigned block of t's cone
+        multiplies and block u's rows at the open columns.  Each such block
+        reaches t along local coefficients, so under any completion t's
+        in-edge maps are the computed ones plus rows in the loose span.
         With every block assigned this is exact: decoders exist iff it holds.
         Under a partial assignment, or with block u's ``open_`` entries at 0,
         a False answer rules out every completion.

@@ -276,6 +276,8 @@ def test_reverse_involution_mun():
 
 
 def test_reverse_rejects_mixed_and_ambiguous_demands():
+    from sumnet.codes import LinearCode, canonical_reverse_code
+    from sumnet.gflin import FieldSpec
     from sumnet.netmodel import UnsupportedReverse
 
     mixed = Network(
@@ -285,8 +287,6 @@ def test_reverse_rejects_mixed_and_ambiguous_demands():
         {"a": ("x",)},
         {"t1": Demand("sum"), "t2": recover("x")},
     )
-    with pytest.raises(UnsupportedReverse):
-        reverse_network(mixed)
     twice = Network(
         "twice",
         ("a", "t1", "t2"),
@@ -294,8 +294,19 @@ def test_reverse_rejects_mixed_and_ambiguous_demands():
         {"a": ("x",)},
         {"t1": recover("x"), "t2": recover("x")},
     )
-    with pytest.raises(UnsupportedReverse):
-        reverse_network(twice)
+    never = Network(
+        "never",
+        ("a", "t"),
+        (Edge("a>t", "a", "t"),),
+        {"a": ("x", "y")},
+        {"t": recover("x")},
+    )
+    empty = LinearCode(FieldSpec(2), 1, 1, {}, {}, {})
+    for net in (mixed, twice, never):
+        with pytest.raises(UnsupportedReverse):
+            reverse_network(net)
+        with pytest.raises(UnsupportedReverse):
+            canonical_reverse_code(net, empty)
 
 
 def test_reversed_network_json_round_trip():

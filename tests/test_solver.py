@@ -260,14 +260,14 @@ def test_gauge_fixing_decides_the_slow_cases():
     # coefficient matrix was enumerated; with one RREF block per row space
     # they decide in at most about 100,000 ticks.
     cases = [
-        (s_m(10), FieldSpec(5), 1, 1, "unsolvable"),
-        (s_m(9), FieldSpec(5), 1, 1, "unsolvable"),
-        (c3(sum_bipartite22())[0], F3, 1, 1, "solvable"),
-        (c2(bottleneck_mun(3))[0], F2, 1, 2, "solvable"),
+        (s_m(10), FieldSpec(5), 1, 1, "unsolvable", 63),
+        (s_m(9), FieldSpec(5), 1, 1, "unsolvable", 56),
+        (c3(sum_bipartite22())[0], F3, 1, 1, "solvable", 129),
+        (c2(bottleneck_mun(3))[0], F2, 1, 2, "solvable", 99_847),
     ]
-    for net, f, k, n, verdict in cases:
+    for net, f, k, n, verdict, ticks in cases:
         r = search_linear(net, f, k, n, SearchOptions(budget=500_000))
-        assert r.verdict == verdict, (net.name, f.p, k, n)
+        assert (r.verdict, r.enumerated) == (verdict, ticks), (net.name, f.p, k, n)
         assert r.witness is None or is_solution(net, r.witness)
 
 
@@ -276,14 +276,14 @@ def test_prefix_pruning_decides_the_slow_s_m_star_cases():
     # rows unless its prefixes are checked: s_m_star(9) / GF(7) then took
     # more than 1,000,000 ticks, and s_m_star(5) at k = n = 2 exceeded 300,000.
     cases = [
-        (s_m_star(9), FieldSpec(7), 1, "unsolvable"),
-        (s_m_star(10), FieldSpec(5), 1, "solvable"),
-        (s_m_star(5), FieldSpec(5), 2, "solvable"),
-        (s_m_star(5), FieldSpec(7), 2, "solvable"),
+        (s_m_star(9), FieldSpec(7), 1, "unsolvable", 688),
+        (s_m_star(10), FieldSpec(5), 1, "solvable", 117),
+        (s_m_star(5), FieldSpec(5), 2, "solvable", 3_176),
+        (s_m_star(5), FieldSpec(7), 2, "solvable", 11_328),
     ]
-    for net, f, k, verdict in cases:
+    for net, f, k, verdict, ticks in cases:
         r = search_linear(net, f, k, k, SearchOptions(budget=20_000))
-        assert r.verdict == verdict, (net.name, f.p, k)
+        assert (r.verdict, r.enumerated) == (verdict, ticks), (net.name, f.p, k)
         assert r.witness is None or is_solution(net, r.witness)
 
 

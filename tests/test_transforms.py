@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from sumnet import FieldSpec, MatrixGF, eval_linear, identity_code, s_m
-from sumnet.codes import CodeError, LinearCode
+from sumnet.codes import CodeError, LinearCode, transfer_array
 from sumnet.families import bottleneck_mun
 from sumnet.gflin import DimensionMismatch, rank
 from sumnet.netmodel import Demand, Edge, Network, NetworkError, recover, reverse_network
@@ -16,6 +17,7 @@ from helpers import (
     random_code,
     sum_bipartite22,
     sum_disconnected22,
+    two_message_source,
 )
 
 F2, F5 = FieldSpec(2), FieldSpec(5)
@@ -277,6 +279,31 @@ def test_scale_sources_matches_per_coefficient_products():
                         for key, m in code.source_coeff.items()}
                 assert got.source_coeff == want
                 assert got.local_coeff == code.local_coeff and got.decode_coeff == code.decode_coeff
+
+
+def test_scaling_the_sources_scales_the_transfer_matrix():
+    # Metamorphic: scaling message m by A_m multiplies the columns of m in
+    # the transfer matrix by A_m, that is T' = T blockdiag(A) mod p.
+    rng = random.Random(5)
+    for p in (2, 3, 5, 65521):
+        f = FieldSpec(p)
+        for net in (s_m(3), s_m(4), two_message_source()):
+            msgs = net.messages()
+            for k, n in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                code = random_code(rng, net, p, k, n)
+                scales = {}
+                for msg in msgs[:-1]:  # the last message keeps the identity
+                    a = MatrixGF.zeros(f, k, k)
+                    while rank(a) < k:
+                        a = MatrixGF(f, [[rng.randrange(p) for _ in range(k)] for _ in range(k)])
+                    scales[msg] = a
+                blocks = np.zeros((len(msgs) * k, len(msgs) * k), dtype=np.int64)
+                for i, msg in enumerate(msgs):
+                    a = scales.get(msg, MatrixGF.identity(f, k))
+                    blocks[i * k:(i + 1) * k, i * k:(i + 1) * k] = a.array()
+                want = transfer_array(net, code) @ blocks % p
+                assert np.array_equal(transfer_array(net, scale_sources(code, scales)), want), (
+                    net.name, p, k, n)
 
 
 def test_scale_sources_validates_then_ignores_scales_of_other_messages():
