@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Optional
 
-from . import families, solver, transforms
+from . import codes, families, solver, transforms
 from .codes import (
     CodeError,
     LinearCode,
@@ -130,14 +130,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--budget", type=int, default=50_000_000)
+    p.add_argument("--budget", type=int, default=SearchOptions.budget)
     p.add_argument("--no-reduce", action="store_true")
     p.add_argument("-o", "--out")
 
     p = sub.add_parser("search-nonlinear", help="decide Z_q table-code solvability")
     p.add_argument("--net", required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--budget", type=int, default=50_000_000)
+    p.add_argument("--budget", type=int, default=SearchOptions.budget)
     p.add_argument("-o", "--out")
 
     p = sub.add_parser("classify", help="solvability pattern of a family per prime")
@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--primes", default="2,3,5")
-    p.add_argument("--budget", type=int, default=50_000_000)
+    p.add_argument("--budget", type=int, default=SearchOptions.budget)
     p.add_argument("-o", "--out")
 
     p = sub.add_parser("verify", help="check a linear code against a network")
@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-nonlinear", help="check a table code exhaustively")
     p.add_argument("--net", required=True)
     p.add_argument("--code", required=True)
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=int, default=codes.MAX_INPUTS)
 
     p = sub.add_parser("reverse-code", help="canonical code for the reversed network")
     p.add_argument("--net", required=True)

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain, product
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -384,14 +384,20 @@ def eval_nonlinear(net: Network, code: NonlinearCode, x: Mapping[str, int]) -> d
     }
 
 
-def verify_nonlinear(net: Network, code: NonlinearCode, budget: int = 1_000_000) -> bool:
+MAX_INPUTS = 1_000_000  # the most source tuples an exhaustive Z_q check or search runs over
+
+
+def source_inputs(msgs: Sequence[str], q: int, budget: int = MAX_INPUTS) -> Iterator[dict[str, int]]:
+    """Every source tuple over Z_q, in product order; raises BudgetExceededError at once past ``budget``."""
+    if q ** len(msgs) > budget:
+        raise BudgetExceededError(f"{q}**{len(msgs)} inputs exceed budget {budget}")
+    return (dict(zip(msgs, values)) for values in product(range(q), repeat=len(msgs)))
+
+
+def verify_nonlinear(net: Network, code: NonlinearCode, budget: int = MAX_INPUTS) -> bool:
     """Exhaustively check every source tuple; may raise BudgetExceededError."""
     validate_nonlinear(net, code)
-    msgs = net.messages()
-    if code.q ** len(msgs) > budget:
-        raise BudgetExceededError(f"{code.q}**{len(msgs)} inputs exceed budget {budget}")
-    for values in product(range(code.q), repeat=len(msgs)):
-        x = dict(zip(msgs, values))
+    for x in source_inputs(net.messages(), code.q, budget):
         got = eval_nonlinear(net, code, x)
         if any(got[t] != demanded_symbol(d, x, code.q) for t, d in net.terminals.items()):
             return False

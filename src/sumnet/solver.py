@@ -30,10 +30,10 @@ With ``reduce`` off, every table is enumerated.
 
 The remaining unknowns are grouped into buckets, one per terminal, in greedy
 order of smallest outstanding dependency set.  A bucket with a terminal check
-that reads only its own unknowns has a context-independent survivor list.
-That list is extended lazily: the outer search walks the product of survivor
-lists and pulls a bucket's next survivor from its suspended enumerator only
-when it has used the ones found so far, which later passes reuse.  So a
+that reads only its own unknowns has one context-independent enumerator.
+The outer search is one loop over a stack of survivor iterators, one per
+bucket reached, and each visit of such a bucket reads an ``itertools.tee``
+copy, which pulls a survivor only past those already buffered.  So a
 solvable search stops at its first witness, and ``enumerated`` counts the
 ticks up to it; an unsolvable one enumerates such a bucket in full, once.  The
 outer search applies the bucket's cross-bucket checks to each survivor.  A
@@ -79,9 +79,9 @@ every check is necessary for the exact one, so survivors and witnesses are
 unchanged and no count rises.  ``naive_search_linear`` is the reference
 oracle and checks each terminal only at its last unit.
 
-A search leaves no reference cycle behind: suspended enumerators are closed
-when it ends, so all of it is freed by reference counting rather than by the
-cyclic collector.
+The walk does not recurse per bucket, and it leaves no reference cycle: the
+shared enumerators are dropped when it ends, so all of it is freed by
+reference counting rather than by the cyclic collector.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, product, tee
 from typing import Callable, Iterator, Optional, Sequence
 
 from .codes import (
@@ -101,6 +101,7 @@ from .codes import (
     is_solution,
     linear_code,
     nonlinear_to_dict,
+    source_inputs,
     table_arities,
     table_index,
     table_symbols,
@@ -202,19 +203,22 @@ def _completions(m: list, free: list, p: int, prune, check: bool) -> Iterator[tu
         yield tuple(map(tuple, m))
 
 
-def _growth_tables(length: int, q: int, prefix: tuple = (), used: int = 0) -> Iterator[tuple[tuple[int, ...]]]:
+def _growth_tables(length: int, q: int) -> Iterator[tuple[tuple[int, ...]]]:
     """The 1 x length restricted-growth tables with exactly min(q, length) values, lexicographically.
 
-    Symbols first occur as 0, 1, ...; ``prefix`` takes ``used`` of them so far.
+    Symbols first occur as 0, 1, ...  A stack entry (i, v, used) puts v at
+    position i of the prefix after ``used`` symbols occurred; the least v pops first.
     """
-    if len(prefix) == length:
-        yield (prefix,)
-        return
-    need = min(q, length) - used
-    for v in range(min(used + 1, q)):
-        new = v == used
-        if length - len(prefix) - 1 >= need - new:
-            yield from _growth_tables(length, q, prefix + (v,), used + new)
+    values, prefix, stack = min(q, length), [], [(0, 0, 0)]
+    while stack:
+        i, v, used = stack.pop()
+        prefix[i:] = [v]
+        used += v == used
+        if i + 1 == length:
+            yield (tuple(prefix),)
+        else:
+            stack += [(i + 1, w, used) for w in reversed(range(min(used + 1, q)))
+                      if length - i - 2 >= values - used - (w == used)]
 
 
 def _reduce(basis, row, p: int) -> list[int]:
@@ -336,7 +340,7 @@ class _BucketPlan:
 
 
 class _BucketSearch:
-    """The one search driver: a DFS over buckets with lazily extended survivor lists.
+    """The one search driver: a DFS over buckets, one loop over a stack of survivor iterators.
 
     A search supplies its plan and ``check(t, assign)``, the feasibility test
     of terminal t, and passes ``report`` a function that builds its code from
@@ -348,12 +352,12 @@ class _BucketSearch:
     prefix of those units as ``check(t, assign, u, open)``; a rejected prefix
     costs one tick.
 
-    A bucket with local checks has one survivor list, shared by every
-    assignment of the earlier buckets and extended lazily; its cross checks
-    filter that list.  A contextual bucket is enumerated afresh under each
-    assignment of the earlier buckets, with each check tried at its
-    terminal's last unit, so it yields the same survivors in the same order
-    as a filtered full product would.
+    A bucket with local checks has one enumerator, kept in ``memo`` and read
+    through ``tee`` copies under every assignment of the earlier buckets; its
+    cross checks filter the survivors.  A contextual bucket is enumerated
+    afresh under each assignment of the earlier buckets, with each check
+    tried at its terminal's last unit, so it yields the same survivors in the
+    same order as a filtered full product would.
     """
 
     def __init__(self, plan: _BucketPlan, check: Callable[..., bool], opts: SearchOptions, relaxed: bool = False):
@@ -379,8 +383,8 @@ class _BucketSearch:
                     prefixes.setdefault(d, []).append(t)
             self.checks_at.append(at)
             self.prefixes_at.append(prefixes)
-        # Per shared bucket: the survivors found so far and the suspended enumerator.
-        self.memo: dict[int, tuple[list[tuple], Iterator[tuple]]] = {}
+        # Per shared bucket: an unread tee of its enumerator, which buffers its survivors.
+        self.memo: dict[int, Iterator[tuple]] = {}
         self.assign: dict = {}
 
     def _tick(self) -> None:
@@ -415,41 +419,32 @@ class _BucketSearch:
                 yield from self._enumerate(bi, assign, depth + 1)
         del assign[u]
 
-    def _survivors(self, bi: int) -> Iterator[tuple]:
-        """Bucket bi's survivors under the current assignment of earlier buckets."""
-        if self.plan.buckets[bi].contextual:
-            yield from self._enumerate(bi, self.assign)
-            return
-        if bi not in self.memo:
-            # The checks read only the bucket's own units, so the shared
-            # enumerator writes into a bucket-local dict.
-            self.memo[bi] = ([], self._enumerate(bi, {}))
-        known, pending = self.memo[bi]
-        i = 0
-        while True:
-            if i == len(known):
-                sv = next(pending, None)
+    def _walk(self) -> Optional[dict]:
+        """The first full assignment that every bucket's checks pass, or None."""
+        buckets, stack = self.plan.buckets, []
+        while len(stack) < len(buckets):
+            bi = len(stack)
+            if buckets[bi].contextual:
+                stack.append(self._enumerate(bi, self.assign))
+            else:
+                # The checks read only the bucket's units: they go to a bucket-local dict.
+                self.memo[bi], mine = tee(self.memo.get(bi) or self._enumerate(bi, {}))
+                stack.append(mine)
+            while stack:
+                b = buckets[len(stack) - 1]
+                sv = next(stack[-1], None)
                 if sv is None:
-                    return
-                known.append(sv)
-            yield known[i]
-            i += 1
-
-    def _walk(self, bi: int) -> Optional[dict]:
-        if bi == len(self.plan.buckets):
-            return dict(self.assign)
-        b = self.plan.buckets[bi]
-        for sv in self._survivors(bi):
-            self._tick()
-            for u, v in zip(b.units, sv):
-                self.assign[u] = v
-            if all(self.check(t, self.assign) for t in b.cross_checks):
-                found = self._walk(bi + 1)
-                if found is not None:
-                    return found
-        for u in b.units:
-            self.assign.pop(u, None)
-        return None
+                    stack.pop()
+                    for u in b.units:
+                        self.assign.pop(u, None)
+                    continue
+                self._tick()
+                self.assign.update(zip(b.units, sv))
+                if all(self.check(t, self.assign) for t in b.cross_checks):
+                    break
+            else:
+                return None
+        return dict(self.assign)
 
     def report(
         self, net: Network, build: Callable[[dict], object], mode: str, start: float
@@ -457,12 +452,11 @@ class _BucketSearch:
         """Run the search; a witness, each unobserved unit at its first value, is built and re-verified."""
         try:
             feasible = all(self.check(t, self.assign) for t in self.plan.prechecks)
-            found = self._walk(0) if feasible else None
+            found = self._walk() if feasible else None
         except _Budget:
             return SearchReport(BUDGET_EXCEEDED, mode, self.count - 1, time.monotonic() - start)
         finally:
-            # Close the suspended enumerators now rather than leave them to
-            # the cyclic garbage collector.
+            # Drop the shared enumerators now rather than leave them to the cyclic collector.
             self.memo.clear()
         if found is None:
             return SearchReport(UNSOLVABLE, mode, self.count, time.monotonic() - start)
@@ -737,7 +731,7 @@ def search_nonlinear(net: Network, q: int, opts: Optional[SearchOptions] = None)
     if q < 2:
         raise ValueError("q must be at least 2")
     start = time.monotonic()
-    msgs = net.messages()
+    inputs = list(source_inputs(net.messages(), q))
     arity = table_arities(net)
 
     # The units are the edge tables; a table of length L is a 1 x L unit.
@@ -745,7 +739,6 @@ def search_nonlinear(net: Network, q: int, opts: Optional[SearchOptions] = None)
     tables = {u: partial(enum, q ** a, q) for u, a in arity.items() if u[0] == "edge"}
     cones = _backward_cones(net)
     deps = {t: {("edge", eid) for eid in cone} for t, cone in cones.items()}
-    inputs = [dict(zip(msgs, values)) for values in product(range(q), repeat=len(msgs))]
     wants = {t: [demanded_symbol(net.terminals[t], x, q) for x in inputs] for t in cones}
 
     def decoder(t: str, assign: dict) -> Optional[tuple[int, ...]]:

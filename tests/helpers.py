@@ -110,6 +110,25 @@ def two_message_source() -> Network:
     )
 
 
+def parallel_pairs(m: int) -> Network:
+    """m unicast pairs: w_i feeds r_i over two parallel edges and r_i -> z_i, where z_i recovers x_i.
+
+    Each pair's r_i -> z_i block is one enumerated unit, so the linear search
+    walks one bucket per pair.
+    """
+    edges = []
+    for i in range(1, m + 1):
+        w, r, z = f"w_{i}", f"r_{i}", f"z_{i}"
+        edges += [Edge(f"{w}>{r}", w, r), Edge(f"{w}>{r}#2", w, r), Edge(f"{r}>{z}", r, z)]
+    return Network(
+        f"pairs{m}",
+        tuple(v for i in range(1, m + 1) for v in (f"w_{i}", f"r_{i}", f"z_{i}")),
+        tuple(edges),
+        {f"w_{i}": (f"x_{i}",) for i in range(1, m + 1)},
+        {f"z_{i}": recover(f"x_{i}") for i in range(1, m + 1)},
+    )
+
+
 # -- random generators ---------------------------------------------------------
 
 
@@ -137,6 +156,36 @@ def random_sum_network(rng: random.Random, max_nodes: int = 10) -> Network:
         {s: (f"m_{s}",) for s in srcs},
         {t: Demand("sum") for t in terms},
     )
+
+
+def _random_layered(rng: random.Random, name: str, n_src: int, n_relay: int, demands: list[Demand],
+                    p: float) -> Network:
+    """Sources w_i with message x_i, relays r_i, then terminals z_i with ``demands``; each forward edge with prob. p."""
+    srcs = [f"w_{i}" for i in range(1, n_src + 1)]
+    terms = [f"z_{i}" for i in range(1, len(demands) + 1)]
+    names = srcs + [f"r_{i}" for i in range(1, n_relay + 1)] + terms
+    edges = [Edge(f"{a}>{b}", a, b) for i, a in enumerate(names) if a not in terms
+             for b in names[i + 1:] if b not in srcs and rng.random() < p]
+    return Network(
+        f"{name}{rng.randrange(10**6)}",
+        tuple(names),
+        tuple(edges),
+        {s: (f"x_{i}",) for i, s in enumerate(srcs, start=1)},
+        dict(zip(terms, demands)),
+    )
+
+
+def random_unicast_network(rng: random.Random, pairs: int = 3, relays: int = 4, p: float = 0.45) -> Network:
+    """Multiple-unicast network: terminal z_i recovers source w_i's message x_i."""
+    return _random_layered(rng, "mun", pairs, relays, [recover(f"x_{i}") for i in range(1, pairs + 1)], p)
+
+
+def random_subset_demand_network(rng: random.Random, messages: int = 3, terminals: int = 3, relays: int = 3,
+                                 p: float = 0.45) -> Network:
+    """Subset-demand network: each terminal recovers a uniformly random nonempty subset of the messages."""
+    masks = [rng.randrange(1, 2 ** messages) for _ in range(terminals)]
+    demands = [recover(*(f"x_{i + 1}" for i in range(messages) if mask >> i & 1)) for mask in masks]
+    return _random_layered(rng, "sub", messages, relays, demands, p)
 
 
 def rename_ids(rng: random.Random, net: Network) -> Network:

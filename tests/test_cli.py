@@ -200,6 +200,15 @@ def test_search_nonlinear_cli(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "unsolvable"
 
 
+def test_search_nonlinear_cli_on_wide_tables(tmp_path, capsys):
+    # s_m_star(12)'s relays read 10 symbols: tables of 1,024 entries.
+    net_file = tmp_path / "net.json"
+    run_cli(capsys, "family", "--name", "s_m_star", "--m", "12", "-o", str(net_file))
+    rc, out = run_cli(capsys, "search-nonlinear", "--net", str(net_file), "--q", "2", "--budget", "2000")
+    assert rc == 0
+    assert json.loads(out)["verdict"] == "budget_exceeded"
+
+
 def test_search_decides_networks_without_terminals_or_sources(tmp_path, capsys):
     # No terminal demands anything, and with no source the sum is 0, so the
     # empty code solves each network.

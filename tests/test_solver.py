@@ -1,8 +1,13 @@
 import gc
 import random
+import sys
+import time
 from itertools import product
 
+import pytest
+
 from sumnet import (
+    BudgetExceededError,
     FieldSpec,
     SearchOptions,
     canonical_reverse_code,
@@ -26,6 +31,7 @@ from helpers import (
     mun_disconnected,
     mun_disjoint2,
     mun_path,
+    parallel_pairs,
     random_sum_network,
     rename_ids,
     sum_bipartite22,
@@ -300,6 +306,19 @@ def test_searches_leave_no_cyclic_garbage():
             assert gc.collect() == 0, (net.name, f.p, k, budget)
     finally:
         gc.enable()
+
+
+def test_the_bucket_walk_does_not_recurse_per_bucket():
+    # 300 pairs make 300 buckets; a walk that recursed once per bucket would
+    # overflow a recursion limit of 200.
+    net = parallel_pairs(300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        r = search_linear(net, F2, 1, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (r.verdict, r.enumerated) == ("solvable", 600)
 
 
 def test_vector_search_on_recover_demands():
@@ -669,6 +688,27 @@ def test_table_gauge_decides_the_slow_cases():
         r = search_nonlinear(net, q, SearchOptions(budget=20_000))
         assert r.verdict == "solvable", (net.name, q)
         assert verify_nonlinear(net, r.witness)
+
+
+def test_growth_tables_do_not_recurse_per_entry():
+    # Relay tables of 2^10 = 1,024 and 3^7 = 2,187 entries.
+    for net, q in ((s_m_star(12), 2), (s_m_star(9), 3)):
+        r = search_nonlinear(net, q, SearchOptions(budget=2_000))
+        assert r.verdict == "budget_exceeded", (net.name, q)
+
+
+def test_table_search_bounds_its_source_inputs():
+    # 1001^2 and 2^300 source tuples: both exceed the bound that
+    # verify_nonlinear would refuse, so the search refuses them up front.
+    two = Network(
+        "sum2", ("a", "b", "t"), (Edge("a>t", "a", "t"), Edge("b>t", "b", "t")),
+        {"a": ("x",), "b": ("y",)}, {"t": Demand("sum")},
+    )
+    start = time.monotonic()
+    for net, q in ((two, 1001), (parallel_pairs(300), 2)):
+        with pytest.raises(BudgetExceededError):
+            search_nonlinear(net, q)
+    assert time.monotonic() - start < 1
 
 
 def test_nonlinear_budget_verdict():

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from sumnet import FieldSpec, MatrixGF, eval_linear, identity_code, s_m
+from sumnet import FieldSpec, MatrixGF, SearchOptions, eval_linear, identity_code, s_m, search_linear
 from sumnet.codes import CodeError, LinearCode, transfer_array
 from sumnet.families import bottleneck_mun
 from sumnet.gflin import DimensionMismatch, rank
@@ -15,12 +15,14 @@ from helpers import (
     mun_disjoint2,
     mun_path,
     random_code,
+    random_subset_demand_network,
+    random_unicast_network,
     sum_bipartite22,
     sum_disconnected22,
     two_message_source,
 )
 
-F2, F5 = FieldSpec(2), FieldSpec(5)
+F2, F3, F5 = FieldSpec(2), FieldSpec(3), FieldSpec(5)
 
 
 def added_counts(base, out):
@@ -81,6 +83,29 @@ def test_reverse_involution():
     back = reverse_network(reverse_network(net))
     assert back.nodes == net.nodes and back.edges == net.edges
     assert back.sources == net.sources
+
+
+def test_c1_and_c2_keep_scalar_linear_verdicts():
+    # A multiple-unicast network and c1 of it, and a subset-demand network and
+    # c2 of it, have the same scalar linear verdict over each field.  One c2
+    # search still exceeds its budget: case 40 is unsolvable over GF(3), and
+    # its c2 there runs past 50,000 ticks (over GF(2) that c2 is unsolvable in
+    # 22,980).  Structural nogoods (ROADMAP item 1) target such searches.
+    rng = random.Random(1)
+    cases = [(random_unicast_network(rng), c1) for _ in range(30)]
+    cases += [(random_subset_demand_network(rng), c2) for _ in range(30)]
+    opts = SearchOptions(budget=50_000)
+    undecided = []
+    for i, (net, construct) in enumerate(cases):
+        for f in (F2, F3):
+            want = search_linear(net, f, 1, 1, opts).verdict
+            got = search_linear(construct(net)[0], f, 1, 1, opts).verdict
+            assert want in ("solvable", "unsolvable"), (i, f.p)
+            if got == "budget_exceeded":
+                undecided.append((i, f.p, want))
+            else:
+                assert got == want, (i, f.p)
+    assert undecided == [(40, 3, "unsolvable")]
 
 
 # -- to_type_ia / c2 -------------------------------------------------------------
