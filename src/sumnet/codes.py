@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .gflin import FieldSpec, MatrixGF
+from .gflin import DimensionMismatch, FieldSpec, MatrixGF
 from .netmodel import (
     Demand, Network, NetworkError, json_int, json_key, json_list, json_str, json_text, reverse_id,
     reverse_roles,
@@ -157,50 +157,50 @@ def transfer_rows(net: Network) -> tuple[tuple[str, str], ...]:
 def transfer_array(net: Network, code: LinearCode) -> np.ndarray:
     """The transfer matrix as a raw array, which may have no rows or no columns.
 
-    Table order puts every edge's map of the stacked messages before its consumers.
-    A map sums its in-edge products unreduced and is reduced mod p when first
-    read: each entry stays below in-degree * n * p**2, far under 2**63 for p <= 2**16.
+    One walk in topological order, reading only the keys ``coefficient_table``
+    names.  A source writes its out-edges' maps of the stacked messages.  Any
+    other node pops its in-edges' maps, reduces each mod p, sums its out-edges'
+    maps from them unreduced and adds its decoder rows, so only the maps of
+    edges whose head is still ahead stay alive.  Each entry stays below
+    in-degree * n * p**2, far under 2**63 for p <= 2**16.
     """
     p, k, n = code.field.p, code.k, code.n
     msgs = net.messages()
     off = {m: i * k for i, m in enumerate(msgs)}
     rows = transfer_rows(net)
-    first: dict[str, int] = {}
-    for i, (t, _label) in enumerate(rows):
-        first.setdefault(t, i * k)
+    first = {t: i * k for i, (t, _label) in reversed(tuple(enumerate(rows)))}  # each terminal's first row
     maps: dict[str, np.ndarray] = {}  # an edge never written carries the zero map
     out = np.zeros((len(rows) * k, len(msgs) * k), dtype=np.int64)
-    reduced: set[str] = set()
-
-    def read(eid: str) -> Optional[np.ndarray]:
-        if eid in maps and eid not in reduced:
-            maps[eid] %= p
-            reduced.add(eid)
-        return maps.get(eid)
-
-    coeffs = {"alpha": code.source_coeff, "beta": code.local_coeff, "gamma": code.decode_coeff}
-    for kind, a, eid, *slot in coefficient_table(net, k, n):
-        m = coeffs[kind].get((a, eid, *slot))
-        if m is None:
+    for v in net.topo_order():
+        if v in net.sources:
+            for e in net.out_edges(v):
+                for msg in net.sources[v]:
+                    if (m := code.source_coeff.get((msg, e.id))) is not None:
+                        if e.id not in maps:
+                            maps[e.id] = np.zeros((n, len(msgs) * k), dtype=np.int64)
+                        maps[e.id][:, off[msg]:off[msg] + k] = m.array()
             continue
-        if kind == "alpha":
-            if eid not in maps:
-                maps[eid] = np.zeros((n, len(msgs) * k), dtype=np.int64)
-            maps[eid][:, off[a]:off[a] + k] = m.array()
-        elif (x := read(a if kind == "beta" else eid)) is None:
-            continue
-        elif kind == "beta":
-            maps[eid] = m.array() @ x + maps[eid] if eid in maps else m.array() @ x
-        else:
-            r = first[a] + slot[0] * k
-            out[r:r + k] += m.array() @ x
+        ins = [(e.id, x % p) for e in net.in_edges(v) if (x := maps.pop(e.id, None)) is not None]
+        for e in net.out_edges(v):
+            for a, x in ins:
+                if (m := code.local_coeff.get((a, e.id))) is not None:
+                    maps[e.id] = m.array() @ x + maps[e.id] if e.id in maps else m.array() @ x
+        if v in net.terminals:
+            for slot in range(len(net.terminals[v].slots())):
+                r = first[v] + slot * k
+                for a, x in ins:
+                    if (m := code.decode_coeff.get((v, a, slot))) is not None:
+                        out[r:r + k] += m.array() @ x
     out %= p
     return out
 
 
 def transfer_matrix(net: Network, code: LinearCode) -> TransferMatrix:
-    out = MatrixGF.from_array(code.field, transfer_array(net, code))
-    return TransferMatrix(code.field, code.k, transfer_rows(net), net.messages(), out)
+    out = transfer_array(net, code)
+    if out.size == 0:
+        raise DimensionMismatch("matrix needs at least one row and column")
+    matrix = MatrixGF._reduced(code.field, out)
+    return TransferMatrix(code.field, code.k, transfer_rows(net), net.messages(), matrix)
 
 
 def target_transfer_array(net: Network, field: FieldSpec, k: int) -> np.ndarray:

@@ -79,9 +79,9 @@ every check is necessary for the exact one, so survivors and witnesses are
 unchanged and no count rises.  ``naive_search_linear`` is the reference
 oracle and checks each terminal only at its last unit.
 
-The walk does not recurse per bucket, and it leaves no reference cycle: the
-shared enumerators are dropped when it ends, so all of it is freed by
-reference counting rather than by the cyclic collector.
+Nothing recurses per bucket, per unit or per free entry, and the walk leaves
+no reference cycle: the shared enumerators are dropped when it ends, so all
+of it is freed by reference counting rather than by the cyclic collector.
 """
 
 from __future__ import annotations
@@ -188,19 +188,29 @@ def _rref_matrices(rows: int, cols: int, p: int, prune: Optional[Callable] = Non
 
 
 def _completions(m: list, free: list, p: int, prune, check: bool) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """``m`` with its ``free`` entries run over 0..p-1 in order; ``check`` offers this prefix to ``prune``."""
-    if prune is not None and len(free) >= 2 and check and not prune(m, free):
-        return
-    if prune is not None and len(free) >= 3:
+    """``m`` with its ``free`` entries run over 0..p-1 in order; ``check`` offers this prefix to ``prune``.
+
+    With ``prune``, a stack holds the child blocks of each free entry fixed, so nothing recurses per entry."""
+    def children(m: list, free: list) -> Iterator[tuple]:
         (i, j), rest = free[0], free[1:]
         for v in range(p):
             m[i][j] = v
-            yield from _completions([row[:] for row in m], rest, p, prune, all(c != j for _, c in rest))
-        return
-    for vals in product(range(p), repeat=len(free)):
-        for (i, j), v in zip(free, vals):
-            m[i][j] = v
-        yield tuple(map(tuple, m))
+            yield [row[:] for row in m], rest, all(c != j for _, c in rest)
+
+    stack = [iter([(m, free, check)])]
+    while stack:
+        m, free, check = next(stack[-1], (None, (), False))
+        if m is None:
+            stack.pop()
+        elif prune is not None and len(free) >= 2 and check and not prune(m, free):
+            pass  # the prefix is pruned
+        elif prune is not None and len(free) >= 3:
+            stack.append(children(m, free))
+        else:
+            for vals in product(range(p), repeat=len(free)):
+                for (i, j), v in zip(free, vals):
+                    m[i][j] = v
+                yield tuple(map(tuple, m))
 
 
 def _growth_tables(length: int, q: int) -> Iterator[tuple[tuple[int, ...]]]:
@@ -321,7 +331,8 @@ class _BucketPlan:
             lead = min(todo, key=lambda t: (len(deps[t] - placed), t))
             fresh = sorted(deps[lead] - placed, key=lambda u: pos[u])
             fresh_set = set(fresh)
-            fired = [t for t in todo if deps[t] <= placed | fresh_set]
+            covered = placed | fresh_set
+            fired = {t for t in todo if deps[t] <= covered}
             local, cross = [], []
             at = {u: i for i, u in enumerate(fresh)}
             for t in sorted(fired):
@@ -334,7 +345,7 @@ class _BucketPlan:
                 # Nothing to share: the list would be the whole product.
                 bucket = _Bucket(fresh, sorted(cross), [], contextual=True)
             self.buckets.append(bucket)
-            placed |= fresh_set
+            placed = covered
             todo = [t for t in todo if t not in fired]
         self.unobserved = [u for u in candidates if u not in placed]
 
@@ -392,16 +403,9 @@ class _BucketSearch:
         if self.count > self.opts.budget:
             raise _Budget()
 
-    def _enumerate(self, bi: int, assign: dict, depth: int = 0) -> Iterator[tuple]:
-        """Bucket bi's survivors in order, each unit written into ``assign`` as tried."""
-        units = self.plan.buckets[bi].units
-        if depth == len(units):
-            yield tuple(assign[u] for u in units)
-            return
-        u = units[depth]
-        if depth == 0 and not all(self.check(t, assign) for t in self.checks_at[bi].get(-1, ())):
-            return
-        checks = self.checks_at[bi].get(depth, ())
+    def _candidates(self, bi: int, depth: int, assign: dict) -> Iterator[tuple]:
+        """Unit ``depth`` of bucket bi's values, offering their prefixes to its prefix checks."""
+        u = self.plan.buckets[bi].units[depth]
         values = self.plan.candidates[u]
         prefixes = self.prefixes_at[bi].get(depth)
         if prefixes:
@@ -412,12 +416,27 @@ class _BucketSearch:
                 self._tick()
                 return False
             values = partial(values, prune=keep)
-        for value in values():
-            self._tick()
-            assign[u] = value
-            if all(self.check(t, assign) for t in checks):
-                yield from self._enumerate(bi, assign, depth + 1)
-        del assign[u]
+        return iter(values())
+
+    def _enumerate(self, bi: int, assign: dict) -> Iterator[tuple]:
+        """Bucket bi's survivors in order, from a stack of per-unit iterators; each unit goes into ``assign``."""
+        units, at = self.plan.buckets[bi].units, self.checks_at[bi]
+        stack = [self._candidates(bi, 0, assign)] if all(self.check(t, assign) for t in at.get(-1, ())) else []
+        while stack:
+            u = units[depth := len(stack) - 1]
+            for value in stack[-1]:
+                self._tick()
+                assign[u] = value
+                if all(self.check(t, assign) for t in at.get(depth, ())):
+                    break
+            else:
+                stack.pop()
+                del assign[u]
+                continue
+            if depth + 1 < len(units):
+                stack.append(self._candidates(bi, depth + 1, assign))
+            else:
+                yield tuple(assign[u] for u in units)
 
     def _walk(self) -> Optional[dict]:
         """The first full assignment that every bucket's checks pass, or None."""

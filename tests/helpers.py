@@ -129,6 +129,26 @@ def parallel_pairs(m: int) -> Network:
     )
 
 
+def parallel_chain(relays: int) -> Network:
+    """w -> r_0 -> ... -> r_{relays-1} -> t with two parallel edges per hop, where t recovers x.
+
+    The 2 * relays edges out of the relays are enumerated 1 x 2 blocks, all in
+    t's one bucket.
+    """
+    nodes = ["w"] + [f"r_{i}" for i in range(relays)] + ["t"]
+    edges = [Edge(f"{a}>{b}{tag}", a, b) for a, b in zip(nodes, nodes[1:]) for tag in ("", "#2")]
+    return Network(f"chain{relays}", tuple(nodes), tuple(edges), {"w": ("x",)}, {"t": recover("x")})
+
+
+def parallel_fan(width: int) -> Network:
+    """w feeds r over ``width`` parallel edges and r -> t, where t recovers x.
+
+    The r -> t block is one 1 x width unit with width - 1 free entries.
+    """
+    edges = [Edge(f"w>r#{i}", "w", "r") for i in range(width)] + [Edge("r>t", "r", "t")]
+    return Network(f"fan{width}", ("w", "r", "t"), tuple(edges), {"w": ("x",)}, {"t": recover("x")})
+
+
 # -- random generators ---------------------------------------------------------
 
 

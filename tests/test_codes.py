@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from sumnet import (
     validate_code,
     verify_nonlinear,
 )
-from sumnet.codes import BudgetExceededError, CodeError, LinearCode, NonlinearCode, validate_nonlinear
+from sumnet.codes import BudgetExceededError, CodeError, LinearCode, NonlinearCode, transfer_array, validate_nonlinear
 from sumnet.families import component
-from sumnet.netmodel import Demand, Edge, Network, reverse_network
+from sumnet.gflin import DimensionMismatch
+from sumnet.netmodel import Demand, Edge, Network, recover, reverse_network
+from sumnet.transforms import c3
 
 from helpers import (
     random_code,
@@ -92,6 +95,14 @@ def test_is_solution_s4_gf2():
     assert is_solution(net, identity_code(net, F2))
 
 
+def _dropped(rng: random.Random, code: LinearCode) -> LinearCode:
+    """``code`` with each coefficient kept with probability 1/2, so some edge maps are zero."""
+    def keep(coeffs: dict) -> dict:
+        return {key: m for key, m in coeffs.items() if rng.random() < 0.5}
+    return LinearCode(code.field, code.k, code.n, keep(code.source_coeff), keep(code.local_coeff),
+                      keep(code.decode_coeff))
+
+
 def test_transfer_matches_path_enumeration():
     rng = random.Random(99)
     for _ in range(30):
@@ -99,9 +110,31 @@ def test_transfer_matches_path_enumeration():
         for p in (2, 3):
             k = rng.choice([1, 2])
             code = random_code(rng, net, p, k, k)
-            got = transfer_matrix(net, code).matrix.array()
-            want = transfer_by_path_enumeration(net, code)
-            assert np.array_equal(got, want)
+            for c in (code, _dropped(rng, code)):
+                got = transfer_matrix(net, c).matrix.array()
+                want = transfer_by_path_enumeration(net, c)
+                assert np.array_equal(got, want)
+    # t1 recovers both messages and relays to t2, z is a relay with no
+    # in-edge, and keys outside the coefficient table are ignored: x1 on an
+    # edge out of r, two edges that do not meet, a relay's decoder, an
+    # out-edge of t1 as its in-edge, and a slot t2 does not have.
+    edges = (Edge("a", "s1", "r"), Edge("b", "s2", "r"), Edge("c", "r", "t1"), Edge("d", "s2", "t1"),
+             Edge("e", "t1", "t2"), Edge("f", "z", "t2"), Edge("g", "r", "t2"))
+    net = Network("relaying", ("s1", "s2", "r", "t1", "t2", "z"), edges,
+                  {"s1": ("x1",), "s2": ("x2",)}, {"t1": recover("x1", "x2"), "t2": Demand("sum")})
+    for p, k in ((2, 1), (3, 2), (5, 2)):
+        code = random_code(rng, net, p, k, k)
+        ones = MatrixGF(code.field, [[1] * k] * k)  # n = k, so every coefficient is k x k
+        outside = LinearCode(
+            code.field, k, k, {**code.source_coeff, ("x1", "c"): ones},
+            {**code.local_coeff, ("a", "e"): ones},
+            {**code.decode_coeff, ("r", "a", 0): ones, ("t1", "e", 0): ones, ("t2", "e", 1): ones},
+        )
+        want = transfer_by_path_enumeration(net, code)
+        assert want.any()
+        for c in (code, _dropped(rng, code), outside):
+            assert np.array_equal(transfer_matrix(net, c).matrix.array(), transfer_by_path_enumeration(net, c))
+        assert np.array_equal(transfer_matrix(net, outside).matrix.array(), want)
     # Edge maps are summed unreduced and reduced when read: at p = 65521,
     # relay r sums five products, two over parallel edges, and u and t sum
     # two more each.  Unreduced maps would overflow int64 by t.
@@ -113,6 +146,28 @@ def test_transfer_matches_path_enumeration():
     for _ in range(5):
         code = random_code(rng, net, 65521, 2, 2)
         assert np.array_equal(transfer_matrix(net, code).matrix.array(), transfer_by_path_enumeration(net, code))
+
+
+def test_transfer_frees_each_edge_map_once_its_head_has_read_it():
+    # Only the maps of edges whose head node is still ahead stay alive, so the
+    # traced peak stays under half of what every edge map would take at once.
+    net = c3(s_m(10))[0]
+    code = random_code(random.Random(1), net, 2, 2, 2)
+    every_map = len(net.edges) * code.n * len(net.messages()) * code.k * 8
+    tracemalloc.start()
+    try:
+        transfer_array(net, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < every_map / 2, (peak, every_map)
+
+
+def test_transfer_matrix_without_a_terminal_is_a_dimension_mismatch():
+    net = Network("no terminal", ("s", "a"), (Edge("e", "s", "a"),), {"s": ("x",)}, {})
+    assert transfer_array(net, identity_code(net, F2)).shape == (0, 1)
+    with pytest.raises(DimensionMismatch):
+        transfer_matrix(net, identity_code(net, F2))
 
 
 def test_path_gain_order_and_virtuals():

@@ -31,6 +31,8 @@ from helpers import (
     mun_disconnected,
     mun_disjoint2,
     mun_path,
+    parallel_chain,
+    parallel_fan,
     parallel_pairs,
     random_sum_network,
     rename_ids,
@@ -319,6 +321,32 @@ def test_the_bucket_walk_does_not_recurse_per_bucket():
     finally:
         sys.setrecursionlimit(limit)
     assert (r.verdict, r.enumerated) == ("solvable", 600)
+
+
+def test_a_bucket_is_enumerated_without_recursing_per_unit():
+    # 150 relays in a chain put 300 units into t's one bucket; an enumeration
+    # that recursed once per unit would overflow a recursion limit of 200.
+    net = parallel_chain(150)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        r = search_linear(net, F2, 1, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (r.verdict, r.enumerated) == ("solvable", 301)
+
+
+def test_block_prefixes_are_walked_without_recursing_per_entry():
+    # r -> t reads 400 parallel edges: one 1 x 400 block with 399 free
+    # entries, whose prefix tree is 397 entries deep.
+    net = parallel_fan(400)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        r = search_linear(net, F2, 1, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (r.verdict, r.enumerated) == ("solvable", 2)
 
 
 def test_vector_search_on_recover_demands():
