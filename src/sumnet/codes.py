@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain, product
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -415,50 +415,43 @@ def additive_code(net: Network, q: int) -> NonlinearCode:
 # -- JSON ----------------------------------------------------------------------
 
 
+# One table per file format: each section, named after its field of
+# ``LinearCode`` or ``NonlinearCode``, with the parts of an entry's key.  An
+# entry holds its key's parts, then its value, "mat" or "table"; a "slot" is
+# an integer and every other part a string.
+_LINEAR_SECTIONS = {
+    "source_coeff": ("msg", "edge"),
+    "local_coeff": ("in", "out"),
+    "decode_coeff": ("terminal", "edge", "slot"),
+}
+_TABLE_SECTIONS = {"edge_fn": ("edge",), "decode_fn": ("terminal",)}
+
+
+def _section_to_json(values: Mapping, parts: tuple[str, ...], value: str, convert: Callable) -> list[dict]:
+    """A section's entries, sorted by key, one dict each; a table code's keys are bare strings."""
+    names, bare = (*parts, value), len(parts) == 1
+    return [dict(zip(names, ((key,) if bare else key) + (convert(values[key]),))) for key in sorted(values)]
+
+
 def code_to_dict(code: LinearCode) -> dict:
-    return {
-        "field": code.field.p,
-        "k": code.k,
-        "n": code.n,
-        "source_coeff": [
-            {"msg": msg, "edge": eid, "mat": code.source_coeff[(msg, eid)].tolists()}
-            for msg, eid in sorted(code.source_coeff)
-        ],
-        "local_coeff": [
-            {"in": a, "out": b, "mat": code.local_coeff[(a, b)].tolists()}
-            for a, b in sorted(code.local_coeff)
-        ],
-        "decode_coeff": [
-            {
-                "terminal": t,
-                "edge": eid,
-                "slot": slot,
-                "mat": code.decode_coeff[(t, eid, slot)].tolists(),
-            }
-            for t, eid, slot in sorted(code.decode_coeff)
-        ],
-    }
+    d = {"field": code.field.p, "k": code.k, "n": code.n}
+    for section, parts in _LINEAR_SECTIONS.items():
+        d[section] = _section_to_json(getattr(code, section), parts, "mat", MatrixGF.tolists)
+    return d
 
 
-def _key(obj, key: str, what: str):
-    return json_key(obj, key, what, CodeError)
-
-
-def _list(value, what: str) -> tuple:
-    return json_list(value, what, CodeError)
-
-
-def _int(value, what: str) -> int:
-    return json_int(value, what, CodeError)
-
-
-def _str(value, what: str) -> str:
-    return json_str(value, what, CodeError)
+def _section_from_json(entries: tuple, section: str, parts: tuple[str, ...], value: str) -> Iterator[tuple]:
+    """Each entry's checked key as a tuple of its parts, with its unchecked ``value``."""
+    what = f"{section} entry"
+    checks = [(part, json_int if part == "slot" else json_str, f"{what} {part}") for part in parts]
+    for e in entries:
+        key = tuple(check(json_key(e, part, what, CodeError), about, CodeError) for part, check, about in checks)
+        yield key, json_key(e, value, what, CodeError)
 
 
 def _ints(values, what: str) -> tuple[int, ...]:
     """A parsed JSON list of integers; a bool, a float, a string or null is ``CodeError``."""
-    values = _list(values, what)
+    values = json_list(values, what, CodeError)
     if any(type(v) is not int for v in values):
         raise CodeError(f"{what} entries must be integers")
     return values
@@ -466,9 +459,8 @@ def _ints(values, what: str) -> tuple[int, ...]:
 
 def matrix_from_json(value, field: FieldSpec, what: str) -> MatrixGF:
     """A parsed JSON list of integer rows as a matrix, else ``CodeError``."""
-    rows = [_list(r, f"{what} row") for r in _list(value, what)]
-    if any(type(x) is not int for r in rows for x in r):
-        raise CodeError(f"{what} entries must be integers")
+    rows = [json_list(r, f"{what} row", CodeError) for r in json_list(value, what, CodeError)]
+    _ints(list(chain.from_iterable(rows)), what)
     if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
         raise CodeError(f"{what} must have at least one row, all of one nonzero length")
     # Reduced here, so an entry beyond int64 cannot overflow MatrixGF.
@@ -495,28 +487,16 @@ def _uniform_coeffs(entries: tuple, keys: tuple[str, ...], field: FieldSpec) -> 
 
 
 def code_from_dict(d: dict) -> LinearCode:
-    f = FieldSpec(_int(_key(d, "field", "linear code"), "field"))
-
-    def coeffs(section: str, keys: tuple[str, ...]) -> dict:
-        entries = _list(d.get(section, []), section)
-        if (out := _uniform_coeffs(entries, keys, f)) is not None:
-            return out
-        out = {}
-        what = f"{section} entry"
-        checks = [(key, _int if key == "slot" else _str, f"{what} {key}") for key in keys]
-        for e in entries:
-            at = tuple(check(_key(e, key, what), about) for key, check, about in checks)
-            out[at] = matrix_from_json(_key(e, "mat", what), f, f"{section} mat")
-        return out
-
-    return LinearCode(
-        field=f,
-        k=_int(_key(d, "k", "linear code"), "k"),
-        n=_int(_key(d, "n", "linear code"), "n"),
-        source_coeff=coeffs("source_coeff", ("msg", "edge")),
-        local_coeff=coeffs("local_coeff", ("in", "out")),
-        decode_coeff=coeffs("decode_coeff", ("terminal", "edge", "slot")),
-    )
+    f = FieldSpec(json_int(json_key(d, "field", "linear code", CodeError), "field", CodeError))
+    k, n = (json_int(json_key(d, x, "linear code", CodeError), x, CodeError) for x in ("k", "n"))
+    coeffs = {}
+    for section, parts in _LINEAR_SECTIONS.items():
+        entries = json_list(d.get(section, []), section, CodeError)
+        coeffs[section] = _uniform_coeffs(entries, parts, f)
+        if coeffs[section] is None:
+            coeffs[section] = {key: matrix_from_json(mat, f, f"{section} mat")
+                               for key, mat in _section_from_json(entries, section, parts, "mat")}
+    return LinearCode(f, k, n, **coeffs)
 
 
 def code_to_json(code: LinearCode) -> str:
@@ -528,32 +508,20 @@ def code_from_json(text: str) -> LinearCode:
 
 
 def nonlinear_to_dict(code: NonlinearCode) -> dict:
-    return {
-        "q": code.q,
-        "edge_fn": [
-            {"edge": e, "table": list(code.edge_fn[e])} for e in sorted(code.edge_fn)
-        ],
-        "decode_fn": [
-            {"terminal": t, "table": list(code.decode_fn[t])}
-            for t in sorted(code.decode_fn)
-        ],
-    }
+    d = {"q": code.q}
+    for section, parts in _TABLE_SECTIONS.items():
+        d[section] = _section_to_json(getattr(code, section), parts, "table", list)
+    return d
 
 
 def nonlinear_from_dict(d: dict) -> NonlinearCode:
-    def tables(section: str, key: str) -> dict:
-        what = f"{section} entry"
-        return {
-            _str(_key(e, key, what), f"{what} {key}"):
-                _ints(_key(e, "table", what), f"{section} table")
-            for e in _list(d.get(section, []), section)
-        }
-
-    return NonlinearCode(
-        q=_int(_key(d, "q", "table code"), "q"),
-        edge_fn=tables("edge_fn", "edge"),
-        decode_fn=tables("decode_fn", "terminal"),
-    )
+    q = json_int(json_key(d, "q", "table code", CodeError), "q", CodeError)
+    tables = {}
+    for section, parts in _TABLE_SECTIONS.items():
+        entries = json_list(d.get(section, []), section, CodeError)
+        tables[section] = {key[0]: _ints(table, f"{section} table")
+                           for key, table in _section_from_json(entries, section, parts, "table")}
+    return NonlinearCode(q, **tables)
 
 
 def nonlinear_to_json(code: NonlinearCode) -> str:

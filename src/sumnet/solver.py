@@ -45,14 +45,15 @@ buckets nest in emission order, so the first witness is deterministic.
 
 ``search_linear``, the reference ``naive_search_linear`` and
 ``search_nonlinear`` share one driver, ``_BucketSearch``: each passes its
-plan, its terminal check and a function that builds a code from a full
-assignment.  The plan gives each unit its candidate sequence: gauge-fixed or
-all blocks, every coefficient matrix for the naive search, gauge-fixed or
-all Z_q tables, each a 1 x L matrix, for the nonlinear one.  The driver gives
-a unit no terminal observes its first candidate, re-verifies the witness and
-writes the report.  The nonlinear check evaluates a cone with
-``codes.table_symbols``, the Z_q evaluator of ``eval_nonlinear``, and
-``codes.demanded_symbol``.
+terminals, their dependency sets, each unit's candidate sequence, its
+terminal check and a function that builds a code from a full assignment.
+The candidates are gauge-fixed or all blocks, every coefficient matrix for
+the naive search, and gauge-fixed or all Z_q tables, each a 1 x L matrix,
+for the nonlinear one.  The driver groups the units into buckets and places
+every check itself, gives a unit no terminal observes its first candidate,
+re-verifies the witness and writes the report.  The nonlinear check
+evaluates a cone with ``codes.table_symbols``, the Z_q evaluator of
+``eval_nonlinear``, and ``codes.demanded_symbol``.
 
 The linear search prunes with one check, ``feasible``, sound under any
 partial assignment: the row-space view of Koetter & Medard (2003) used as
@@ -297,21 +298,39 @@ def _backward_cones(net: Network) -> dict[str, list[str]]:
 @dataclass
 class _Bucket:
     units: list[tuple]
-    # (position of the terminal's last unit in this bucket, terminal), checked
-    # while the bucket is enumerated.
-    checks: list[tuple[int, str]]
+    # Per depth, the terminals checked once that unit is assigned, from -1
+    # before the first, and those offered its prefixes.
+    checks_at: dict[int, list[str]]
+    prefixes_at: dict[int, list[str]]
     # Checked once the bucket is fully assigned.
     cross_checks: list[str]
-    # Whether ``checks`` read units of earlier buckets, so that the bucket is
+    # Whether the checks read units of earlier buckets, so that the bucket is
     # enumerated afresh under each assignment of them.
-    contextual: bool = False
+    contextual: bool
 
 
-class _BucketPlan:
-    """Greedy grouping of unknowns into per-terminal buckets.
+class _BucketSearch:
+    """The one search driver: a DFS over buckets, one loop over a stack of survivor iterators.
 
-    ``candidates`` lists every unit in canonical order with a function that
-    returns a fresh iterator over the unit's values, in enumeration order.
+    A search supplies its terminals, their dependency sets ``deps``,
+    ``candidates`` (every unit in canonical order with a function that returns
+    a fresh iterator over its values, in enumeration order) and
+    ``check(t, assign)``, the feasibility test of terminal t, and passes
+    ``report`` a function that builds its code from a result.  The driver
+    groups the units into buckets and places every check: terminal t is
+    checked once its last unit is assigned.  With ``relaxed``, ``check`` must
+    also be sound under a partial assignment: it may answer False only if no
+    completion passes.  The driver then checks t before its bucket's first
+    unit and after each earlier unit of ``deps[t]`` too, and with
+    ``opts.reduce`` offers it each block prefix of those units as
+    ``check(t, assign, u, open)``; a rejected prefix costs one tick.
+
+    A bucket with local checks has one enumerator, kept in ``memo`` and read
+    through ``tee`` copies under every assignment of the earlier buckets; its
+    cross checks filter the survivors.  A contextual bucket is enumerated
+    afresh under each assignment of the earlier buckets, with each check
+    tried at its terminal's last unit, so it yields the same survivors in the
+    same order as a filtered full product would.
     """
 
     def __init__(
@@ -319,9 +338,14 @@ class _BucketPlan:
         terminals: Sequence[str],
         deps: dict[str, set],
         candidates: dict[tuple, Callable[[], Iterator[tuple]]],
+        check: Callable[..., bool],
+        opts: SearchOptions,
+        relaxed: bool = False,
     ):
         self.candidates = candidates
-        self.deps = deps
+        self.check = check
+        self.opts = opts
+        self.count = 0
         pos = {u: i for i, u in enumerate(candidates)}
         self.prechecks = sorted(t for t in terminals if not deps[t])
         todo = sorted(t for t in terminals if deps[t])
@@ -338,62 +362,24 @@ class _BucketPlan:
             for t in sorted(fired):
                 last = max(at[u] for u in deps[t] if u in at)
                 (local if deps[t] <= fresh_set else cross).append((last, t))
-            if local:
-                # A shared survivor list, filtered by the cross checks.
-                bucket = _Bucket(fresh, sorted(local), [t for _, t in cross])
-            else:
-                # Nothing to share: the list would be the whole product.
-                bucket = _Bucket(fresh, sorted(cross), [], contextual=True)
-            self.buckets.append(bucket)
+            # With local checks, a shared survivor list filtered by the cross
+            # checks; without, the list would be the whole product, so the
+            # cross checks run while the bucket is enumerated instead.
+            checks, cross_checks = (local, [t for _, t in cross]) if local else (cross, [])
+            b = _Bucket(fresh, {}, {}, cross_checks, contextual=not local)
+            for last, t in sorted(checks):
+                b.checks_at.setdefault(last, []).append(t)
+                if not relaxed:
+                    continue
+                cone = [d for d in range(last) if fresh[d] in deps[t]]
+                for d in [-1] + cone:
+                    b.checks_at.setdefault(d, []).append(t)
+                for d in cone + [last] if opts.reduce else ():
+                    b.prefixes_at.setdefault(d, []).append(t)
+            self.buckets.append(b)
             placed = covered
             todo = [t for t in todo if t not in fired]
         self.unobserved = [u for u in candidates if u not in placed]
-
-
-class _BucketSearch:
-    """The one search driver: a DFS over buckets, one loop over a stack of survivor iterators.
-
-    A search supplies its plan and ``check(t, assign)``, the feasibility test
-    of terminal t, and passes ``report`` a function that builds its code from
-    a result.  Terminal t is checked once its last unit is assigned.  With
-    ``relaxed``, ``check`` must also be sound under a partial assignment: it
-    may answer False only if no completion passes.  The driver then checks t
-    before its bucket's first unit and after each earlier unit of
-    ``plan.deps[t]`` too, and with ``opts.reduce`` offers it each block
-    prefix of those units as ``check(t, assign, u, open)``; a rejected prefix
-    costs one tick.
-
-    A bucket with local checks has one enumerator, kept in ``memo`` and read
-    through ``tee`` copies under every assignment of the earlier buckets; its
-    cross checks filter the survivors.  A contextual bucket is enumerated
-    afresh under each assignment of the earlier buckets, with each check
-    tried at its terminal's last unit, so it yields the same survivors in the
-    same order as a filtered full product would.
-    """
-
-    def __init__(self, plan: _BucketPlan, check: Callable[..., bool], opts: SearchOptions, relaxed: bool = False):
-        self.plan = plan
-        self.check = check
-        self.opts = opts
-        self.count = 0
-        # Per bucket and depth: the terminals checked once that unit is
-        # assigned, from -1 before the first, and those offered its prefixes.
-        self.checks_at: list[dict[int, list[str]]] = []
-        self.prefixes_at: list[dict[int, list[str]]] = []
-        for b in plan.buckets:
-            at: dict[int, list[str]] = {}
-            prefixes: dict[int, list[str]] = {}
-            for last, t in b.checks:
-                at.setdefault(last, []).append(t)
-                if not relaxed:
-                    continue
-                cone = [d for d in range(last) if b.units[d] in plan.deps[t]]
-                for d in [-1] + cone:
-                    at.setdefault(d, []).append(t)
-                for d in cone + [last] if opts.reduce else ():
-                    prefixes.setdefault(d, []).append(t)
-            self.checks_at.append(at)
-            self.prefixes_at.append(prefixes)
         # Per shared bucket: an unread tee of its enumerator, which buffers its survivors.
         self.memo: dict[int, Iterator[tuple]] = {}
         self.assign: dict = {}
@@ -405,9 +391,10 @@ class _BucketSearch:
 
     def _candidates(self, bi: int, depth: int, assign: dict) -> Iterator[tuple]:
         """Unit ``depth`` of bucket bi's values, offering their prefixes to its prefix checks."""
-        u = self.plan.buckets[bi].units[depth]
-        values = self.plan.candidates[u]
-        prefixes = self.prefixes_at[bi].get(depth)
+        b = self.buckets[bi]
+        u = b.units[depth]
+        values = self.candidates[u]
+        prefixes = b.prefixes_at.get(depth)
         if prefixes:
             def keep(block: list, open_: list) -> bool:
                 assign[u] = block
@@ -420,7 +407,7 @@ class _BucketSearch:
 
     def _enumerate(self, bi: int, assign: dict) -> Iterator[tuple]:
         """Bucket bi's survivors in order, from a stack of per-unit iterators; each unit goes into ``assign``."""
-        units, at = self.plan.buckets[bi].units, self.checks_at[bi]
+        units, at = self.buckets[bi].units, self.buckets[bi].checks_at
         stack = [self._candidates(bi, 0, assign)] if all(self.check(t, assign) for t in at.get(-1, ())) else []
         while stack:
             u = units[depth := len(stack) - 1]
@@ -440,7 +427,7 @@ class _BucketSearch:
 
     def _walk(self) -> Optional[dict]:
         """The first full assignment that every bucket's checks pass, or None."""
-        buckets, stack = self.plan.buckets, []
+        buckets, stack = self.buckets, []
         while len(stack) < len(buckets):
             bi = len(stack)
             if buckets[bi].contextual:
@@ -470,7 +457,7 @@ class _BucketSearch:
     ) -> SearchReport:
         """Run the search; a witness, each unobserved unit at its first value, is built and re-verified."""
         try:
-            feasible = all(self.check(t, self.assign) for t in self.plan.prechecks)
+            feasible = all(self.check(t, self.assign) for t in self.prechecks)
             found = self._walk() if feasible else None
         except _Budget:
             return SearchReport(BUDGET_EXCEEDED, mode, self.count - 1, time.monotonic() - start)
@@ -479,8 +466,8 @@ class _BucketSearch:
             self.memo.clear()
         if found is None:
             return SearchReport(UNSOLVABLE, mode, self.count, time.monotonic() - start)
-        for u in self.plan.unobserved:
-            found[u] = next(self.plan.candidates[u]())
+        for u in self.unobserved:
+            found[u] = next(self.candidates[u]())
         code = build(found)
         verify = verify_nonlinear if isinstance(code, NonlinearCode) else is_solution
         if not verify(net, code):
@@ -512,7 +499,7 @@ class _StagedProblem:
         # Per edge, each coefficient with its column slice of the block.
         self.slices: dict[str, list[tuple[tuple, int, int]]] = {}
         self.pinned: dict[str, tuple[tuple[int, ...], ...]] = {}
-        candidates: dict[tuple, Callable[[], Iterator[tuple]]] = {}
+        self.candidates: dict[tuple, Callable[[], Iterator[tuple]]] = {}
         for eid, us in keys.items():
             ends = list(accumulate((table[u][1] for u in us), initial=0))
             self.slices[eid] = list(zip(us, ends, ends[1:]))
@@ -520,7 +507,7 @@ class _StagedProblem:
                 self.pinned[eid] = _eye(n, ends[-1])
             else:
                 enum = _rref_matrices if opts.reduce else _all_matrices
-                candidates[("block", eid)] = partial(enum, n, ends[-1], self.p)
+                self.candidates[("block", eid)] = partial(enum, n, ends[-1], self.p)
         # A message's k symbols enter its source's blocks as unit rows.
         self.unit_rows = {
             m: [[int(w == i * k + j) for w in range(self.width)] for j in range(k)]
@@ -530,8 +517,9 @@ class _StagedProblem:
         self.zero = [[0] * self.width] * n
 
         self.cone = _backward_cones(net)
-        deps = {t: {("block", eid) for eid in cone if eid not in self.pinned} for t, cone in self.cone.items()}
-        self.plan = _BucketPlan(net.terminal_nodes(), deps, candidates)
+        self.deps = {
+            t: {("block", eid) for eid in cone if eid not in self.pinned} for t, cone in self.cone.items()
+        }
 
         # Edges whose symbolic map never changes during the search.
         self.const_maps: dict[str, list[list[int]]] = {}
@@ -657,7 +645,7 @@ def search_linear(
         raise ValueError("k and n must be positive")
     start = time.monotonic()
     prob = _StagedProblem(net, fieldspec, k, n, opts)
-    search = _BucketSearch(prob.plan, prob.feasible, opts, relaxed=True)
+    search = _BucketSearch(net.terminal_nodes(), prob.deps, prob.candidates, prob.feasible, opts, relaxed=True)
     return search.report(net, prob.witness, _mode(k, n), start)
 
 
@@ -736,8 +724,7 @@ def naive_search_linear(
         return True
 
     candidates = {u: partial(_all_matrices, rows, cols, p) for u, (rows, cols) in shape.items()}
-    plan = _BucketPlan(net.terminal_nodes(), deps, candidates)
-    search = _BucketSearch(plan, check, SearchOptions(budget=budget))
+    search = _BucketSearch(net.terminal_nodes(), deps, candidates, check, SearchOptions(budget=budget))
     return search.report(net, partial(_code_of, fieldspec, k, n), _mode(k, n), start)
 
 
@@ -774,8 +761,8 @@ def search_nonlinear(net: Network, q: int, opts: Optional[SearchOptions] = None)
     def build(found: dict) -> NonlinearCode:
         return NonlinearCode(q, {u[1]: found[u][0] for u in tables}, {t: decoder(t, found) for t in cones})
 
-    plan = _BucketPlan(net.terminal_nodes(), deps, tables)
-    search = _BucketSearch(plan, lambda t, assign: decoder(t, assign) is not None, opts)
+    search = _BucketSearch(net.terminal_nodes(), deps, tables,
+                           lambda t, assign: decoder(t, assign) is not None, opts)
     return search.report(net, build, f"nonlinear(q={q})", start)
 
 

@@ -8,6 +8,7 @@ the input network pass through unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -100,36 +101,48 @@ def _unicast_pairs(net: Network) -> list[tuple[str, str, str]]:
     return pairs
 
 
+def _hub(b: _Builder, gens: Sequence[str]) -> tuple[list[str], list[str]]:
+    """The hub that c1 and c2 attach to the m sources ``gens``; returns its s and v nodes.
+
+    Hub source s_i (message x_i) feeds gens[i] and every mix relay u_j with
+    j != i; s_{m+1} feeds every u_i; each u_i has a mix line to its fanout
+    relay v_i.
+    """
+    m = len(gens)
+    s = [b.add_node(f"s_{i}", f"hub source i={i}") for i in range(1, m + 2)]
+    u = [b.add_node(f"u_{i}", f"mix relay i={i}") for i in range(1, m + 1)]
+    v = [b.add_node(f"v_{i}", f"fanout relay i={i}") for i in range(1, m + 1)]
+    for i in range(1, m + 2):
+        b.sources[s[i - 1]] = (f"x{i}",)
+    for i in range(m):
+        b.add_edge(s[i], gens[i], f"source feed i={i + 1}")
+        b.add_edge(s[m], u[i], f"extra source feed j={i + 1}")
+        b.add_edge(u[i], v[i], f"mix line i={i + 1}")
+        for j in range(m):
+            if j != i:
+                b.add_edge(s[i], u[j], f"cross feed i={i + 1} j={j + 1}")
+    return s, v
+
+
 def c1(mun: Network) -> tuple[Network, TransformTrace]:
     """Sum network built around a multiple-unicast network.
 
-    Adds hub sources s_1..s_{m+1}, per-pair relays u_i, v_i and terminal
-    pairs t_L_i, t_R_i; every terminal demands the sum of the m+1 fresh
-    messages, and the embedded network keeps its edges while its old
+    Adds the hub (sources s_1..s_{m+1}, per-pair relays u_i, v_i) and
+    terminal pairs t_L_i, t_R_i; every terminal demands the sum of the m+1
+    fresh messages, and the embedded network keeps its edges while its old
     source/terminal roles are cleared.
     """
     pairs = _unicast_pairs(mun)
     m = len(pairs)
     b = _Builder(f"c1({mun.name})" if mun.name else "c1", mun)
-    s = [b.add_node(f"s_{i}", f"hub source i={i}") for i in range(1, m + 2)]
-    u = [b.add_node(f"u_{i}", f"mix relay i={i}") for i in range(1, m + 1)]
-    v = [b.add_node(f"v_{i}", f"fanout relay i={i}") for i in range(1, m + 1)]
+    s, v = _hub(b, [w for w, _, _ in pairs])
     tl = [b.add_node(f"t_L{i}", f"left terminal i={i}") for i in range(1, m + 1)]
     tr = [b.add_node(f"t_R{i}", f"right terminal i={i}") for i in range(1, m + 1)]
-    for i in range(1, m + 2):
-        b.sources[s[i - 1]] = (f"x{i}",)
-    for i in range(m):
-        w_i, _, z_i = pairs[i]
-        b.add_edge(s[i], w_i, f"source feed i={i + 1}")
+    for i, (_, _, z_i) in enumerate(pairs):
         b.add_edge(s[i], tr[i], f"direct right i={i + 1}")
-        b.add_edge(u[i], v[i], f"mix line i={i + 1}")
         b.add_edge(v[i], tl[i], f"fan left i={i + 1}")
         b.add_edge(v[i], tr[i], f"fan right i={i + 1}")
         b.add_edge(z_i, tl[i], f"unicast exit i={i + 1}")
-        b.add_edge(s[m], u[i], f"extra source feed j={i + 1}")
-        for j in range(m):
-            if j != i:
-                b.add_edge(s[i], u[j], f"cross feed i={i + 1} j={j + 1}")
         b.terminals[tl[i]] = Demand("sum")
         b.terminals[tr[i]] = Demand("sum")
     return b.build()
@@ -163,36 +176,25 @@ def c2(net: Network) -> tuple[Network, TransformTrace]:
     """Sum network built from a subset-demand network in two steps.
 
     First the input is normalised to one process per source and per terminal
-    (`to_type_ia`), then hub sources, mix relays and one terminal per process
-    plus one per original demand are attached; every terminal demands the sum
-    of the m+1 fresh messages.
+    (`to_type_ia`), then c1's hub over its sources and one terminal per
+    process plus one per original demand are attached; every terminal demands
+    the sum of the m+1 fresh messages.
     """
     tia, trace0 = to_type_ia(net)
     gens = tia.source_nodes()
-    m = len(gens)
     by_msg: dict[str, list[str]] = {tia.sources[g][0]: [] for g in gens}
     for t in tia.terminal_nodes():
         by_msg[tia.terminals[t].messages[0]].append(t)
 
     b = _Builder(f"c2({net.name})" if net.name else "c2", tia)
     b.trace.roles.update(trace0.roles)
-    s = [b.add_node(f"s_{i}", f"hub source i={i}") for i in range(1, m + 2)]
-    u = [b.add_node(f"u_{i}", f"mix relay i={i}") for i in range(1, m + 1)]
-    v = [b.add_node(f"v_{i}", f"fanout relay i={i}") for i in range(1, m + 1)]
-    for i in range(1, m + 2):
-        b.sources[s[i - 1]] = (f"x{i}",)
-    for i in range(m):
-        b.add_edge(s[i], gens[i], f"source feed i={i + 1}")
-        b.add_edge(s[m], u[i], f"extra source feed j={i + 1}")
-        b.add_edge(u[i], v[i], f"mix line i={i + 1}")
-        for j in range(m):
-            if j != i:
-                b.add_edge(s[i], u[j], f"cross feed i={i + 1} j={j + 1}")
+    s, v = _hub(b, gens)
+    for i, g in enumerate(gens):
         t_right = b.add_node(f"t_{i + 1}", f"right terminal i={i + 1}")
         b.terminals[t_right] = Demand("sum")
         b.add_edge(s[i], t_right, f"direct right i={i + 1}")
         b.add_edge(v[i], t_right, f"fan right i={i + 1}")
-        msg = tia.sources[gens[i]][0]
+        msg = tia.sources[g][0]
         for j, z in enumerate(by_msg[msg], start=1):
             t_left = b.add_node(f"t_{i + 1}.{j}", f"left terminal (i={i + 1}, j={j})")
             b.terminals[t_left] = Demand("sum")

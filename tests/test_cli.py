@@ -309,10 +309,33 @@ def test_malformed_json_exit_1(tmp_path, capsys):
         "unknown_message": {"nope": 1},
     }
     bad_traces = {"list_trace": ["a"], "int_role": {"a": 1}}
+    table_code = {"q": 2, "edge_fn": [{"edge": "a>t", "table": [0, 1]}],
+                  "decode_fn": [{"terminal": "t", "table": [0, 1]}]}
+
+    def with_table(table):
+        return dict(table_code, edge_fn=[{"edge": "a>t", "table": table}])
+
+    # Each table code with the message it exits with.
+    bad_tables = {
+        "list_table_code": ([table_code], "table code must be a JSON object"),
+        "qless": ({"edge_fn": []}, "table code has no 'q'"),
+        "string_q": (dict(table_code, q="2"), "q must be an integer"),
+        "bool_q": (dict(table_code, q=True), "q must be an integer"),
+        "dict_edge_fn": (dict(table_code, edge_fn={}), "edge_fn must be a JSON list"),
+        "tableless": (dict(table_code, edge_fn=[{"edge": "a>t"}]), "edge_fn entry has no 'table'"),
+        "int_edge": (dict(table_code, edge_fn=[{"edge": 1, "table": [0, 1]}]),
+                     "edge_fn entry edge must be a string"),
+        "bool_table_entry": (with_table([True, 1]), "edge_fn table entries must be integers"),
+        "float_table_entry": (with_table([0.5, 1]), "edge_fn table entries must be integers"),
+        "string_table": (with_table("01"), "edge_fn table must be a JSON list"),
+        "list_entry": (dict(table_code, edge_fn=[["a>t", [0, 1]]]), "edge_fn entry must be a JSON object"),
+        "short_table": (with_table([0]), "table for edge 'a>t' is not total"),
+    }
     files = {}
     for name, blob in [("net", net), ("code", code), ("headless", headless),
                        ("string_messages", string_messages), ("list_node", list_node),
-                       *bad_codes.items(), *bad_scales.items(), *bad_traces.items()]:
+                       ("table_code", table_code), *bad_codes.items(), *bad_scales.items(),
+                       *bad_traces.items(), *((name, blob) for name, (blob, _) in bad_tables.items())]:
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(blob))
     for argv in (
@@ -324,6 +347,8 @@ def test_malformed_json_exit_1(tmp_path, capsys):
           for name in bad_scales),
         *(["export-dot", "--net", str(files["net"]), "--trace", str(files[name])]
           for name in bad_traces),
+        *(["verify-nonlinear", "--net", str(files["net"]), "--code", str(files[name])]
+          for name in bad_tables),
     ):
         rc = main(argv)
         captured = capsys.readouterr()
@@ -335,6 +360,10 @@ def test_malformed_json_exit_1(tmp_path, capsys):
             assert "source_coeff mat" in captured.err, name
         if name == "wrong_shape":
             assert "('x', 'a>t')" in captured.err
+        if name in bad_tables:
+            assert captured.err == f"error: {bad_tables[name][1]}\n", name
+    assert main(["verify-nonlinear", "--net", str(files["net"]), "--code", str(files["table_code"])]) == 0
+    assert capsys.readouterr().out == "SOLUTION\n"
     # An entry beyond int64 loads, reduced mod p: 10**30 is even, so the
     # source coefficient is 0 and the code is no solution.
     files["huge"] = tmp_path / "huge.json"

@@ -212,7 +212,7 @@ def test_relaxed_check_keeps_every_verdict_and_witness(monkeypatch):
     exact = _StagedProblem.feasible
 
     def last_unit_only(self, t, assign, u=(), open_=()):
-        return bool(open_) or not self.plan.deps[t].issubset(assign) or exact(self, t, assign)
+        return bool(open_) or not self.deps[t].issubset(assign) or exact(self, t, assign)
 
     monkeypatch.setattr(_StagedProblem, "feasible", last_unit_only)
     loose = [search_linear(net, f, k, n) for net in nets for f in (F2, F3) for k, n in RATES]
@@ -234,7 +234,7 @@ def test_relaxed_check_is_sound_under_partial_assignments():
             for k, n in ((1, 1), (2, 1)):
                 prob = _StagedProblem(net, f, k, n, SearchOptions())
                 for t in net.terminal_nodes():
-                    shape = {u: (n, prob.slices[u[1]][-1][2]) for u in sorted(prob.plan.deps[t])}
+                    shape = {u: (n, prob.slices[u[1]][-1][2]) for u in sorted(prob.deps[t])}
                     for _ in range(4):
                         assign = {u: [[rng.randrange(f.p) for _ in range(c)] for _ in range(r)]
                                   for u, (r, c) in shape.items() if rng.random() < 0.5}

@@ -16,6 +16,7 @@ from helpers import (
     mun_path,
     random_code,
     random_subset_demand_network,
+    random_sum_network,
     random_unicast_network,
     sum_bipartite22,
     sum_disconnected22,
@@ -174,12 +175,28 @@ def test_c2_message_demanded_by_two_terminals():
 
 
 def test_c2_differs_from_c1_by_relay_layer():
-    net = mun_path()
-    via_c1, _ = c1(net)
-    via_c2, _ = c2(net)
-    # same terminal count for a unicast input, but c2 inserts the split layers
-    assert len(via_c2.terminals) == len(via_c1.terminals)
-    assert len(via_c2.nodes) == len(via_c1.nodes) + 2
+    # c2 of a unicast network is c1's hub on its type-IA form: the same hub
+    # nodes, hub sources' messages and hub edges with the same roles, only
+    # the source feeds reach the split layer's sources instead.
+    node_roles = ("hub source ", "mix relay ", "fanout relay ")
+    edge_roles = ("extra source feed ", "mix line ", "cross feed ")
+
+    def hub(net, trace):
+        nodes = {v: trace.role(v) for v in net.nodes if (trace.role(v) or "").startswith(node_roles)}
+        edges = {(e.id, e.tail, e.head, trace.role(e.id)) for e in net.edges
+                 if (trace.role(e.id) or "").startswith(edge_roles)}
+        return nodes, edges, {v: net.sources[v] for v in nodes if v in net.sources}
+
+    for net in (mun_path(), mun_crossed()):
+        m = len(net.sources)
+        (via_c1, trace1), (via_c2, trace2) = c1(net), c2(net)
+        # same terminal count for a unicast input, but c2 inserts the split layers
+        assert len(via_c2.terminals) == len(via_c1.terminals)
+        assert len(via_c2.nodes) == len(via_c1.nodes) + 2 * m
+        nodes, edges, sources = hub(via_c1, trace1)
+        assert len(nodes) == 3 * m + 1 and len(edges) == m * (m + 1)
+        assert sorted(sources.values()) == [(f"x{i}",) for i in range(1, m + 2)]
+        assert hub(via_c2, trace2) == (nodes, edges, sources)
 
 
 # -- c3 --------------------------------------------------------------------------
@@ -218,6 +235,21 @@ def test_c3_solvability_equivalence(make, p):
     mun, _ = c3(net)
     f = FieldSpec(p)
     assert search_linear(net, f, 1, 1).verdict == search_linear(mun, f, 1, 1).verdict
+
+
+def test_c3_keeps_scalar_linear_verdicts():
+    # A sum network and c3 of it have the same scalar linear verdict over each
+    # field.  The paper claims this at k = n only: c3's forcing chains make
+    # each r edge carry an invertible multiple of x_i, which needs k = n.
+    rng = random.Random(1)
+    opts = SearchOptions(budget=20_000)
+    for i in range(30):
+        net = random_sum_network(rng, max_nodes=6)
+        mun, _ = c3(net)
+        for f in (F2, F3):
+            want = search_linear(net, f, 1, 1, opts).verdict
+            assert want in ("solvable", "unsolvable"), (i, f.p)
+            assert search_linear(mun, f, 1, 1, opts).verdict == want, (i, f.p)
 
 
 def test_c3_trace_covers_every_added_id():
