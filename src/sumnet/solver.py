@@ -80,6 +80,10 @@ every check is necessary for the exact one, so survivors and witnesses are
 unchanged and no count rises.  ``naive_search_linear`` is the reference
 oracle and checks each terminal only at its last unit.
 
+The check and the decoder solve share one row kernel for every prime p,
+``_PackedRows``, which packs a row into one int; the decoder solve puts its
+unit columns after the message columns of the same rows.
+
 Nothing recurses per bucket, per unit or per free entry, and the walk leaves
 no reference cycle: the shared enumerators are dropped when it ends, so all
 of it is freed by reference counting rather than by the cyclic collector.
@@ -90,6 +94,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations, product, tee
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -232,26 +237,67 @@ def _growth_tables(length: int, q: int) -> Iterator[tuple[tuple[int, ...]]]:
                       if length - i - 2 >= values - used - (w == used)]
 
 
-def _reduce(basis, row, p: int) -> list[int]:
-    """``row`` minus its components along an echelonized basis; zero iff it is in the span."""
-    r = list(row)
-    for pc, br in basis:
-        c = r[pc]
-        if c:
-            r = [(x - c * y) % p for x, y in zip(r, br)]
-    return r
+class _PackedRows:
+    """Rows over GF(p), each one int: column j takes bits [j b, (j + 1) b), b = p.bit_length() + 1.
 
+    A basis is a dict from each row's pivot, its lowest nonzero column, to the
+    row scaled to pivot entry 1; ``cols`` bounds the columns any row uses.
+    """
 
-def _row_basis(rows, p: int) -> list[tuple[int, list[int]]]:
-    """Echelonized spanning set as (pivot column, normalized row) pairs."""
-    basis: list[tuple[int, list[int]]] = []
-    for row in filter(any, rows):
-        r = _reduce(basis, row, p)
-        piv = next((i for i, x in enumerate(r) if x), None)
-        if piv is not None:
-            inv = pow(r[piv], p - 2, p)
-            basis.append((piv, [(x * inv) % p for x in r]))
-    return basis
+    # A scalar up to this is applied by double-and-add, a wider one column by
+    # column: double-and-add alone made s_m(5) over GF(65521) about 1.7x slower.
+    SMALL = 15
+
+    def __init__(self, p: int, cols: int):
+        self.p, self.b = p, p.bit_length() + 1
+        self.mask = (1 << self.b) - 1
+        ones = ((1 << (cols * self.b)) - 1) // self.mask
+        self.bias, self.high = ones * ((1 << (self.b - 1)) - p), ones << (self.b - 1)
+
+    def pack(self, entries) -> int:
+        return sum(int(x) << (j * self.b) for j, x in enumerate(entries))
+
+    def entry(self, r: int, j: int) -> int:
+        return (r >> (j * self.b)) & self.mask
+
+    def pivot(self, r: int) -> int:
+        return ((r & -r).bit_length() - 1) // self.b
+
+    def add(self, x: int, y: int) -> int:
+        """Two reduced rows sum to at most 2p - 2 < 2^b per column, so no carry
+        crosses columns, and the bias sets bit b - 1 exactly where a column reached p."""
+        s = x + y
+        return s - (((s + self.bias) & self.high) >> (self.b - 1)) * self.p
+
+    def mul(self, c: int, r: int) -> int:
+        """c times row r, for 0 < c < p."""
+        if c > self.SMALL:
+            b, m, p = self.b, self.mask, self.p
+            out = shift = 0
+            while r:
+                out |= (r & m) * c % p << shift
+                r >>= b
+                shift += b
+            return out
+        out = r if c & 1 else 0
+        while c := c >> 1:
+            r = self.add(r, r)
+            if c & 1:
+                out = self.add(out, r)
+        return out
+
+    def reduce(self, basis: dict, r: int) -> int:
+        """``r`` minus basis rows until its lowest nonzero column is no pivot; 0 iff r is in the span."""
+        b, m, p = self.b, self.mask, self.p
+        while r and (br := basis.get(j := ((r & -r).bit_length() - 1) // b)) is not None:
+            r = self.add(r, self.mul(p - ((r >> j * b) & m), br))
+        return r
+
+    def insert(self, basis: dict, r: int) -> None:
+        """Add row r to the span of ``basis``."""
+        if r := self.reduce(basis, r):
+            j = self.pivot(r)
+            basis[j] = self.mul(pow(self.entry(r, j), self.p - 2, self.p), r)
 
 
 @lru_cache(maxsize=None)
@@ -348,37 +394,50 @@ class _BucketSearch:
         self.count = 0
         pos = {u: i for i, u in enumerate(candidates)}
         self.prechecks = sorted(t for t in terminals if not deps[t])
-        todo = sorted(t for t in terminals if deps[t])
+        # Each bucket's lead is the terminal with the fewest units left, least
+        # id first, from a heap that skips stale counts.
+        left = {t: len(deps[t]) for t in terminals if deps[t]}
+        readers: dict[tuple, list[str]] = {}
+        for t in left:
+            for u in deps[t]:
+                readers.setdefault(u, []).append(t)
+        heap = [(c, t) for t, c in left.items()]
+        heapify(heap)
         placed: set = set()
         self.buckets: list[_Bucket] = []
-        while todo:
-            lead = min(todo, key=lambda t: (len(deps[t] - placed), t))
-            fresh = sorted(deps[lead] - placed, key=lambda u: pos[u])
-            fresh_set = set(fresh)
-            covered = placed | fresh_set
-            fired = {t for t in todo if deps[t] <= covered}
+        while heap:
+            c, lead = heappop(heap)
+            if left[lead] != c:
+                continue
+            fresh = sorted((u for u in deps[lead] if u not in placed), key=pos.__getitem__)
+            fired = []
+            for u in fresh:
+                placed.add(u)
+                for t in readers[u]:
+                    left[t] -= 1
+                    if left[t]:
+                        heappush(heap, (left[t], t))
+                    else:
+                        fired.append(t)
             local, cross = [], []
             at = {u: i for i, u in enumerate(fresh)}
             for t in sorted(fired):
-                last = max(at[u] for u in deps[t] if u in at)
-                (local if deps[t] <= fresh_set else cross).append((last, t))
+                *cone, last = sorted(at[u] for u in deps[t] if u in at)
+                (local if len(cone) + 1 == len(deps[t]) else cross).append((last, t, cone))
             # With local checks, a shared survivor list filtered by the cross
             # checks; without, the list would be the whole product, so the
             # cross checks run while the bucket is enumerated instead.
-            checks, cross_checks = (local, [t for _, t in cross]) if local else (cross, [])
+            checks, cross_checks = (local, [t for _, t, _ in cross]) if local else (cross, [])
             b = _Bucket(fresh, {}, {}, cross_checks, contextual=not local)
-            for last, t in sorted(checks):
+            for last, t, cone in sorted(checks):
                 b.checks_at.setdefault(last, []).append(t)
                 if not relaxed:
                     continue
-                cone = [d for d in range(last) if fresh[d] in deps[t]]
                 for d in [-1] + cone:
                     b.checks_at.setdefault(d, []).append(t)
                 for d in cone + [last] if opts.reduce else ():
                     b.prefixes_at.setdefault(d, []).append(t)
             self.buckets.append(b)
-            placed = covered
-            todo = [t for t in todo if t not in fired]
         self.unobserved = [u for u in candidates if u not in placed]
         # Per shared bucket: an unread tee of its enumerator, which buffers its survivors.
         self.memo: dict[int, Iterator[tuple]] = {}
@@ -478,9 +537,9 @@ class _BucketSearch:
 class _StagedProblem:
     """Precomputation for one (network, field, k, n, options) linear search.
 
-    Symbolic edge maps are n x (#messages * k) integer row lists; the
-    feasibility check and the decoder solve work on them with plain integer
-    arithmetic.
+    A symbolic edge map is a list of n rows over the #messages * k message
+    columns, each packed into one int by ``self.gf``; the feasibility check and
+    the decoder solve work on them with its row operations.
     """
 
     def __init__(self, net: Network, fieldspec: FieldSpec, k: int, n: int, opts: SearchOptions):
@@ -508,13 +567,9 @@ class _StagedProblem:
             else:
                 enum = _rref_matrices if opts.reduce else _all_matrices
                 self.candidates[("block", eid)] = partial(enum, n, ends[-1], self.p)
+        self.gf = _PackedRows(self.p, self.width)
         # A message's k symbols enter its source's blocks as unit rows.
-        self.unit_rows = {
-            m: [[int(w == i * k + j) for w in range(self.width)] for j in range(k)]
-            for i, m in enumerate(msgs)
-        }
-        # The map of an edge whose block is unassigned; nothing mutates its rows.
-        self.zero = [[0] * self.width] * n
+        self.unit_rows = {m: [1 << ((i * k + j) * self.gf.b) for j in range(k)] for i, m in enumerate(msgs)}
 
         self.cone = _backward_cones(net)
         self.deps = {
@@ -522,52 +577,45 @@ class _StagedProblem:
         }
 
         # Edges whose symbolic map never changes during the search.
-        self.const_maps: dict[str, list[list[int]]] = {}
+        self.const_maps: dict[str, list[int]] = {}
         for eid, us in keys.items():
             if eid in self.pinned and all(u[0] == "alpha" or u[1] in self.const_maps for u in us):
                 self.const_maps[eid] = self._eval_edge(self.pinned[eid], self._inputs(eid, self.const_maps))
 
         target = target_transfer_array(net, fieldspec, k)
-        self.targets: dict[str, list[list[int]]] = {}
+        self.targets: dict[str, list[int]] = {}
         for i, (t, _label) in enumerate(transfer_rows(net)):
-            self.targets.setdefault(t, []).extend(target[i * k:(i + 1) * k].tolist())
+            self.targets.setdefault(t, []).extend(map(self.gf.pack, target[i * k:(i + 1) * k].tolist()))
 
     def _block(self, eid: str, assign: dict) -> Optional[Sequence]:
         """The edge's pinned or assigned block, or None while it is unassigned."""
         return self.pinned[eid] if eid in self.pinned else assign.get(("block", eid))
 
-    def _inputs(self, eid: str, maps: dict) -> list[list[int]]:
+    def _inputs(self, eid: str, maps: dict) -> list[int]:
         """The rows edge eid's block multiplies: its in-edges' maps, or its source's message rows."""
         return [row for u, _, _ in self.slices[eid]
                 for row in (self.unit_rows[u[1]] if u[0] == "alpha" else maps[u[1]])]
 
-    def _eval_edge(self, block: Sequence, ins: list[list[int]]) -> list[list[int]]:
+    def _eval_edge(self, block: Sequence, ins: list[int]) -> list[int]:
         """``block`` times the stacked rows ``ins``."""
-        p = self.p
+        add, mul = self.gf.add, self.gf.mul
         m = []
         for brow in block:
-            row = [0] * self.width
+            row = 0
             for c, srow in zip(brow, ins):
-                if c and any(srow):
-                    row = [x + c * y for x, y in zip(row, srow)]
-            m.append([x % p for x in row])
+                if c and srow:
+                    row = add(row, mul(c, srow)) if row else mul(c, srow)
+            m.append(row)
         return m
 
     def _cone_maps(self, t: str, assign: dict, u: tuple = (), open_: Sequence = ()) -> tuple[dict, list]:
         """Maps of t's cone edges under a partial assignment, and the cone's loose rows.
 
-        An unassigned block gives its edge the zero map and makes the rows it
-        multiplies loose; block u, with its ``open_`` entries at 0, makes its
-        rows at the open columns loose.  Under any completion, an edge's true
-        map is its map plus rows in the span of the loose rows made upstream
-        of it.  Every cone edge has a path to t, each step e -> e' of which is
-        a ("beta", e, e') key, as tail(e') has an in-edge and is no source,
-        and no edge downstream of an open block has a constant map.  So every
-        loose row of the cone reaches t's in-edges, and no edge needs to track
-        which loose rows it carries.
+        The module docstring says which rows are loose and why every loose row
+        of the cone reaches t's in-edges, so no edge tracks the loose rows it carries.
         """
-        maps: dict[str, list[list[int]]] = {}
-        loose: list[list[int]] = []
+        maps: dict[str, list[int]] = {}
+        loose: list[int] = []
         for eid in self.cone[t]:
             if eid in self.const_maps:
                 maps[eid] = self.const_maps[eid]
@@ -575,7 +623,7 @@ class _StagedProblem:
             ins = self._inputs(eid, maps)
             block = self._block(eid, assign)
             if block is None:
-                maps[eid] = self.zero
+                maps[eid] = [0] * self.n
                 loose += ins
             else:
                 maps[eid] = self._eval_edge(block, ins)
@@ -586,33 +634,34 @@ class _StagedProblem:
     def feasible(self, t: str, assign: dict, u: tuple = (), open_: Sequence = ()) -> bool:
         """Every target row of t lies in the span of its in-edge maps and its cone's loose rows.
 
-        The loose rows are the rows each unassigned block of t's cone
-        multiplies and block u's rows at the open columns.  Each such block
-        reaches t along local coefficients, so under any completion t's
-        in-edge maps are the computed ones plus rows in the loose span.
         With every block assigned this is exact: decoders exist iff it holds.
-        Under a partial assignment, or with block u's ``open_`` entries at 0,
-        a False answer rules out every completion.
+        Otherwise, as the module docstring shows, a False answer rules out every completion.
         """
         maps, spare = self._cone_maps(t, assign, u, open_)
-        basis = _row_basis([row for e in self.net.in_edges(t) for row in maps[e.id]] + spare, self.p)
-        return not any(any(_reduce(basis, trow, self.p)) for trow in self.targets[t])
+        basis: dict[int, int] = {}
+        for row in [row for e in self.net.in_edges(t) for row in maps[e.id]] + spare:
+            self.gf.insert(basis, row)
+        return not any(self.gf.reduce(basis, trow) for trow in self.targets[t])
 
     def solve_terminal(self, t: str, assign: dict) -> Optional[list[list[int]]]:
         """Per target row of t, its coefficients on t's stacked in-edge rows, or None if infeasible.
 
-        Each row carries its unit vector, and only rows independent of the
-        earlier ones enter the basis, so every free variable is 0.
+        Row j carries a unit entry in column width + j, and only rows
+        independent of the earlier ones enter the basis, so every free
+        variable is 0.
         """
         maps = self._cone_maps(t, assign)[0]
         rows = [row for e in self.net.in_edges(t) for row in maps[e.id]]
-        w, p = self.width, self.p
-        basis: list[tuple[int, list[int]]] = []
+        w, gf = self.width, _PackedRows(self.p, self.width + len(rows))
+        messages = (1 << (w * gf.b)) - 1
+        basis: dict[int, int] = {}
         for j, row in enumerate(rows):
-            r = _reduce(basis, row + [int(i == j) for i in range(len(rows))], p)
-            basis += _row_basis([r], p) if any(r[:w]) else []
-        rest = [_reduce(basis, trow + [0] * len(rows), p) for trow in self.targets[t]]
-        return None if any(any(r[:w]) for r in rest) else [[-x % p for x in r[w:]] for r in rest]
+            r = gf.reduce(basis, row | 1 << ((w + j) * gf.b))
+            if r & messages:
+                gf.insert(basis, r)
+        rest = [gf.reduce(basis, trow) for trow in self.targets[t]]
+        return None if any(r & messages for r in rest) else [
+            [-gf.entry(r, w + j) % self.p for j in range(len(rows))] for r in rest]
 
     def witness(self, assign: dict) -> LinearCode:
         """The code of a search result, every unit assigned."""

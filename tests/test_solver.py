@@ -5,6 +5,7 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumnet import (
     BudgetExceededError,
@@ -23,7 +24,7 @@ from sumnet import (
 from sumnet.codes import code_to_dict, nonlinear_to_dict
 from sumnet.families import FamilySpec, bottleneck_mun, component
 from sumnet.netmodel import Demand, Edge, Network, min_source_terminal_cut, reachable, recover, reverse_network
-from sumnet.solver import _all_matrices, _growth_tables, _rref_matrices, _StagedProblem
+from sumnet.solver import _all_matrices, _growth_tables, _PackedRows, _rref_matrices, _StagedProblem
 from sumnet.transforms import c1, c2, c3
 
 from helpers import (
@@ -199,6 +200,80 @@ def test_gauge_fixed_unreduced_and_naive_agree():
                     assert search_linear(net, f, k, n, SearchOptions(reduce=False)).verdict == on.verdict, key
                 if (k, n) in NAIVE_AT.get((net.name, f.p), ()):
                     assert naive_search_linear(net, f, k, n, budget=60_000).verdict == on.verdict, key
+
+
+def _list_rank(rows: list, p: int) -> int:
+    """Rank over GF(p) by Gauss-Jordan elimination on lists."""
+    rows, rank = [r[:] for r in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class _ListCheckedRows(_PackedRows):
+    """The packed row kernel with each add and mul checked against lists, and each basis before use."""
+
+    def __init__(self, p: int, cols: int):
+        super().__init__(p, cols)
+        self.cols = cols
+
+    def unpack(self, r: int) -> list:
+        assert 0 <= r < 1 << (self.cols * self.b)
+        return [self.entry(r, j) for j in range(self.cols)]
+
+    def add(self, x: int, y: int) -> int:
+        s = super().add(x, y)
+        assert self.unpack(s) == [(a + b) % self.p for a, b in zip(self.unpack(x), self.unpack(y))]
+        return s
+
+    def mul(self, c: int, r: int) -> int:
+        out = super().mul(c, r)
+        assert self.unpack(out) == [c * a % self.p for a in self.unpack(r)]
+        return out
+
+    def reduce(self, basis: dict, r: int) -> int:
+        assert all(self.pivot(br) == j and self.entry(br, j) == 1 for j, br in basis.items())
+        return super().reduce(basis, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_rows_match_list_arithmetic(data):
+    # Entries at p - 1 make columns sum to 2p - 2, the largest a column holds
+    # before reduction, and scalars above _PackedRows.SMALL take the column path.
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 65521]), "p")
+    w = data.draw(st.integers(1, 64), "width")
+    gf = _ListCheckedRows(p, w)
+    row = st.lists(st.integers(0, p - 1), min_size=w, max_size=w)
+    scalar = st.one_of(st.integers(1, min(p - 1, _PackedRows.SMALL)), st.integers(1, p - 1))
+    x, y, c = data.draw(row, "x"), data.draw(row, "y"), data.draw(scalar, "c")
+    for j in data.draw(st.sets(st.integers(0, w - 1)), "columns at p - 1 in both"):
+        x[j] = y[j] = p - 1
+    assert gf.unpack(gf.pack(x)) == x
+    gf.add(gf.pack(x), gf.pack(y))
+    gf.mul(c, gf.pack(x))
+    if any(x):
+        assert gf.pivot(gf.pack(x)) == min(j for j, a in enumerate(x) if a)
+
+    rows = data.draw(st.lists(row, max_size=6), "rows")
+    basis: dict = {}
+    for r in rows:
+        gf.insert(basis, gf.pack(r))
+    assert len(basis) == _list_rank(rows, p)
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)), "coeffs")
+    inside = [sum(a * r[j] for a, r in zip(coeffs, rows)) % p for j in range(w)]
+    assert gf.reduce(basis, gf.pack(inside)) == 0
+    assert (gf.reduce(basis, gf.pack(x)) == 0) == (_list_rank(rows + [x], p) == len(basis))
 
 
 def test_relaxed_check_keeps_every_verdict_and_witness(monkeypatch):
@@ -438,6 +513,11 @@ def test_determinism():
         # the first bucket's assignment with that check inline.
         (rand[45], F2, 1, 1, "solvable", 8),
         (rand[45], F3, 1, 1, "solvable", 8),
+        # Wide fields, where a row scalar is applied column by column.
+        (s_m_star(4), FieldSpec(65521), 1, 1, "solvable", 9),
+        (s_m(3), FieldSpec(257), 1, 1, "unsolvable", 518),
+        (s_m(5), FieldSpec(257), 1, 1, "unsolvable", 1_036),
+        (two_message_source(), FieldSpec(257), 1, 1, "solvable", 259),
     ]
     for net, f, k, n, verdict, enumerated in cases:
         a = search_linear(net, f, k, n)
@@ -446,6 +526,9 @@ def test_determinism():
         assert (b.verdict, b.enumerated) == (verdict, enumerated), (net.name, f.p, k, n)
         assert a.witness == b.witness
     assert code_to_dict(search_linear(s_m_star(4), F3, 1, 1).witness) == S4_STAR_GF3_WITNESS
+    # Over GF(65521), t_4 scales by 2^{-1} = 32761.
+    wide = code_to_dict(search_linear(s_m_star(4), FieldSpec(65521), 1, 1).witness)["decode_coeff"]
+    assert [d["mat"] for d in wide if d["terminal"] == "t_4"] == [[[32761]]] * 3
     # Unreduced, the 2 x 4 relay blocks run over all 256 matrices, not 35.
     off = search_linear(s_m(3), F2, 2, 2, SearchOptions(reduce=False))
     assert (off.verdict, off.enumerated) == ("unsolvable", 554)
