@@ -8,8 +8,9 @@ stay cheap to write down.
 
 The transfer matrix between the stacked source messages and the stacked
 terminal recoveries is computed by propagating symbolic edge maps in
-topological order; on small graphs the tests cross-check it against the
-path-gain-sum definition by explicit path enumeration.
+topological order, each row packed into one int by ``gflin.PackedRows``, the
+row kernel the search uses; on small graphs the tests cross-check it against
+the path-gain-sum definition by explicit path enumeration.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .gflin import DimensionMismatch, FieldSpec, MatrixGF
+from .gflin import DimensionMismatch, FieldSpec, MatrixGF, PackedRows
 from .netmodel import (
     Demand, Network, NetworkError, json_int, json_key, json_list, json_str, json_text, reverse_id,
     reverse_roles,
@@ -154,45 +155,59 @@ def transfer_rows(net: Network) -> tuple[tuple[str, str], ...]:
     return tuple((t, label) for t in net.terminal_nodes() for label in net.terminals[t].slots())
 
 
-def transfer_array(net: Network, code: LinearCode) -> np.ndarray:
-    """The transfer matrix as a raw array, which may have no rows or no columns.
+def message_rows(net: Network, gf: PackedRows, k: int) -> dict[str, list[int]]:
+    """Each message's k symbols as unit rows over the stacked message columns, packed by ``gf``."""
+    return {m: [gf.unit(i * k + j) for j in range(k)] for i, m in enumerate(net.messages())}
 
-    One walk in topological order, reading only the keys ``coefficient_table``
-    names.  A source writes its out-edges' maps of the stacked messages.  Any
-    other node pops its in-edges' maps, reduces each mod p, sums its out-edges'
-    maps from them unreduced and adds its decoder rows, so only the maps of
-    edges whose head is still ahead stay alive.  Each entry stays below
-    in-degree * n * p**2, far under 2**63 for p <= 2**16.
+
+def target_rows(net: Network, gf: PackedRows, k: int) -> dict[str, list[int]]:
+    """Per terminal, the k rows per slot a solution recovers: the slot's message, or every message summed."""
+    units = message_rows(net, gf, k)
+    out: dict[str, list[int]] = {t: [] for t in net.terminal_nodes()}
+    for t, label in transfer_rows(net):
+        msgs = units if net.terminals[t].kind == "sum" else [label]
+        out[t] += [sum(units[m][j] for m in msgs) for j in range(k)]
+    return out
+
+
+def _recovered_rows(net: Network, code: LinearCode) -> tuple[PackedRows, dict[str, list[int]]]:
+    """The row kernel, and per terminal its recovered rows, k per slot, over the stacked message columns.
+
+    One walk in topological order over the keys ``coefficient_table`` names.  Each node
+    pops its in-edges' maps, so only the maps of edges whose head is still ahead stay alive.
     """
-    p, k, n = code.field.p, code.k, code.n
-    msgs = net.messages()
-    off = {m: i * k for i, m in enumerate(msgs)}
-    rows = transfer_rows(net)
-    first = {t: i * k for i, (t, _label) in reversed(tuple(enumerate(rows)))}  # each terminal's first row
-    maps: dict[str, np.ndarray] = {}  # an edge never written carries the zero map
-    out = np.zeros((len(rows) * k, len(msgs) * k), dtype=np.int64)
+    gf = PackedRows(code.field.p, len(net.messages()) * code.k)
+    units = message_rows(net, gf, code.k)
+    maps: dict[str, list[int]] = {}
+    out: dict[str, list[int]] = {}
+
+    def combine(coeffs: Mapping, ins: list[tuple[tuple, list[int]]], rows: int) -> list[int]:
+        """The sum over the keys of ``ins`` of the coefficient there times the key's input rows."""
+        acc = [0] * rows
+        for key, x in ins:
+            if (m := coeffs.get(key)) is not None:
+                if m.array().shape != (rows, len(x)):
+                    raise CodeError(f"coefficient {key} must be {rows} x {len(x)}")
+                acc = [gf.add(a, y) if a else y for a, y in zip(acc, gf.times(m.tolists(), x))]
+        return acc
+
     for v in net.topo_order():
         if v in net.sources:
-            for e in net.out_edges(v):
-                for msg in net.sources[v]:
-                    if (m := code.source_coeff.get((msg, e.id))) is not None:
-                        if e.id not in maps:
-                            maps[e.id] = np.zeros((n, len(msgs) * k), dtype=np.int64)
-                        maps[e.id][:, off[msg]:off[msg] + k] = m.array()
-            continue
-        ins = [(e.id, x % p) for e in net.in_edges(v) if (x := maps.pop(e.id, None)) is not None]
+            coeffs, ins = code.source_coeff, [(m, units[m]) for m in net.sources[v]]
+        else:
+            coeffs, ins = code.local_coeff, [(e.id, maps.pop(e.id)) for e in net.in_edges(v)]
         for e in net.out_edges(v):
-            for a, x in ins:
-                if (m := code.local_coeff.get((a, e.id))) is not None:
-                    maps[e.id] = m.array() @ x + maps[e.id] if e.id in maps else m.array() @ x
+            maps[e.id] = combine(coeffs, [((a, e.id), x) for a, x in ins], code.n)
         if v in net.terminals:
-            for slot in range(len(net.terminals[v].slots())):
-                r = first[v] + slot * k
-                for a, x in ins:
-                    if (m := code.decode_coeff.get((v, a, slot))) is not None:
-                        out[r:r + k] += m.array() @ x
-    out %= p
-    return out
+            out[v] = [row for slot in range(len(net.terminals[v].slots()))
+                      for row in combine(code.decode_coeff, [((v, a, slot), x) for a, x in ins], code.k)]
+    return gf, out
+
+
+def transfer_array(net: Network, code: LinearCode) -> np.ndarray:
+    """The transfer matrix as a raw array, which may have no rows or no columns: the walk's rows, unpacked."""
+    gf, rows = _recovered_rows(net, code)
+    return gf.array([r for t in net.terminal_nodes() for r in rows[t]], len(net.messages()) * code.k)
 
 
 def transfer_matrix(net: Network, code: LinearCode) -> TransferMatrix:
@@ -203,26 +218,10 @@ def transfer_matrix(net: Network, code: LinearCode) -> TransferMatrix:
     return TransferMatrix(code.field, code.k, transfer_rows(net), net.messages(), matrix)
 
 
-def target_transfer_array(net: Network, field: FieldSpec, k: int) -> np.ndarray:
-    """The transfer matrix a solution must equal, as a raw array."""
-    msgs = net.messages()
-    col = {m: i for i, m in enumerate(msgs)}
-    rows = transfer_rows(net)
-    out = np.zeros((len(rows) * k, len(msgs) * k), dtype=np.int64)
-    eye = np.eye(k, dtype=np.int64)
-    for i, (t, label) in enumerate(rows):
-        if net.terminals[t].kind == "sum":
-            for j in range(len(msgs)):
-                out[i * k:(i + 1) * k, j * k:(j + 1) * k] = eye
-        else:
-            j = col[label]
-            out[i * k:(i + 1) * k, j * k:(j + 1) * k] = eye
-    return out
-
-
 def is_solution(net: Network, code: LinearCode) -> bool:
-    """True iff the transfer matrix hits the demand-appropriate target exactly."""
-    return np.array_equal(transfer_array(net, code), target_transfer_array(net, code.field, code.k))
+    """True iff every terminal recovers exactly its target rows, so the transfer matrix hits its target."""
+    gf, rows = _recovered_rows(net, code)
+    return rows == target_rows(net, gf, code.k)
 
 
 def path_gain(
@@ -489,6 +488,8 @@ def _uniform_coeffs(entries: tuple, keys: tuple[str, ...], field: FieldSpec) -> 
 def code_from_dict(d: dict) -> LinearCode:
     f = FieldSpec(json_int(json_key(d, "field", "linear code", CodeError), "field", CodeError))
     k, n = (json_int(json_key(d, x, "linear code", CodeError), x, CodeError) for x in ("k", "n"))
+    if k < 1 or n < 1:
+        raise CodeError("k and n must be positive")
     coeffs = {}
     for section, parts in _LINEAR_SECTIONS.items():
         entries = json_list(d.get(section, []), section, CodeError)

@@ -8,6 +8,7 @@ from typing import Optional
 from .codes import LinearCode, coefficient_table, identity_code, linear_code
 from .gflin import FieldSpec, MatrixGF
 from .netmodel import Demand, Edge, Network, NetworkError, recover
+from .transforms import c2
 
 FAMILIES = ("s_m", "s_m_star", "component", "bottleneck_mun")
 
@@ -166,8 +167,6 @@ def _bottleneck_fractional_code(m: int, field: FieldSpec) -> LinearCode:
     to every left terminal while the mix lines carry only x_{m+1}.  Second
     slot: each right terminal combines its direct edge with its mix line.
     """
-    from .transforms import c2  # deferred to avoid an import cycle
-
     net, trace = c2(bottleneck_mun(m))
     top = MatrixGF(field, [[1], [0]])
     bottom = MatrixGF(field, [[0], [1]])

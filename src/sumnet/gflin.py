@@ -1,4 +1,4 @@
-"""Exact arithmetic over prime fields GF(p) and dense matrices over them."""
+"""Exact arithmetic over prime fields GF(p): dense matrices, and rows packed into ints."""
 
 from __future__ import annotations
 
@@ -190,3 +190,88 @@ def solve_right(a: MatrixGF, b: MatrixGF) -> Optional[MatrixGF]:
     for i, c in enumerate(pivots):
         x[c] = r[i, a.cols:]
     return MatrixGF.from_array(a.field, x)
+
+
+class PackedRows:
+    """Rows over GF(p), each one int: column j takes bits [j b, (j + 1) b), b = p.bit_length() + 1.
+
+    A basis is a dict from each row's pivot, its lowest nonzero column, to the
+    row scaled to pivot entry 1; ``cols`` bounds the columns any row uses.
+    """
+
+    # Scalars up to SMALL take repeated adds, wider ones a Montgomery product; the two tie at c = 4.
+    SMALL = 3
+
+    def __init__(self, p: int, cols: int):
+        self.p, self.b = p, p.bit_length() + 1
+        self.mask = (1 << self.b) - 1
+        ones = ((1 << (cols * self.b)) - 1) // self.mask
+        self.bias, self.high = ones * ((1 << (self.b - 1)) - p), ones << (self.b - 1)
+        # The even and the odd columns, each column the low half of a 2b-bit window; -1/p mod 2^b.
+        even = ((1 << ((cols + 1) // 2 * 2 * self.b)) - 1) // ((1 << 2 * self.b) - 1) * self.mask
+        self.halves, self.pinv = (even, even << self.b), pow(-p, -1, 1 << self.b) if p > 2 else 0
+
+    def unit(self, j: int) -> int:
+        return 1 << (j * self.b)
+
+    def entry(self, r: int, j: int) -> int:
+        return (r >> (j * self.b)) & self.mask
+
+    def pivot(self, r: int) -> int:
+        return ((r & -r).bit_length() - 1) // self.b
+
+    def add(self, x: int, y: int) -> int:
+        """Two reduced rows sum to at most 2p - 2 < 2^b per column, so no carry
+        crosses columns, and the bias sets bit b - 1 exactly where a column reached p."""
+        s = x + y
+        return s - (((s + self.bias) & self.high) >> (self.b - 1)) * self.p
+
+    def mul(self, c: int, r: int) -> int:
+        """c times row r, for 0 < c < p."""
+        if c > self.SMALL:
+            # Even, then odd columns: x = entry (c 2^b mod p) < p 2^b fills the column's window; adding
+            # (x pinv mod 2^b) p clears the window's low half and leaves c entry mod p, below 2p, above it.
+            c, out = (c << self.b) % self.p, 0
+            for half in self.halves:
+                x = (r & half) * c
+                out |= x + ((x & half) * self.pinv & half) * self.p
+            return self.add(out >> self.b, 0)
+        out = r
+        for _ in range(c - 1):
+            out = self.add(out, r)
+        return out
+
+    def times(self, block: Iterable[Iterable[int]], rows: list[int]) -> list[int]:
+        """``block``, a matrix of ints in [0, p), times the stacked ``rows``: one row per block row."""
+        add, mul = self.add, self.mul
+        out = []
+        for brow in block:
+            row = 0
+            for c, srow in zip(brow, rows):
+                if c and srow:
+                    row = add(row, mul(c, srow)) if row else mul(c, srow)
+            out.append(row)
+        return out
+
+    def array(self, rows: list[int], cols: int) -> np.ndarray:
+        """The rows as a len(rows) x cols int64 array, unpacked one bit plane at a time to keep the peak low."""
+        size = (cols * self.b + 7) // 8
+        data = np.frombuffer(b"".join(r.to_bytes(size, "little") for r in rows), dtype=np.uint8)
+        bits = np.unpackbits(data.reshape(len(rows), size), axis=1, count=cols * self.b, bitorder="little")
+        out = np.zeros((len(rows), cols), dtype=np.int64)
+        for i in range(self.b - 1):  # bit b - 1 of a reduced entry is 0
+            out |= bits[:, i::self.b].astype(np.int64) << i
+        return out
+
+    def reduce(self, basis: dict, r: int) -> int:
+        """``r`` minus basis rows until its lowest nonzero column is no pivot; 0 iff r is in the span."""
+        b, m, p = self.b, self.mask, self.p
+        while r and (br := basis.get(j := ((r & -r).bit_length() - 1) // b)) is not None:
+            r = self.add(r, self.mul(p - ((r >> j * b) & m), br))
+        return r
+
+    def insert(self, basis: dict, r: int) -> None:
+        """Add row r to the span of ``basis``."""
+        if r := self.reduce(basis, r):
+            j = self.pivot(r)
+            basis[j] = self.mul(pow(self.entry(r, j), self.p - 2, self.p), r)

@@ -80,9 +80,9 @@ every check is necessary for the exact one, so survivors and witnesses are
 unchanged and no count rises.  ``naive_search_linear`` is the reference
 oracle and checks each terminal only at its last unit.
 
-The check and the decoder solve share one row kernel for every prime p,
-``_PackedRows``, which packs a row into one int; the decoder solve puts its
-unit columns after the message columns of the same rows.
+The check, the decoder solve and the witness's re-verification share the row
+kernel ``gflin.PackedRows`` and the rows of ``codes.message_rows`` and
+``target_rows``; the decoder solve puts its unit columns after the message columns.
 
 Nothing recurses per bucket, per unit or per free entry, and the walk leaves
 no reference cycle: the shared enumerators are dropped when it ends, so all
@@ -106,17 +106,18 @@ from .codes import (
     demanded_symbol,
     is_solution,
     linear_code,
+    message_rows,
     nonlinear_to_dict,
     source_inputs,
     table_arities,
     table_index,
     table_symbols,
-    target_transfer_array,
+    target_rows,
     transfer_rows,
     verify_nonlinear,
 )
 from .families import FamilySpec, generate
-from .gflin import FieldSpec, MatrixGF
+from .gflin import FieldSpec, MatrixGF, PackedRows
 from .netmodel import Network
 
 SOLVABLE = "solvable"
@@ -235,69 +236,6 @@ def _growth_tables(length: int, q: int) -> Iterator[tuple[tuple[int, ...]]]:
         else:
             stack += [(i + 1, w, used) for w in reversed(range(min(used + 1, q)))
                       if length - i - 2 >= values - used - (w == used)]
-
-
-class _PackedRows:
-    """Rows over GF(p), each one int: column j takes bits [j b, (j + 1) b), b = p.bit_length() + 1.
-
-    A basis is a dict from each row's pivot, its lowest nonzero column, to the
-    row scaled to pivot entry 1; ``cols`` bounds the columns any row uses.
-    """
-
-    # A scalar up to this is applied by double-and-add, a wider one column by
-    # column: double-and-add alone made s_m(5) over GF(65521) about 1.7x slower.
-    SMALL = 15
-
-    def __init__(self, p: int, cols: int):
-        self.p, self.b = p, p.bit_length() + 1
-        self.mask = (1 << self.b) - 1
-        ones = ((1 << (cols * self.b)) - 1) // self.mask
-        self.bias, self.high = ones * ((1 << (self.b - 1)) - p), ones << (self.b - 1)
-
-    def pack(self, entries) -> int:
-        return sum(int(x) << (j * self.b) for j, x in enumerate(entries))
-
-    def entry(self, r: int, j: int) -> int:
-        return (r >> (j * self.b)) & self.mask
-
-    def pivot(self, r: int) -> int:
-        return ((r & -r).bit_length() - 1) // self.b
-
-    def add(self, x: int, y: int) -> int:
-        """Two reduced rows sum to at most 2p - 2 < 2^b per column, so no carry
-        crosses columns, and the bias sets bit b - 1 exactly where a column reached p."""
-        s = x + y
-        return s - (((s + self.bias) & self.high) >> (self.b - 1)) * self.p
-
-    def mul(self, c: int, r: int) -> int:
-        """c times row r, for 0 < c < p."""
-        if c > self.SMALL:
-            b, m, p = self.b, self.mask, self.p
-            out = shift = 0
-            while r:
-                out |= (r & m) * c % p << shift
-                r >>= b
-                shift += b
-            return out
-        out = r if c & 1 else 0
-        while c := c >> 1:
-            r = self.add(r, r)
-            if c & 1:
-                out = self.add(out, r)
-        return out
-
-    def reduce(self, basis: dict, r: int) -> int:
-        """``r`` minus basis rows until its lowest nonzero column is no pivot; 0 iff r is in the span."""
-        b, m, p = self.b, self.mask, self.p
-        while r and (br := basis.get(j := ((r & -r).bit_length() - 1) // b)) is not None:
-            r = self.add(r, self.mul(p - ((r >> j * b) & m), br))
-        return r
-
-    def insert(self, basis: dict, r: int) -> None:
-        """Add row r to the span of ``basis``."""
-        if r := self.reduce(basis, r):
-            j = self.pivot(r)
-            basis[j] = self.mul(pow(self.entry(r, j), self.p - 2, self.p), r)
 
 
 @lru_cache(maxsize=None)
@@ -547,8 +485,7 @@ class _StagedProblem:
         self.field = fieldspec
         self.p = fieldspec.p
         self.k, self.n = k, n
-        msgs = net.messages()
-        self.width = len(msgs) * k
+        self.width = len(net.messages()) * k
 
         # The one place the reduction is decided: each out-edge's coefficients
         # side by side form one n x cols block, pinned to eye(n, cols) when
@@ -567,9 +504,9 @@ class _StagedProblem:
             else:
                 enum = _rref_matrices if opts.reduce else _all_matrices
                 self.candidates[("block", eid)] = partial(enum, n, ends[-1], self.p)
-        self.gf = _PackedRows(self.p, self.width)
-        # A message's k symbols enter its source's blocks as unit rows.
-        self.unit_rows = {m: [1 << ((i * k + j) * self.gf.b) for j in range(k)] for i, m in enumerate(msgs)}
+        self.gf = PackedRows(self.p, self.width)
+        self.unit_rows = message_rows(net, self.gf, k)
+        self.targets = target_rows(net, self.gf, k)
 
         self.cone = _backward_cones(net)
         self.deps = {
@@ -580,12 +517,7 @@ class _StagedProblem:
         self.const_maps: dict[str, list[int]] = {}
         for eid, us in keys.items():
             if eid in self.pinned and all(u[0] == "alpha" or u[1] in self.const_maps for u in us):
-                self.const_maps[eid] = self._eval_edge(self.pinned[eid], self._inputs(eid, self.const_maps))
-
-        target = target_transfer_array(net, fieldspec, k)
-        self.targets: dict[str, list[int]] = {}
-        for i, (t, _label) in enumerate(transfer_rows(net)):
-            self.targets.setdefault(t, []).extend(map(self.gf.pack, target[i * k:(i + 1) * k].tolist()))
+                self.const_maps[eid] = self.gf.times(self.pinned[eid], self._inputs(eid, self.const_maps))
 
     def _block(self, eid: str, assign: dict) -> Optional[Sequence]:
         """The edge's pinned or assigned block, or None while it is unassigned."""
@@ -595,18 +527,6 @@ class _StagedProblem:
         """The rows edge eid's block multiplies: its in-edges' maps, or its source's message rows."""
         return [row for u, _, _ in self.slices[eid]
                 for row in (self.unit_rows[u[1]] if u[0] == "alpha" else maps[u[1]])]
-
-    def _eval_edge(self, block: Sequence, ins: list[int]) -> list[int]:
-        """``block`` times the stacked rows ``ins``."""
-        add, mul = self.gf.add, self.gf.mul
-        m = []
-        for brow in block:
-            row = 0
-            for c, srow in zip(brow, ins):
-                if c and srow:
-                    row = add(row, mul(c, srow)) if row else mul(c, srow)
-            m.append(row)
-        return m
 
     def _cone_maps(self, t: str, assign: dict, u: tuple = (), open_: Sequence = ()) -> tuple[dict, list]:
         """Maps of t's cone edges under a partial assignment, and the cone's loose rows.
@@ -626,7 +546,7 @@ class _StagedProblem:
                 maps[eid] = [0] * self.n
                 loose += ins
             else:
-                maps[eid] = self._eval_edge(block, ins)
+                maps[eid] = self.gf.times(block, ins)
                 if open_ and u[1] == eid:
                     loose += [ins[j] for j in {j for _, j in open_}]
         return maps, loose
@@ -652,11 +572,11 @@ class _StagedProblem:
         """
         maps = self._cone_maps(t, assign)[0]
         rows = [row for e in self.net.in_edges(t) for row in maps[e.id]]
-        w, gf = self.width, _PackedRows(self.p, self.width + len(rows))
-        messages = (1 << (w * gf.b)) - 1
+        w, gf = self.width, PackedRows(self.p, self.width + len(rows))
+        messages = gf.unit(w) - 1  # the bits of columns 0 .. w - 1
         basis: dict[int, int] = {}
         for j, row in enumerate(rows):
-            r = gf.reduce(basis, row | 1 << ((w + j) * gf.b))
+            r = gf.reduce(basis, row | gf.unit(w + j))
             if r & messages:
                 gf.insert(basis, r)
         rest = [gf.reduce(basis, trow) for trow in self.targets[t]]
@@ -724,10 +644,10 @@ def naive_search_linear(
     cones = _backward_cones(net)
     deps = {t: {u for eid in cone for u in units[eid]} | set(decoders[t]) for t, cone in cones.items()}
 
-    target = target_transfer_array(net, fieldspec, k)
     target_rows_of: dict[str, list[list[list[int]]]] = {}
-    for i, (t, _label) in enumerate(transfer_rows(net)):
-        target_rows_of.setdefault(t, []).append(target[i * k:(i + 1) * k].tolist())
+    for t, label in transfer_rows(net):
+        ones = {off[m] for m in (msgs if net.terminals[t].kind == "sum" else [label])}
+        target_rows_of.setdefault(t, []).append([[int(j - i in ones) for j in range(width)] for i in range(k)])
 
     def check(t: str, assign: dict) -> bool:
         maps: dict[str, list[list[int]]] = {}

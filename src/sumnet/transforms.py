@@ -276,23 +276,23 @@ def scale_sources(code: LinearCode, a: dict[str, MatrixGF]) -> LinearCode:
     """Compose each source coefficient with a per-message invertible matrix.
 
     A sum solution turns into a code delivering the correspondingly weighted
-    combination; scaling by the inverses restores the original code.
+    combination; scaling by the inverses restores the original code.  A scale
+    or a source coefficient of the wrong shape or field is ``CodeError``.
     """
     for msg, mat in a.items():
-        if (mat.rows, mat.cols) != (code.k, code.k):
-            raise CodeError(f"scale for {msg!r} must be k x k")
+        if mat.field != code.field or (mat.rows, mat.cols) != (code.k, code.k):
+            raise CodeError(f"scale for {msg!r} must be k x k over GF({code.field.p})")
         if rank(mat) != code.k:
             raise CodeError(f"scale for {msg!r} is singular")
+    for key, m in code.source_coeff.items():
+        if m.field != code.field or (m.rows, m.cols) != (code.n, code.k):
+            raise CodeError(f"source coefficient {key} must be n x k over GF({code.field.p})")
     keys = [key for key in code.source_coeff if key[0] in a]
-    coeffs = [code.source_coeff[key] for key in keys]
-    scales = [a[msg] for msg, _ in keys]
     src = dict(code.source_coeff)
-    if ({m.field for m in coeffs + scales} == {code.field}
-            and {m.array().shape for m in coeffs} == {(code.n, code.k)}):
-        prod = np.matmul(np.stack([m.array() for m in coeffs]), np.stack([m.array() for m in scales]))
+    if keys:  # np.stack needs at least one matrix
+        coeffs = np.stack([src[key].array() for key in keys])
+        prod = np.matmul(coeffs, np.stack([a[msg].array() for msg, _ in keys]))
         src.update(zip(keys, (MatrixGF._reduced(code.field, m) for m in prod % code.field.p)))
-    else:  # a code validate_code rejects: each product checks its own shapes and fields
-        src.update((key, m @ scale) for key, m, scale in zip(keys, coeffs, scales))
     return LinearCode(
         code.field, code.k, code.n, src, dict(code.local_coeff), dict(code.decode_coeff)
     )

@@ -308,6 +308,9 @@ def test_malformed_json_exit_1(tmp_path, capsys):
         "bool_scale": {"x": True},
         "unknown_message": {"nope": 1},
     }
+    # Codes scale-sources refuses under any scales: k = 0, and a 2 x 1 source coefficient at k = n = 1.
+    bad_scaled = {"k_zero": dict(code, k=0), "tall_source": with_mat([[1], [1]])}
+    good_scales = {"no_scales": {}, "unit_scale": {"x": 1}}
     bad_traces = {"list_trace": ["a"], "int_role": {"a": 1}}
     table_code = {"q": 2, "edge_fn": [{"edge": "a>t", "table": [0, 1]}],
                   "decode_fn": [{"terminal": "t", "table": [0, 1]}]}
@@ -335,6 +338,7 @@ def test_malformed_json_exit_1(tmp_path, capsys):
     for name, blob in [("net", net), ("code", code), ("headless", headless),
                        ("string_messages", string_messages), ("list_node", list_node),
                        ("table_code", table_code), *bad_codes.items(), *bad_scales.items(),
+                       *bad_scaled.items(), *good_scales.items(),
                        *bad_traces.items(), *((name, blob) for name, (blob, _) in bad_tables.items())]:
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(blob))
@@ -345,6 +349,8 @@ def test_malformed_json_exit_1(tmp_path, capsys):
         *(["verify", "--net", str(files["net"]), "--code", str(files[name])] for name in bad_codes),
         *(["scale-sources", "--code", str(files["code"]), "--scales", str(files[name])]
           for name in bad_scales),
+        *(["scale-sources", "--code", str(files[name]), "--scales", str(files[scales])]
+          for name in bad_scaled for scales in good_scales),
         *(["export-dot", "--net", str(files["net"]), "--trace", str(files[name])]
           for name in bad_traces),
         *(["verify-nonlinear", "--net", str(files["net"]), "--code", str(files[name])]

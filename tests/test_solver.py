@@ -24,7 +24,8 @@ from sumnet import (
 from sumnet.codes import code_to_dict, nonlinear_to_dict
 from sumnet.families import FamilySpec, bottleneck_mun, component
 from sumnet.netmodel import Demand, Edge, Network, min_source_terminal_cut, reachable, recover, reverse_network
-from sumnet.solver import _all_matrices, _growth_tables, _PackedRows, _rref_matrices, _StagedProblem
+from sumnet.gflin import PackedRows
+from sumnet.solver import _all_matrices, _growth_tables, _rref_matrices, _StagedProblem
 from sumnet.transforms import c1, c2, c3
 
 from helpers import (
@@ -220,12 +221,15 @@ def _list_rank(rows: list, p: int) -> int:
     return rank
 
 
-class _ListCheckedRows(_PackedRows):
+class _ListCheckedRows(PackedRows):
     """The packed row kernel with each add and mul checked against lists, and each basis before use."""
 
     def __init__(self, p: int, cols: int):
         super().__init__(p, cols)
         self.cols = cols
+
+    def pack(self, entries: list) -> int:
+        return sum(x << (j * self.b) for j, x in enumerate(entries))
 
     def unpack(self, r: int) -> list:
         assert 0 <= r < 1 << (self.cols * self.b)
@@ -250,22 +254,32 @@ class _ListCheckedRows(_PackedRows):
 @given(st.data())
 def test_packed_rows_match_list_arithmetic(data):
     # Entries at p - 1 make columns sum to 2p - 2, the largest a column holds
-    # before reduction, and scalars above _PackedRows.SMALL take the column path.
-    p = data.draw(st.sampled_from([2, 3, 5, 7, 65521]), "p")
+    # before reduction, and scalars above PackedRows.SMALL take the Montgomery
+    # product, on odd and even widths, with p near either end of its bit length.
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 17, 257, 65521]), "p")
     w = data.draw(st.integers(1, 64), "width")
     gf = _ListCheckedRows(p, w)
     row = st.lists(st.integers(0, p - 1), min_size=w, max_size=w)
-    scalar = st.one_of(st.integers(1, min(p - 1, _PackedRows.SMALL)), st.integers(1, p - 1))
+    scalar = st.one_of(st.integers(1, min(p - 1, PackedRows.SMALL)), st.integers(1, p - 1))
     x, y, c = data.draw(row, "x"), data.draw(row, "y"), data.draw(scalar, "c")
     for j in data.draw(st.sets(st.integers(0, w - 1)), "columns at p - 1 in both"):
         x[j] = y[j] = p - 1
     assert gf.unpack(gf.pack(x)) == x
+    j = data.draw(st.integers(0, w - 1), "unit column")
+    assert gf.unit(j) == gf.pack([int(i == j) for i in range(w)])
+    assert gf.unpack(gf.pack(x) & gf.unit(j) - 1) == x[:j] + [0] * (w - j)
     gf.add(gf.pack(x), gf.pack(y))
     gf.mul(c, gf.pack(x))
     if any(x):
         assert gf.pivot(gf.pack(x)) == min(j for j, a in enumerate(x) if a)
 
     rows = data.draw(st.lists(row, max_size=6), "rows")
+    assert gf.array([gf.pack(r) for r in rows], w).tolist() == rows
+    assert gf.array([], w).shape == (0, w)
+    block = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)),
+                               max_size=4), "block")
+    assert [gf.unpack(r) for r in gf.times(block, [gf.pack(r) for r in rows])] == [
+        [sum(c * r[j] for c, r in zip(brow, rows)) % p for j in range(w)] for brow in block]
     basis: dict = {}
     for r in rows:
         gf.insert(basis, gf.pack(r))

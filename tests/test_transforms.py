@@ -6,7 +6,7 @@ import pytest
 from sumnet import FieldSpec, MatrixGF, SearchOptions, eval_linear, identity_code, s_m, search_linear
 from sumnet.codes import CodeError, LinearCode, transfer_array
 from sumnet.families import bottleneck_mun
-from sumnet.gflin import DimensionMismatch, rank
+from sumnet.gflin import rank
 from sumnet.netmodel import Demand, Edge, Network, NetworkError, recover, reverse_network
 from sumnet.transforms import c1, c2, c3, scale_sources, to_type_ia
 
@@ -376,14 +376,20 @@ def test_scale_sources_validates_then_ignores_scales_of_other_messages():
 
 
 def test_scale_sources_on_a_code_of_mixed_shapes():
-    # A code that validate_code rejects still scales coefficient by coefficient,
-    # and a coefficient the scale cannot multiply still fails as a product.
+    # A source coefficient that is not n x k over the code's field, or a
+    # scale over another field, is CodeError, scaled or not.
     three = MatrixGF(F5, [[3]])
     mixed = LinearCode(F5, 1, 1, {("x1", "a>t"): MatrixGF(F5, [[1], [2]]), ("x2", "b>t"): three},
                        {}, {})
-    scaled = scale_sources(mixed, {"x1": MatrixGF(F5, [[2]]), "x2": three})
-    assert scaled.source_coeff == {("x1", "a>t"): MatrixGF(F5, [[2], [4]]),
-                                   ("x2", "b>t"): MatrixGF(F5, [[4]])}
+    for scales in ({"x1": MatrixGF(F5, [[2]]), "x2": three}, {"x2": three}, {}):
+        with pytest.raises(CodeError, match=r"\('x1', 'a>t'\) must be n x k"):
+            scale_sources(mixed, scales)
     wide = LinearCode(F5, 1, 1, {("x1", "a>t"): MatrixGF(F5, [[1, 2]])}, {}, {})
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(CodeError, match="must be n x k"):
         scale_sources(wide, {"x1": three})
+    foreign = LinearCode(F5, 1, 1, {("x1", "a>t"): MatrixGF(F3, [[1]])}, {}, {})
+    with pytest.raises(CodeError, match="must be n x k over GF\\(5\\)"):
+        scale_sources(foreign, {"x1": three})
+    code = LinearCode(F5, 1, 1, {("x1", "a>t"): three}, {}, {})
+    with pytest.raises(CodeError, match="scale for 'x1' must be k x k over GF\\(5\\)"):
+        scale_sources(code, {"x1": MatrixGF(F3, [[2]])})
