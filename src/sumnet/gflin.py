@@ -1,4 +1,7 @@
-"""Exact arithmetic over prime fields GF(p): dense matrices, and rows packed into ints."""
+"""Exact arithmetic over prime fields GF(p): dense matrices, and rows packed into ints.
+
+Dense matrices keep only products: every elimination, in ``rank``, ``solve_right``, ``mat_inv``
+and the search, runs on the rows of ``PackedRows``."""
 
 from __future__ import annotations
 
@@ -132,39 +135,11 @@ def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     return MatrixGF._reduced(a.field, (a.array() @ b.array()) % a.field.p)
 
 
-def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p); returns (rref, pivot columns).
-
-    Pivoting picks the first nonzero entry in each column, so the result is
-    deterministic for a given input.
-    """
-    m = a % p
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        # Row r is zero left of c, so columns < c stay as they are.
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r, c:] = (m[r, c:] * inv) % p
-        nz = np.nonzero(m[:, c])[0]
-        nz = nz[nz != r]
-        m[nz, c:] = (m[nz, c:] - np.outer(m[nz, c], m[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
 def rank(a: MatrixGF) -> int:
-    _, pivots = _rref(a.array(), a.field.p)
-    return len(pivots)
+    gf, basis = PackedRows(a.field.p, a.cols), {}
+    for r in gf.rows(a.array()):
+        gf.insert(basis, r)
+    return len(basis)
 
 
 def mat_inv(a: MatrixGF) -> Optional[MatrixGF]:
@@ -183,13 +158,9 @@ def solve_right(a: MatrixGF, b: MatrixGF) -> Optional[MatrixGF]:
     _check_same_field(a, b)
     if a.rows != b.rows:
         raise DimensionMismatch("solve_right needs matching row counts")
-    r, pivots = _rref(np.concatenate([a.array(), b.array()], axis=1), a.field.p)
-    if any(c >= a.cols for c in pivots):
-        return None
-    x = np.zeros((a.cols, b.cols), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = r[i, a.cols:]
-    return MatrixGF.from_array(a.field, x)
+    gf = PackedRows(a.field.p, a.rows)
+    x = gf.solve(gf.rows(a.array().T), gf.rows(b.array().T))
+    return None if x is None else MatrixGF(a.field, zip(*x))
 
 
 class PackedRows:
@@ -203,7 +174,7 @@ class PackedRows:
     SMALL = 3
 
     def __init__(self, p: int, cols: int):
-        self.p, self.b = p, p.bit_length() + 1
+        self.p, self.b, self.cols = p, p.bit_length() + 1, cols
         self.mask = (1 << self.b) - 1
         ones = ((1 << (cols * self.b)) - 1) // self.mask
         self.bias, self.high = ones * ((1 << (self.b - 1)) - p), ones << (self.b - 1)
@@ -263,6 +234,14 @@ class PackedRows:
             out |= bits[:, i::self.b].astype(np.int64) << i
         return out
 
+    def rows(self, a: np.ndarray) -> list[int]:
+        """The rows of ``a``, a 2-d array of residues, packed: the inverse of ``array``."""
+        # Each entry's low bytes, spread to b bits: bit b - 1 of a reduced entry is 0.
+        low = np.ascontiguousarray(a, dtype="<i8").view(np.uint8).reshape(*a.shape, 8)[:, :, :(self.b + 6) // 8]
+        bits = np.unpackbits(low, axis=2, count=self.b, bitorder="little")
+        data = np.packbits(bits.reshape(a.shape[0], a.shape[1] * self.b), axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in data]
+
     def reduce(self, basis: dict, r: int) -> int:
         """``r`` minus basis rows until its lowest nonzero column is no pivot; 0 iff r is in the span."""
         b, m, p = self.b, self.mask, self.p
@@ -275,3 +254,21 @@ class PackedRows:
         if r := self.reduce(basis, r):
             j = self.pivot(r)
             basis[j] = self.mul(pow(self.entry(r, j), self.p - 2, self.p), r)
+
+    def solve(self, rows: list[int], targets: list[int]) -> Optional[list[list[int]]]:
+        """Per target, its coefficients on ``rows``, or None if some target is outside their span.
+
+        Row j carries a unit entry in column cols + j, and only rows
+        independent of the earlier ones enter the basis, so every free
+        coefficient is 0.
+        """
+        w, gf = self.cols, type(self)(self.p, self.cols + len(rows))
+        messages = gf.unit(w) - 1  # the bits of columns 0 .. w - 1
+        basis: dict[int, int] = {}
+        for j, row in enumerate(rows):
+            r = gf.reduce(basis, row | gf.unit(w + j))
+            if r & messages:
+                gf.insert(basis, r)
+        rest = [gf.reduce(basis, trow) for trow in targets]
+        return None if any(r & messages for r in rest) else [
+            [-gf.entry(r, w + j) % self.p for j in range(len(rows))] for r in rest]

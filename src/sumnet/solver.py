@@ -80,9 +80,9 @@ every check is necessary for the exact one, so survivors and witnesses are
 unchanged and no count rises.  ``naive_search_linear`` is the reference
 oracle and checks each terminal only at its last unit.
 
-The check, the decoder solve and the witness's re-verification share the row
-kernel ``gflin.PackedRows`` and the rows of ``codes.message_rows`` and
-``target_rows``; the decoder solve puts its unit columns after the message columns.
+The check, the decoder solve (``gflin.PackedRows.solve``) and the witness's
+re-verification share the row kernel ``gflin.PackedRows`` and the rows of
+``codes.message_rows`` and ``target_rows``.
 
 Nothing recurses per bucket, per unit or per free entry, and the walk leaves
 no reference cycle: the shared enumerators are dropped when it ends, so all
@@ -564,24 +564,9 @@ class _StagedProblem:
         return not any(self.gf.reduce(basis, trow) for trow in self.targets[t])
 
     def solve_terminal(self, t: str, assign: dict) -> Optional[list[list[int]]]:
-        """Per target row of t, its coefficients on t's stacked in-edge rows, or None if infeasible.
-
-        Row j carries a unit entry in column width + j, and only rows
-        independent of the earlier ones enter the basis, so every free
-        variable is 0.
-        """
+        """Per target row of t, its coefficients on t's stacked in-edge rows, or None if infeasible."""
         maps = self._cone_maps(t, assign)[0]
-        rows = [row for e in self.net.in_edges(t) for row in maps[e.id]]
-        w, gf = self.width, PackedRows(self.p, self.width + len(rows))
-        messages = gf.unit(w) - 1  # the bits of columns 0 .. w - 1
-        basis: dict[int, int] = {}
-        for j, row in enumerate(rows):
-            r = gf.reduce(basis, row | gf.unit(w + j))
-            if r & messages:
-                gf.insert(basis, r)
-        rest = [gf.reduce(basis, trow) for trow in self.targets[t]]
-        return None if any(r & messages for r in rest) else [
-            [-gf.entry(r, w + j) % self.p for j in range(len(rows))] for r in rest]
+        return self.gf.solve([row for e in self.net.in_edges(t) for row in maps[e.id]], self.targets[t])
 
     def witness(self, assign: dict) -> LinearCode:
         """The code of a search result, every unit assigned."""

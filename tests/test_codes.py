@@ -24,7 +24,7 @@ from sumnet import (
 )
 from sumnet.codes import BudgetExceededError, CodeError, LinearCode, NonlinearCode, transfer_array, validate_nonlinear
 from sumnet.families import component
-from sumnet.gflin import DimensionMismatch
+from sumnet.gflin import DimensionMismatch, rank
 from sumnet.netmodel import Demand, Edge, Network, recover, reverse_network
 from sumnet.transforms import c3
 
@@ -149,22 +149,30 @@ def test_transfer_matches_path_enumeration():
         assert np.array_equal(transfer_matrix(net, code).matrix.array(), transfer_by_path_enumeration(net, code))
 
 
+def _traced_peak(f, *args):
+    """f(*args), and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_transfer_frees_each_edge_map_once_its_head_has_read_it():
     # Only the maps of edges whose head node is still ahead stay alive, so the
     # traced peak stays under half of what every edge map would take at once
     # as int64 entries.  Over GF(65521) the unpacked array is the larger part:
-    # unpacking every bit at once would break the bound.
+    # unpacking every bit at once would break the bound.  Ranking the unpacked
+    # matrix packs its rows through one uint8 per bit and stays under the same
+    # bound; one int64 per bit would break it.
     net = c3(s_m(10))[0]
     for p in (2, 65521):
         code = random_code(random.Random(1), net, p, 2, 2)
         every_map = len(net.edges) * code.n * len(net.messages()) * code.k * 8
-        tracemalloc.start()
-        try:
-            transfer_array(net, code)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        a, peak = _traced_peak(transfer_array, net, code)
         assert peak < every_map / 2, (p, peak, every_map)
+        peak = _traced_peak(rank, MatrixGF.from_array(code.field, a))[1]
+        assert peak < every_map / 2, ("rank", p, peak, every_map)
 
 
 def test_transfer_matrix_without_a_terminal_is_a_dimension_mismatch():

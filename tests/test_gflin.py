@@ -11,7 +11,6 @@ from sumnet.gflin import (
     mat_mul,
     rank,
     solve_right,
-    _rref,
 )
 
 from helpers import dumb_mat_mul
@@ -140,7 +139,7 @@ def test_solve_right_verified_by_remultiplication(data):
 
 
 def _rref_by_rows(a, p):
-    """Gauss-Jordan elimination clearing one row at a time: the reference for ``_rref``."""
+    """Gauss-Jordan elimination clearing one row at a time: the reference for ``rank`` and ``solve_right``."""
     m = (a % p).copy()
     rows, cols = m.shape
     pivots = []
@@ -164,16 +163,40 @@ def _rref_by_rows(a, p):
     return m, pivots
 
 
+def _solution_by_rows(a, b, p):
+    """The reference's X with a X = b, every non-pivot unknown 0, read off the RREF of [a | b]; or None."""
+    r, pivots = _rref_by_rows(np.concatenate([a, b], axis=1), p)
+    cols = a.shape[1]
+    if any(c >= cols for c in pivots):
+        return None
+    x = np.zeros((cols, b.shape[1]), dtype=np.int64)
+    for i, c in enumerate(pivots):
+        x[c] = r[i, cols:]
+    return x.tolist()
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(st.data())
-def test_rref_matches_row_by_row_elimination(data):
+def test_rank_and_solve_match_row_by_row_elimination(data):
     # Square, wide and tall shapes; a product through a narrower inner
-    # dimension makes the matrix rank-deficient.
+    # dimension makes the matrix rank-deficient.  Both choose a's pivot
+    # columns left to right and set every other unknown to 0, so the
+    # solutions agree exactly, not only up to the null space.
     p = data.draw(st.sampled_from([2, 3, 5, 65521]))
     rows, cols = data.draw(st.sampled_from([(3, 3), (5, 5), (2, 6), (3, 7), (6, 2), (7, 3), (1, 4), (4, 1)]))
     inner = data.draw(st.integers(1, min(rows, cols)))
-    a = data.draw(matrices(p, rows, inner)).array() @ data.draw(matrices(p, inner, cols)).array()
-    got, got_pivots = _rref(a, p)
-    want, want_pivots = _rref_by_rows(a, p)
-    assert got_pivots == want_pivots
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    a = data.draw(matrices(p, rows, inner)) @ data.draw(matrices(p, inner, cols))
+    r = rank(a)
+    assert r == len(_rref_by_rows(a.array(), p)[1])
+    rhs = data.draw(st.integers(1, 3))
+    consistent = a @ data.draw(matrices(p, cols, rhs))
+    drawn = data.draw(matrices(p, rows, rhs))
+    for b in (consistent, drawn):
+        x = solve_right(a, b)
+        assert (None if x is None else x.tolists()) == _solution_by_rows(a.array(), b.array(), p)
+    assert solve_right(a, consistent) is not None
+    if r < rows:
+        # Row r of the RREF of [a | I] is y with y a = 0 and y != 0; no X has a X = e_j where y_j != 0.
+        y = _rref_by_rows(np.concatenate([a.array(), np.eye(rows, dtype=np.int64)], axis=1), p)[0][r, cols:]
+        e = MatrixGF.from_array(FieldSpec(p), np.eye(rows, dtype=np.int64)[:, [int(np.nonzero(y)[0][0])]])
+        assert solve_right(a, e) is None and _solution_by_rows(a.array(), e.array(), p) is None

@@ -224,10 +224,6 @@ def _list_rank(rows: list, p: int) -> int:
 class _ListCheckedRows(PackedRows):
     """The packed row kernel with each add and mul checked against lists, and each basis before use."""
 
-    def __init__(self, p: int, cols: int):
-        super().__init__(p, cols)
-        self.cols = cols
-
     def pack(self, entries: list) -> int:
         return sum(x << (j * self.b) for j, x in enumerate(entries))
 
@@ -274,11 +270,13 @@ def test_packed_rows_match_list_arithmetic(data):
         assert gf.pivot(gf.pack(x)) == min(j for j, a in enumerate(x) if a)
 
     rows = data.draw(st.lists(row, max_size=6), "rows")
-    assert gf.array([gf.pack(r) for r in rows], w).tolist() == rows
-    assert gf.array([], w).shape == (0, w)
+    packed = [gf.pack(r) for r in rows]
+    assert gf.array(packed, w).tolist() == rows
+    assert gf.rows(gf.array(packed, w)) == packed
+    assert gf.array([], w).shape == (0, w) and gf.rows(gf.array([], w)) == []
     block = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)),
                                max_size=4), "block")
-    assert [gf.unpack(r) for r in gf.times(block, [gf.pack(r) for r in rows])] == [
+    assert [gf.unpack(r) for r in gf.times(block, packed)] == [
         [sum(c * r[j] for c, r in zip(brow, rows)) % p for j in range(w)] for brow in block]
     basis: dict = {}
     for r in rows:
@@ -288,6 +286,15 @@ def test_packed_rows_match_list_arithmetic(data):
     inside = [sum(a * r[j] for a, r in zip(coeffs, rows)) % p for j in range(w)]
     assert gf.reduce(basis, gf.pack(inside)) == 0
     assert (gf.reduce(basis, gf.pack(x)) == 0) == (_list_rank(rows + [x], p) == len(basis))
+
+    # The solve rebuilds each target from the rows, with coefficient 0 on every
+    # row that depends on earlier ones, and fails exactly when a target is outside their span.
+    targets = data.draw(st.lists(st.sampled_from([inside, x, y]), max_size=3), "targets")
+    got = gf.solve(packed, [gf.pack(t) for t in targets])
+    assert (got is None) == any(_list_rank(rows + [t], p) > len(basis) for t in targets)
+    for t, xs in zip(targets, got or []):
+        assert [sum(c * r[j] for c, r in zip(xs, rows)) % p for j in range(w)] == t
+        assert all(c == 0 for i, c in enumerate(xs) if _list_rank(rows[:i + 1], p) == _list_rank(rows[:i], p))
 
 
 def test_relaxed_check_keeps_every_verdict_and_witness(monkeypatch):
