@@ -60,28 +60,33 @@ class LinearCode:
         return m if m is not None else MatrixGF.zeros(self.field, self.k, self.n)
 
 
+def edge_keys(net: Network) -> Iterator[tuple[str, list[tuple]]]:
+    """Each out-edge with its coefficient keys, in topological order of its tail and then by id.
+
+    A source's out-edge has ``("alpha", msg, edge)`` per message, any other
+    ``("beta", in_edge, edge)`` per in-edge of its tail.
+    """
+    for v in net.topo_order():
+        for e in net.out_edges(v):
+            yield e.id, ([("alpha", m, e.id) for m in net.sources[v]] if v in net.sources
+                         else [("beta", ein.id, e.id) for ein in net.in_edges(v)])
+
+
+def decoder_keys(net: Network) -> Iterator[tuple[str, list[tuple]]]:
+    """Each terminal with its keys ``("gamma", terminal, edge, slot)``, by slot and then in-edge."""
+    for t in net.terminal_nodes():
+        slots = range(len(net.terminals[t].slots()))
+        yield t, [("gamma", t, e.id, slot) for slot in slots for e in net.in_edges(t)]
+
+
 def coefficient_table(net: Network, k: int, n: int) -> dict[tuple, tuple[int, int]]:
     """Every coefficient of a (k, n) code on ``net``, with its (rows, cols) shape.
 
-    Keys: ``("alpha", msg, edge)`` n x k, ``("beta", in_edge, out_edge)`` n x n
-    and ``("gamma", terminal, edge, slot)`` k x n.  Alpha and beta keys come by
-    the out-edge, in topological order of its tail and then by id; gamma keys
-    follow by terminal, slot and in-edge.
+    The keys of ``edge_keys``, alpha n x k and beta n x n, then those of
+    ``decoder_keys``, gamma k x n.
     """
-    table: dict[tuple, tuple[int, int]] = {}
-    for v in net.topo_order():
-        for e in net.out_edges(v):
-            if v in net.sources:
-                for msg in net.sources[v]:
-                    table[("alpha", msg, e.id)] = (n, k)
-            else:
-                for ein in net.in_edges(v):
-                    table[("beta", ein.id, e.id)] = (n, n)
-    for t in net.terminal_nodes():
-        for slot in range(len(net.terminals[t].slots())):
-            for e in net.in_edges(t):
-                table[("gamma", t, e.id, slot)] = (k, n)
-    return table
+    shape = {"alpha": (n, k), "beta": (n, n), "gamma": (k, n)}
+    return {u: shape[u[0]] for _, us in chain(edge_keys(net), decoder_keys(net)) for u in us}
 
 
 def linear_code(field: FieldSpec, k: int, n: int, coeffs: Mapping[tuple, MatrixGF]) -> LinearCode:
@@ -160,9 +165,9 @@ def message_rows(net: Network, gf: PackedRows, k: int) -> dict[str, list[int]]:
     return {m: [gf.unit(i * k + j) for j in range(k)] for i, m in enumerate(net.messages())}
 
 
-def target_rows(net: Network, gf: PackedRows, k: int) -> dict[str, list[int]]:
-    """Per terminal, the k rows per slot a solution recovers: the slot's message, or every message summed."""
-    units = message_rows(net, gf, k)
+def target_rows(net: Network, units: Mapping[str, list[int]], k: int) -> dict[str, list[int]]:
+    """Per terminal, the k rows per slot a solution recovers, from each message's rows ``units``
+    (``message_rows``): the slot's message, or every message summed."""
     out: dict[str, list[int]] = {t: [] for t in net.terminal_nodes()}
     for t, label in transfer_rows(net):
         msgs = units if net.terminals[t].kind == "sum" else [label]
@@ -170,13 +175,15 @@ def target_rows(net: Network, gf: PackedRows, k: int) -> dict[str, list[int]]:
     return out
 
 
-def _recovered_rows(net: Network, code: LinearCode) -> tuple[PackedRows, dict[str, list[int]]]:
-    """The row kernel, and per terminal its recovered rows, k per slot, over the stacked message columns.
+def _recovered_rows(net: Network, code: LinearCode) -> tuple[PackedRows, dict, dict[str, list[int]]]:
+    """The row kernel, each message's rows, and per terminal its recovered rows, k per slot.
 
-    One walk in topological order over the keys ``coefficient_table`` names.  Each node
-    pops its in-edges' maps, so only the maps of edges whose head is still ahead stay alive.
+    One walk in topological order over the keys ``coefficient_table`` names;
+    each coefficient multiplies its input rows into the sum in one loop.  Each
+    node pops its in-edges' maps, so only the maps of edges whose head is still ahead stay alive.
     """
     gf = PackedRows(code.field.p, len(net.messages()) * code.k)
+    add, mul = gf.add, gf.mul
     units = message_rows(net, gf, code.k)
     maps: dict[str, list[int]] = {}
     out: dict[str, list[int]] = {}
@@ -186,9 +193,13 @@ def _recovered_rows(net: Network, code: LinearCode) -> tuple[PackedRows, dict[st
         acc = [0] * rows
         for key, x in ins:
             if (m := coeffs.get(key)) is not None:
-                if m.array().shape != (rows, len(x)):
+                a = m.array()
+                if a.shape != (rows, len(x)):
                     raise CodeError(f"coefficient {key} must be {rows} x {len(x)}")
-                acc = [gf.add(a, y) if a else y for a, y in zip(acc, gf.times(m.tolists(), x))]
+                for i, brow in enumerate(a.tolist()):
+                    for c, y in zip(brow, x):
+                        if c and y:
+                            acc[i] = add(acc[i], mul(c, y))
         return acc
 
     for v in net.topo_order():
@@ -201,12 +212,12 @@ def _recovered_rows(net: Network, code: LinearCode) -> tuple[PackedRows, dict[st
         if v in net.terminals:
             out[v] = [row for slot in range(len(net.terminals[v].slots()))
                       for row in combine(code.decode_coeff, [((v, a, slot), x) for a, x in ins], code.k)]
-    return gf, out
+    return gf, units, out
 
 
 def transfer_array(net: Network, code: LinearCode) -> np.ndarray:
     """The transfer matrix as a raw array, which may have no rows or no columns: the walk's rows, unpacked."""
-    gf, rows = _recovered_rows(net, code)
+    gf, _, rows = _recovered_rows(net, code)
     return gf.array([r for t in net.terminal_nodes() for r in rows[t]], len(net.messages()) * code.k)
 
 
@@ -220,8 +231,8 @@ def transfer_matrix(net: Network, code: LinearCode) -> TransferMatrix:
 
 def is_solution(net: Network, code: LinearCode) -> bool:
     """True iff every terminal recovers exactly its target rows, so the transfer matrix hits its target."""
-    gf, rows = _recovered_rows(net, code)
-    return rows == target_rows(net, gf, code.k)
+    _, units, rows = _recovered_rows(net, code)
+    return rows == target_rows(net, units, code.k)
 
 
 def path_gain(

@@ -338,7 +338,7 @@ def _residual_search(net: Network, s: str, used: set[str], t: Optional[str] = No
     each node reached, up to t if given, with the edge it was reached by.
     """
     if s not in net._out:
-        raise UnknownNode(repr(s))
+        raise UnknownNode(f"node {s!r} not declared")
     prev: dict[str, Optional[Edge]] = {s: None}
     queue = deque([s])
     while queue and t not in prev:
@@ -362,7 +362,7 @@ def min_cut(net: Network, s: str, t: str) -> int:
 def _flow(net: Network, s: str, t: str, cap: Optional[int] = None) -> int:
     """``min_cut(net, s, t)``, or ``cap`` if that is smaller: augmenting stops at ``cap``."""
     if t not in net._out:
-        raise UnknownNode(repr(t))
+        raise UnknownNode(f"node {t!r} not declared")
     if s == t:
         raise NetworkError("source and sink must differ")
     used: set[str] = set()

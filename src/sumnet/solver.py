@@ -17,9 +17,15 @@ space dominates a smaller one.  A block with cols <= n columns is therefore
 pinned to ``eye(n, cols)``; a wider one runs over the full-rank n x cols
 matrices in reduced row echelon form, pivot sets in lexicographic order, then
 free entries row-major.  With ``reduce`` off, a wider block runs over every
-matrix instead, while narrow blocks stay pinned.  ``_StagedProblem`` makes
-each enumerated block one unit, ``("block", eid)``, and the witness splits
-blocks back into the keys of ``codes.coefficient_table`` by column slice.
+matrix instead, while narrow blocks stay pinned.  ``_StagedProblem`` sets
+itself up in one pass over the out-edges in topological order, from
+``codes.edge_keys``, the walk ``codes.coefficient_table`` is built from: each
+edge gets its keys' column slices, its pinned block or its candidates, and a
+constant map when its block is pinned and its inputs are constant.  Each
+enumerated block is one unit, ``("block", eid)``.  The witness is one walk
+that computes every edge map once in topological order, splits each block
+back into its keys by column slice, and solves each terminal's decoders on its
+in-edges' maps.
 
 The Z_q table search has the same gauge: if an edge's table is g h, with h
 onto min(q, L) values, its consumers read g(h) and absorb g and any renaming
@@ -82,7 +88,7 @@ oracle and checks each terminal only at its last unit.
 
 The check, the decoder solve (``gflin.PackedRows.solve``) and the witness's
 re-verification share the row kernel ``gflin.PackedRows`` and the rows of
-``codes.message_rows`` and ``target_rows``.
+``codes.message_rows`` and ``codes.target_rows``.
 
 Nothing recurses per bucket, per unit or per free entry, and the walk leaves
 no reference cycle: the shared enumerators are dropped when it ends, so all
@@ -95,15 +101,19 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, combinations, product, tee
+from itertools import combinations, product, tee
 from typing import Callable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .codes import (
     LinearCode,
     NonlinearCode,
     code_to_dict,
     coefficient_table,
+    decoder_keys,
     demanded_symbol,
+    edge_keys,
     is_solution,
     linear_code,
     message_rows,
@@ -243,39 +253,28 @@ def _eye(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(cols)) for i in range(rows))
 
 
-def _units_by_owner(net: Network, table: dict) -> tuple[dict[str, list], dict[str, list]]:
-    """A coefficient table's keys per out-edge, in topological order, and per decoding terminal."""
-    edges: dict[str, list] = {e.id: [] for v in net.topo_order() for e in net.out_edges(v)}
-    terminals: dict[str, list] = {t: [] for t in net.terminal_nodes()}
-    for u in table:
-        if u[0] == "gamma":
-            terminals[u[1]].append(u)
-        else:
-            edges[u[-1]].append(u)
-    return edges, terminals
-
-
 def _code_of(f: FieldSpec, k: int, n: int, values: dict) -> LinearCode:
-    """The linear code of a search result, each value a tuple of rows; equal values share a matrix."""
-    mats = {rows: MatrixGF(f, rows) for rows in set(values.values())}
+    """The linear code of a search result, each value a tuple of rows of residues; equal values share a matrix."""
+    mats = {rows: MatrixGF._reduced(f, np.array(rows, dtype=np.int64)) for rows in set(values.values())}
     return linear_code(f, k, n, {u: mats[rows] for u, rows in values.items()})
 
 
 def _backward_cones(net: Network) -> dict[str, list[str]]:
-    """Per terminal, the edges it can observe, in topological order of their tails."""
-    topo_pos = {v: i for i, v in enumerate(net.topo_order())}
-    cones: dict[str, list[str]] = {}
-    for t in net.terminal_nodes():
-        seen: set[str] = set()
-        stack = [e.id for e in net.in_edges(t)]
-        while stack:
-            eid = stack.pop()
-            if eid in seen:
-                continue
-            seen.add(eid)
-            for ein in net.in_edges(net.edge(eid).tail):
-                stack.append(ein.id)
-        cones[t] = sorted(seen, key=lambda eid: (topo_pos[net.edge(eid).tail], eid))
+    """Per terminal, the edges it can observe, in topological order of their tails and then by id.
+
+    One pass against the topological order finds the terminals each node
+    reaches; an edge is in the cone of each terminal its head reaches.
+    """
+    reaches: dict[str, set[str]] = {}
+    for v in reversed(net.topo_order()):
+        reaches[v] = {v} if v in net.terminals else set()
+        for e in net.out_edges(v):
+            reaches[v] |= reaches[e.head]
+    cones: dict[str, list[str]] = {t: [] for t in net.terminal_nodes()}
+    for v in net.topo_order():
+        for e in net.out_edges(v):
+            for t in reaches[e.head]:
+                cones[t].append(e.id)
     return cones
 
 
@@ -485,39 +484,39 @@ class _StagedProblem:
         self.field = fieldspec
         self.p = fieldspec.p
         self.k, self.n = k, n
-        self.width = len(net.messages()) * k
+        self.gf = PackedRows(self.p, len(net.messages()) * k)
+        self.unit_rows = message_rows(net, self.gf, k)
+        self.targets = target_rows(net, self.unit_rows, k)
 
-        # The one place the reduction is decided: each out-edge's coefficients
-        # side by side form one n x cols block, pinned to eye(n, cols) when
-        # cols <= n and otherwise enumerated, as RREF blocks when reducing.
-        table = coefficient_table(net, k, n)
-        keys, self.decoders = _units_by_owner(net, table)
+        # The one place the reduction is decided, in one pass over the out-edges
+        # in topological order: each out-edge's coefficients side by side form
+        # one n x cols block, pinned to eye(n, cols) when cols <= n and otherwise
+        # enumerated, as RREF blocks when reducing.  A pinned block whose inputs
+        # never change during the search gives its edge a constant map.
+        enum = _rref_matrices if opts.reduce else _all_matrices
         # Per edge, each coefficient with its column slice of the block.
         self.slices: dict[str, list[tuple[tuple, int, int]]] = {}
         self.pinned: dict[str, tuple[tuple[int, ...], ...]] = {}
         self.candidates: dict[tuple, Callable[[], Iterator[tuple]]] = {}
-        for eid, us in keys.items():
-            ends = list(accumulate((table[u][1] for u in us), initial=0))
-            self.slices[eid] = list(zip(us, ends, ends[1:]))
-            if ends[-1] <= n:
-                self.pinned[eid] = _eye(n, ends[-1])
-            else:
-                enum = _rref_matrices if opts.reduce else _all_matrices
-                self.candidates[("block", eid)] = partial(enum, n, ends[-1], self.p)
-        self.gf = PackedRows(self.p, self.width)
-        self.unit_rows = message_rows(net, self.gf, k)
-        self.targets = target_rows(net, self.gf, k)
+        self.const_maps: dict[str, list[int]] = {}
+        for eid, us in edge_keys(net):
+            # An edge's keys are all alpha, n x k, or all beta, n x n.
+            w = k if us and us[0][0] == "alpha" else n
+            self.slices[eid] = [(u, i * w, (i + 1) * w) for i, u in enumerate(us)]
+            cols = len(us) * w
+            if cols > n:
+                self.candidates[("block", eid)] = partial(enum, n, cols, self.p)
+                continue
+            self.pinned[eid] = _eye(n, cols)
+            if all(u[0] == "alpha" or u[1] in self.const_maps for u in us):
+                # eye(n, cols) times the inputs: the inputs, then zero rows.
+                self.const_maps[eid] = self._inputs(eid, self.const_maps) + [0] * (n - cols)
+        self.decoders = dict(decoder_keys(net))
 
         self.cone = _backward_cones(net)
         self.deps = {
             t: {("block", eid) for eid in cone if eid not in self.pinned} for t, cone in self.cone.items()
         }
-
-        # Edges whose symbolic map never changes during the search.
-        self.const_maps: dict[str, list[int]] = {}
-        for eid, us in keys.items():
-            if eid in self.pinned and all(u[0] == "alpha" or u[1] in self.const_maps for u in us):
-                self.const_maps[eid] = self.gf.times(self.pinned[eid], self._inputs(eid, self.const_maps))
 
     def _block(self, eid: str, assign: dict) -> Optional[Sequence]:
         """The edge's pinned or assigned block, or None while it is unassigned."""
@@ -563,26 +562,29 @@ class _StagedProblem:
             self.gf.insert(basis, row)
         return not any(self.gf.reduce(basis, trow) for trow in self.targets[t])
 
-    def solve_terminal(self, t: str, assign: dict) -> Optional[list[list[int]]]:
-        """Per target row of t, its coefficients on t's stacked in-edge rows, or None if infeasible."""
-        maps = self._cone_maps(t, assign)[0]
-        return self.gf.solve([row for e in self.net.in_edges(t) for row in maps[e.id]], self.targets[t])
-
     def witness(self, assign: dict) -> LinearCode:
-        """The code of a search result, every unit assigned."""
-        k, n = self.k, self.n
-        values = {
-            u: tuple(row[a:b] for row in self._block(eid, assign))
-            for eid, slices in self.slices.items() for u, a, b in slices
-        }
+        """The code of a search result, every unit assigned.
+
+        One walk over the edges in topological order gives every map, and each
+        terminal's decoders are solved on its in-edges' maps.
+        """
+        k, n, gf = self.k, self.n, self.gf
+        values: dict[tuple, tuple] = {}
+        maps: dict[str, list[int]] = {}
+        for eid, slices in self.slices.items():
+            block = self._block(eid, assign)
+            for u, a, b in slices:
+                values[u] = tuple([row[a:b] for row in block])
+            maps[eid] = self.const_maps[eid] if eid in self.const_maps else gf.times(block, self._inputs(eid, maps))
         for t, keys in self.decoders.items():
-            x = self.solve_terminal(t, assign)
+            ins = self.net.in_edges(t)
+            x = gf.solve([row for e in ins for row in maps[e.id]], self.targets[t])
             if x is None:
                 raise AssertionError("witness assembly hit an infeasible terminal")
-            at = {e.id: j * n for j, e in enumerate(self.net.in_edges(t))}
+            at = {e.id: j * n for j, e in enumerate(ins)}
             for u in keys:  # ("gamma", t, in-edge, slot)
                 j, s = at[u[2]], u[3] * k
-                values[u] = tuple(tuple(x[s + i][j:j + n]) for i in range(k))
+                values[u] = tuple([tuple(row[j:j + n]) for row in x[s:s + k]])
         return _code_of(self.field, k, n, values)
 
 
@@ -624,7 +626,7 @@ def naive_search_linear(
 
     # Each edge's and each terminal's units, in canonical order.
     shape = coefficient_table(net, k, n)
-    units, decoders = _units_by_owner(net, shape)
+    units, decoders = dict(edge_keys(net)), dict(decoder_keys(net))
 
     cones = _backward_cones(net)
     deps = {t: {u for eid in cone for u in units[eid]} | set(decoders[t]) for t, cone in cones.items()}

@@ -154,6 +154,17 @@ def test_mincut_and_connectivity_cli(tmp_path, capsys):
     assert all(all(row) for row in mat["matrix"])
 
 
+def test_mincut_cli_names_an_undeclared_node(tmp_path, capsys):
+    # The message has the form build_network uses for an undeclared node.
+    net_file = tmp_path / "net.json"
+    run_cli(capsys, "family", "--name", "bottleneck_mun", "--m", "2", "-o", str(net_file))
+    for flag, other in (("--s", ("--t", "z_1")), ("--t", ("--s", "w_1"))):
+        rc = main(["mincut", "--net", str(net_file), flag, "nope", *other])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: node 'nope' not declared\n"
+
+
 def test_export_dot_deterministic_with_roles(tmp_path, capsys):
     net_file = tmp_path / "net.json"
     trace_file = tmp_path / "trace.json"

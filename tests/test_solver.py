@@ -4,6 +4,7 @@ import sys
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,13 +22,14 @@ from sumnet import (
     search_nonlinear,
     verify_nonlinear,
 )
-from sumnet.codes import code_to_dict, nonlinear_to_dict
+from sumnet.codes import code_to_dict, coefficient_table, nonlinear_to_dict
 from sumnet.families import FamilySpec, bottleneck_mun, component
 from sumnet.netmodel import Demand, Edge, Network, min_source_terminal_cut, reachable, recover, reverse_network
-from sumnet.gflin import PackedRows
+from sumnet.gflin import MatrixGF, PackedRows
 from sumnet.solver import _all_matrices, _growth_tables, _rref_matrices, _StagedProblem
 from sumnet.transforms import c1, c2, c3
 
+from differential import networks as differential_networks
 from helpers import (
     mun_crossed,
     mun_disconnected,
@@ -351,12 +353,53 @@ def test_relaxed_check_is_sound_under_partial_assignments():
                             full.update(zip(free, values))
                             for (i, j), v in zip(open_, values[len(free):]):
                                 full[u][i][j] = v
-                            passes = prob.solve_terminal(t, full) is not None
+                            maps = prob._cone_maps(t, full)[0]
+                            ins = [row for e in net.in_edges(t) for row in maps[e.id]]
+                            passes = prob.gf.solve(ins, prob.targets[t]) is not None
                             assert ok or not passes, (net.name, f.p, k, n, t, assign, u, open_)
                             assert prob.feasible(t, full) == passes, (net.name, f.p, k, n, t, full)
                             exact += 1
                         rejected += not ok and bool(free or open_)
     assert rejected >= 100 and exact >= 10_000, (rejected, exact)
+
+
+def test_setup_pass_states_the_coefficient_table():
+    # The set-up pass names the same units as codes.coefficient_table, in its
+    # order and with its widths, pins exactly the blocks at most n wide, and
+    # makes each terminal depend on exactly the enumerated blocks of its cone.
+    nets = differential_networks()
+    for net in nets[:20] + nets[200:]:
+        for k, n in RATES:
+            prob = _StagedProblem(net, F2, k, n, SearchOptions())
+            table = coefficient_table(net, k, n)
+            keys = [u for slices in prob.slices.values() for u, _, _ in slices]
+            assert keys + [u for us in prob.decoders.values() for u in us] == list(table), net.name
+            for eid, slices in prob.slices.items():
+                width = 0
+                for u, a, b in slices:
+                    assert (a, b - a) == (width, table[u][1]), (net.name, u)
+                    width = b
+                assert (eid in prob.pinned) == (width <= n) != (("block", eid) in prob.candidates)
+            for t in net.terminal_nodes():
+                cone = {e.id for e in net.edges if t in reachable(net, e.head)}
+                assert prob.deps[t] == {("block", e) for e in cone if e not in prob.pinned}, (net.name, t)
+
+
+def test_witness_matrices_are_read_only_residue_arrays():
+    # Each witness matrix is built straight from its rows, so check it against
+    # the generic constructor, on the staged and the naive search.
+    cases = [(s_m_star(4), FieldSpec(65521), 1, 1), (s_m(4), F2, 2, 2), (s_m_star(5), F2, 1, 1),
+             (c2(bottleneck_mun(2))[0], F2, 1, 2), (mun_crossed(), F3, 1, 1)]
+    reports = [search_linear(*case) for case in cases]
+    reports.append(naive_search_linear(mun_path(), F3, 1, 1))
+    for (net, f, k, n), r in zip(cases + [(mun_path(), F3, 1, 1)], reports):
+        assert r.verdict == "solvable", net.name
+        code = r.witness
+        for m in [*code.source_coeff.values(), *code.local_coeff.values(), *code.decode_coeff.values()]:
+            a = m.array()
+            assert a.dtype == np.int64 and a.ndim == 2 and not a.flags.writeable
+            assert ((0 <= a) & (a < f.p)).all() and m.field == f
+            assert m == MatrixGF(f, a.tolist())
 
 
 def test_gauge_fixing_decides_the_slow_cases():
