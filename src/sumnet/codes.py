@@ -6,6 +6,9 @@ out-edge) pair at an interior node, and a k x n matrix per (terminal,
 in-edge, recovery slot).  Missing keys mean the zero matrix, so sparse codes
 stay cheap to write down.
 
+Reading a code, reversing it and scaling its sources build one ``MatrixGF``
+per distinct coefficient, which equal coefficients share.
+
 The transfer matrix between the stacked source messages and the stacked
 terminal recoveries is computed by propagating symbolic edge maps in
 topological order, each row packed into one int by ``gflin.PackedRows``, the
@@ -17,8 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, product
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -152,8 +155,8 @@ class TransferMatrix:
 
     def block(self, i: int, j: int) -> MatrixGF:
         k = self.k
-        a = self.matrix.array()[i * k:(i + 1) * k, j * k:(j + 1) * k]
-        return MatrixGF.from_array(self.field, a)
+        rows = self.matrix.entries[i * k:(i + 1) * k]
+        return MatrixGF._reduced(self.field, tuple(r[j * k:(j + 1) * k] for r in rows))
 
 
 def transfer_rows(net: Network) -> tuple[tuple[str, str], ...]:
@@ -193,10 +196,9 @@ def _recovered_rows(net: Network, code: LinearCode) -> tuple[PackedRows, dict, d
         acc = [0] * rows
         for key, x in ins:
             if (m := coeffs.get(key)) is not None:
-                a = m.array()
-                if a.shape != (rows, len(x)):
+                if (m.rows, m.cols) != (rows, len(x)):
                     raise CodeError(f"coefficient {key} must be {rows} x {len(x)}")
-                for i, brow in enumerate(a.tolist()):
+                for i, brow in enumerate(m.entries):
                     for c, y in zip(brow, x):
                         if c and y:
                             acc[i] = add(acc[i], mul(c, y))
@@ -225,7 +227,8 @@ def transfer_matrix(net: Network, code: LinearCode) -> TransferMatrix:
     out = transfer_array(net, code)
     if out.size == 0:
         raise DimensionMismatch("matrix needs at least one row and column")
-    matrix = MatrixGF._reduced(code.field, out)
+    # Row by row, so no list of every entry is alive at once.
+    matrix = MatrixGF._reduced(code.field, tuple(tuple(row.tolist()) for row in out))
     return TransferMatrix(code.field, code.k, transfer_rows(net), net.messages(), matrix)
 
 
@@ -267,7 +270,7 @@ def path_gain(
         if net.edge(edges[-1]).head != terminal:
             raise CodeError(f"path does not end at {terminal!r}")
         factors.append(code.decode(terminal, edges[-1], slot))
-    gain = MatrixGF.identity(code.field, code.n)
+    gain = MatrixGF.identity(code.field, code.n if msg is None else code.k)
     for f in factors:
         gain = f @ gain
     return gain
@@ -281,8 +284,9 @@ def canonical_reverse_code(net: Network, code: LinearCode) -> LinearCode:
     original, hence so is the whole transfer matrix.
     """
     rev_sources = reverse_roles(net)[0]
+    transpose = lru_cache(maxsize=None)(MatrixGF.transpose)  # equal coefficients share one transpose
     loc = {
-        (reverse_id(eout), reverse_id(ein)): m.transpose()
+        (reverse_id(eout), reverse_id(ein)): transpose(m)
         for (ein, eout), m in code.local_coeff.items()
     }
     source_slot = {msg: (s, slot) for s, ms in net.sources.items() for slot, msg in enumerate(ms)}
@@ -291,10 +295,10 @@ def canonical_reverse_code(net: Network, code: LinearCode) -> LinearCode:
         if msg not in source_slot:
             raise NetworkError(f"unknown message {msg!r}")
         s, slot = source_slot[msg]
-        dec[(s, reverse_id(eid), slot)] = m.transpose()
+        dec[(s, reverse_id(eid), slot)] = transpose(m)
     src: dict[tuple[str, str], MatrixGF] = {}
     for (t, eid, slot), m in code.decode_coeff.items():
-        src[(rev_sources[t][slot], reverse_id(eid))] = m.transpose()
+        src[(rev_sources[t][slot], reverse_id(eid))] = transpose(m)
     return LinearCode(code.field, code.k, code.n, src, loc, dec)
 
 
@@ -455,7 +459,7 @@ def _section_from_json(entries: tuple, section: str, parts: tuple[str, ...], val
     what = f"{section} entry"
     checks = [(part, json_int if part == "slot" else json_str, f"{what} {part}") for part in parts]
     for e in entries:
-        key = tuple(check(json_key(e, part, what, CodeError), about, CodeError) for part, check, about in checks)
+        key = tuple([check(json_key(e, part, what, CodeError), about, CodeError) for part, check, about in checks])
         yield key, json_key(e, value, what, CodeError)
 
 
@@ -467,33 +471,20 @@ def _ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
+def _rows_from_json(value, what: str) -> tuple[tuple[int, ...], ...]:
+    """A parsed JSON list of integer rows, all of one nonzero length, as a tuple of tuples, else ``CodeError``."""
+    row = f"{what} row"
+    rows = tuple([json_list(r, row, CodeError) for r in json_list(value, what, CodeError)])
+    if not all([type(x) is int for r in rows for x in r]):
+        raise CodeError(f"{what} entries must be integers")
+    if not rows or not rows[0] or len(set(map(len, rows))) != 1:
+        raise CodeError(f"{what} must have at least one row, all of one nonzero length")
+    return rows
+
+
 def matrix_from_json(value, field: FieldSpec, what: str) -> MatrixGF:
     """A parsed JSON list of integer rows as a matrix, else ``CodeError``."""
-    rows = [json_list(r, f"{what} row", CodeError) for r in json_list(value, what, CodeError)]
-    _ints(list(chain.from_iterable(rows)), what)
-    if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
-        raise CodeError(f"{what} must have at least one row, all of one nonzero length")
-    # Reduced here, so an entry beyond int64 cannot overflow MatrixGF.
-    return MatrixGF(field, [[x % field.p for x in r] for r in rows])
-
-
-def _uniform_coeffs(entries: tuple, keys: tuple[str, ...], field: FieldSpec) -> Optional[dict]:
-    """A section's coefficients built from one array, or None unless every entry is
-    well-formed and every matrix has one shape; the caller then reads entry by entry."""
-    types = {tuple(int if key == "slot" else str for key in keys)}
-    try:
-        at = list(map(itemgetter(*keys), entries))
-        mats = list(map(itemgetter("mat"), entries))
-        rows = list(chain.from_iterable(mats))
-        a = np.array(mats, dtype=np.int64)
-    except (KeyError, TypeError, ValueError, OverflowError):  # also ragged, or beyond int64
-        return None
-    if (set(map(type, entries)) != {dict} or set(map(type, mats)) | set(map(type, rows)) != {list}
-            or set(map(type, chain.from_iterable(rows))) != {int}
-            or {tuple(map(type, key)) for key in at} != types or a.ndim != 3 or a.size == 0):
-        return None
-    a %= field.p
-    return dict(zip(at, (MatrixGF._reduced(field, m) for m in a)))
+    return MatrixGF(field, _rows_from_json(value, what))
 
 
 def code_from_dict(d: dict) -> LinearCode:
@@ -501,13 +492,16 @@ def code_from_dict(d: dict) -> LinearCode:
     k, n = (json_int(json_key(d, x, "linear code", CodeError), x, CodeError) for x in ("k", "n"))
     if k < 1 or n < 1:
         raise CodeError("k and n must be positive")
-    coeffs = {}
+    # Rows as written and as reduced both map to their one matrix, which equal coefficients share.
+    coeffs, shared = {}, {}
     for section, parts in _LINEAR_SECTIONS.items():
         entries = json_list(d.get(section, []), section, CodeError)
-        coeffs[section] = _uniform_coeffs(entries, parts, f)
-        if coeffs[section] is None:
-            coeffs[section] = {key: matrix_from_json(mat, f, f"{section} mat")
-                               for key, mat in _section_from_json(entries, section, parts, "mat")}
+        coeffs[section] = part = {}
+        for key, mat in _section_from_json(entries, section, parts, "mat"):
+            if (m := shared.get(rows := _rows_from_json(mat, f"{section} mat"))) is None:
+                m = MatrixGF(f, rows)
+                shared[rows] = m = shared.setdefault(m.entries, m)
+            part[key] = m
     return LinearCode(f, k, n, **coeffs)
 
 

@@ -1,12 +1,14 @@
-"""Exact arithmetic over prime fields GF(p): dense matrices, and rows packed into ints.
+"""Exact arithmetic over prime fields GF(p): small dense matrices, and rows packed into ints.
 
-Dense matrices keep only products: every elimination, in ``rank``, ``solve_right``, ``mat_inv``
-and the search, runs on the rows of ``PackedRows``."""
+``MatrixGF`` keeps tuple rows and multiplies in plain Python.  Every elimination, in ``rank``,
+``solve_right``, ``mat_inv`` and the search, runs on the rows of ``PackedRows``."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import compress
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -50,70 +52,59 @@ class FieldSpec:
 
 
 class MatrixGF:
-    """Immutable dense matrix over GF(p); entries are residues in [0, p)."""
+    """Immutable dense matrix over GF(p): ``entries``, a nonempty tuple of equal-length tuples of residues."""
 
-    __slots__ = ("field", "_a")
+    __slots__ = ("field", "entries")
 
     def __new__(cls, field: FieldSpec, rows: Iterable[Iterable[int]]) -> "MatrixGF":
-        return cls.from_array(field, [[int(x) for x in r] for r in rows])
+        p = field.p
+        entries = tuple([tuple([int(x) % p for x in r]) for r in rows])
+        if not entries or not entries[0] or len(set(map(len, entries))) != 1:
+            raise DimensionMismatch("matrix needs at least one row and column, and rows of one length")
+        return cls._reduced(field, entries)
 
     def __setattr__(self, *_):  # pragma: no cover - guard
         raise AttributeError("MatrixGF is immutable")
 
     @classmethod
-    def _reduced(cls, field: FieldSpec, a: np.ndarray) -> "MatrixGF":
-        """The matrix of ``a``, a nonempty 2-d int64 array of residues that no one else writes."""
+    def _reduced(cls, field: FieldSpec, entries: tuple[tuple[int, ...], ...]) -> "MatrixGF":
+        """The matrix of ``entries``, already a nonempty tuple of equal-length tuples of residues."""
         m = object.__new__(cls)
-        a.setflags(write=False)
         object.__setattr__(m, "field", field)
-        object.__setattr__(m, "_a", a)
+        object.__setattr__(m, "entries", entries)
         return m
 
-    @classmethod
-    def from_array(cls, field: FieldSpec, a: np.ndarray) -> "MatrixGF":
-        """The matrix of a copy of ``a``, reduced mod p."""
-        a = np.array(a, dtype=np.int64)
-        if a.ndim != 2 or a.size == 0:
-            raise DimensionMismatch("matrix needs at least one row and column")
-        a %= field.p
-        return cls._reduced(field, a)
-
-    rows = property(lambda self: self._a.shape[0])
-    cols = property(lambda self: self._a.shape[1])
+    rows = property(lambda self: len(self.entries))
+    cols = property(lambda self: len(self.entries[0]))
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "MatrixGF":
-        return cls.from_array(field, np.eye(n, dtype=np.int64))
+        return cls._reduced(field, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "MatrixGF":
-        return cls.from_array(field, np.zeros((rows, cols), dtype=np.int64))
+        return cls._reduced(field, ((0,) * cols,) * rows)
 
     def array(self) -> np.ndarray:
-        """Read-only numpy view of the entries."""
-        return self._a
+        """A new read-only int64 array of the entries."""
+        a = np.array(self.entries, dtype=np.int64)
+        a.setflags(write=False)
+        return a
 
     def tolists(self) -> list[list[int]]:
-        return self._a.tolist()
+        return [list(r) for r in self.entries]
 
     def transpose(self) -> "MatrixGF":
-        return MatrixGF._reduced(self.field, self._a.T)
+        return MatrixGF._reduced(self.field, tuple(zip(*self.entries)))
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and bool(
-            np.array_equal(self._a, np.eye(self.rows, dtype=np.int64))
-        )
+        return self == MatrixGF.identity(self.field, self.rows)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MatrixGF)
-            and self.field == other.field
-            and self._a.shape == other._a.shape
-            and bool(np.array_equal(self._a, other._a))
-        )
+        return isinstance(other, MatrixGF) and self.field == other.field and self.entries == other.entries
 
     def __hash__(self) -> int:
-        return hash((self.field, self._a.shape, self._a.tobytes()))
+        return hash((self.field.p, self.entries))
 
     def __repr__(self) -> str:
         return f"MatrixGF(p={self.field.p}, {self.tolists()})"
@@ -132,13 +123,15 @@ def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     _check_same_field(a, b)
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    return MatrixGF._reduced(a.field, (a.array() @ b.array()) % a.field.p)
+    p, cols = a.field.p, tuple(zip(*b.entries))
+    rows = [tuple([sum(map(operator.mul, r, c)) % p for c in cols]) for r in a.entries]
+    return MatrixGF._reduced(a.field, tuple(rows))
 
 
 def rank(a: MatrixGF) -> int:
     gf, basis = PackedRows(a.field.p, a.cols), {}
-    for r in gf.rows(a.array()):
-        gf.insert(basis, r)
+    for r in a.entries:
+        gf.insert(basis, gf.pack(r))
     return len(basis)
 
 
@@ -159,8 +152,8 @@ def solve_right(a: MatrixGF, b: MatrixGF) -> Optional[MatrixGF]:
     if a.rows != b.rows:
         raise DimensionMismatch("solve_right needs matching row counts")
     gf = PackedRows(a.field.p, a.rows)
-    x = gf.solve(gf.rows(a.array().T), gf.rows(b.array().T))
-    return None if x is None else MatrixGF(a.field, zip(*x))
+    x = gf.solve([gf.pack(c) for c in zip(*a.entries)], [gf.pack(c) for c in zip(*b.entries)])
+    return None if x is None else MatrixGF._reduced(a.field, tuple(zip(*x)))
 
 
 class PackedRows:
@@ -234,13 +227,10 @@ class PackedRows:
             out |= bits[:, i::self.b].astype(np.int64) << i
         return out
 
-    def rows(self, a: np.ndarray) -> list[int]:
-        """The rows of ``a``, a 2-d array of residues, packed: the inverse of ``array``."""
-        # Each entry's low bytes, spread to b bits: bit b - 1 of a reduced entry is 0.
-        low = np.ascontiguousarray(a, dtype="<i8").view(np.uint8).reshape(*a.shape, 8)[:, :, :(self.b + 6) // 8]
-        bits = np.unpackbits(low, axis=2, count=self.b, bitorder="little")
-        data = np.packbits(bits.reshape(a.shape[0], a.shape[1] * self.b), axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in data]
+    def pack(self, entries: Sequence[int]) -> int:
+        """The packed row of ``entries``, residues in [0, p); ``array`` unpacks rows."""
+        b = self.b
+        return sum(entries[j] << (j * b) for j in compress(range(len(entries)), entries))
 
     def reduce(self, basis: dict, r: int) -> int:
         """``r`` minus basis rows until its lowest nonzero column is no pivot; 0 iff r is in the span."""

@@ -104,8 +104,6 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, product, tee
 from typing import Callable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from .codes import (
     LinearCode,
     NonlinearCode,
@@ -255,7 +253,7 @@ def _eye(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
 
 def _code_of(f: FieldSpec, k: int, n: int, values: dict) -> LinearCode:
     """The linear code of a search result, each value a tuple of rows of residues; equal values share a matrix."""
-    mats = {rows: MatrixGF._reduced(f, np.array(rows, dtype=np.int64)) for rows in set(values.values())}
+    mats = {rows: MatrixGF._reduced(f, rows) for rows in set(values.values())}
     return linear_code(f, k, n, {u: mats[rows] for u, rows in values.items()})
 
 

@@ -8,12 +8,11 @@ the input network pass through unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .codes import CodeError, LinearCode
-from .gflin import MatrixGF, rank
+from .gflin import MatrixGF, mat_mul, rank
 from .netmodel import (
     Demand,
     Edge,
@@ -287,12 +286,9 @@ def scale_sources(code: LinearCode, a: dict[str, MatrixGF]) -> LinearCode:
     for key, m in code.source_coeff.items():
         if m.field != code.field or (m.rows, m.cols) != (code.n, code.k):
             raise CodeError(f"source coefficient {key} must be n x k over GF({code.field.p})")
-    keys = [key for key in code.source_coeff if key[0] in a]
-    src = dict(code.source_coeff)
-    if keys:  # np.stack needs at least one matrix
-        coeffs = np.stack([src[key].array() for key in keys])
-        prod = np.matmul(coeffs, np.stack([a[msg].array() for msg, _ in keys]))
-        src.update(zip(keys, (MatrixGF._reduced(code.field, m) for m in prod % code.field.p)))
+    times, shared = lru_cache(maxsize=None)(mat_mul), {}  # equal products share one matrix
+    src = {key: shared.setdefault(prod := times(m, a[key[0]]), prod) if key[0] in a else m
+           for key, m in code.source_coeff.items()}
     return LinearCode(
         code.field, code.k, code.n, src, dict(code.local_coeff), dict(code.decode_coeff)
     )

@@ -5,6 +5,7 @@ any search result, and compare the two digests:
 
     python tests/differential.py            # search count and sha256
     python tests/differential.py --lines    # one line per search, then the digest
+    python tests/differential.py --outputs  # a second digest, over the outputs that are not searches
 
 The searches: the 200 seed-7 ``random_sum_network(rng, max_nodes=8)`` networks,
 ``s_m(3..6)``, ``s_m_star(3..7)``, ``component()``, ``two_message_source()``,
@@ -13,27 +14,44 @@ The searches: the 200 seed-7 ``random_sum_network(rng, max_nodes=8)`` networks,
 at (k, n) = (1, 1), (2, 1), (1, 2) and (2, 2), and ``search_nonlinear`` over
 Z_2 and Z_3, all at budget 3,000.  A search is recorded as its
 ``SearchReport.to_dict()`` without ``elapsed_s``, or as the error it raised.
+
+``--outputs`` digests, per case of ``output_cases`` (the known codes and
+seed-11 random codes on small networks, their c1/c2/c3 images and their
+reverses): the network and code JSON, the code read back, the canonical
+reverse code, ``scale_sources`` there and back, the transfer matrix of the
+code and of its reverse, and the stdout of ``transfer``, ``verify``,
+``reverse-code`` and ``scale-sources`` through ``cli.main``, with their
+exit status and stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
+import tempfile
 import time
 from functools import partial
+from itertools import product
 from pathlib import Path
+from typing import Iterator
 
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
-from sumnet import FieldSpec, SearchOptions, c1, c2, c3, search_linear, search_nonlinear  # noqa: E402
+from sumnet import (  # noqa: E402
+    FamilySpec, FieldSpec, MatrixGF, SearchOptions, c1, c2, c3, canonical_reverse_code, cli, known_code,
+    mat_inv, network_to_json, reverse_network, scale_sources, search_linear, search_nonlinear, transfer_matrix,
+)
+from sumnet.codes import code_from_json, code_to_json  # noqa: E402
 from sumnet.families import bottleneck_mun, component, s_m, s_m_star  # noqa: E402
 
 from helpers import (  # noqa: E402
-    mun_crossed, mun_disjoint2, random_sum_network, sum_bipartite22, two_message_source,
+    mun_crossed, mun_disjoint2, random_code, random_sum_network, sum_bipartite22, two_message_source,
 )
 
 RATES = ((1, 1), (2, 1), (1, 2), (2, 2))
@@ -69,9 +87,81 @@ def record(thunk) -> str:
     return json.dumps(out, sort_keys=True)
 
 
+def output_cases():
+    """Each (label, network, code) whose outputs ``--outputs`` digests, in a fixed order."""
+    known = (("s_m", s_m, (4, 5, 10), (2, 3)), ("s_m_star", s_m_star, (4, 5, 6), (2, 3, 65521)),
+             ("bottleneck_mun", lambda m: c2(bottleneck_mun(m))[0], (2, 3), (2, 3)))
+    for family, build, ms, primes in known:
+        for m, p in product(ms, primes):
+            code = known_code(FamilySpec(family, m), FieldSpec(p))
+            if code is not None:
+                yield f"known {family}({m}) GF({p})", build(m), code
+    rng = random.Random(11)
+    nets = [sum_bipartite22(), s_m(3), mun_crossed(), c1(mun_crossed())[0], c2(bottleneck_mun(2))[0],
+            c3(sum_bipartite22())[0], c3(s_m(3))[0]]
+    for net in nets:
+        for p, (k, n) in zip((2, 3, 65521, 5), RATES):
+            yield f"random {net.name} GF({p}) ({k},{n})", net, random_code(rng, net, p, k, n)
+
+
+def _scales(rng: random.Random, code) -> dict:
+    """An invertible k x k scale for every other source message of ``code``."""
+    out = {}
+    for msg in sorted({msg for msg, _ in code.source_coeff})[::2]:
+        a = None
+        while a is None or mat_inv(a) is None:
+            a = MatrixGF(code.field, [[rng.randrange(code.field.p) for _ in range(code.k)] for _ in range(code.k)])
+        out[msg] = a
+    return out
+
+
+def _attempt(thunk) -> str:
+    """What ``thunk()`` returns, or the error it raised, as text."""
+    try:
+        return str(thunk())
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _cli_output(argv: list[str]) -> str:
+    """The exit status, stdout and stderr of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = _attempt(lambda: cli.main(argv))
+    return f"{status}\n{out.getvalue()}\n{err.getvalue()}"
+
+
+def output_records(net, code, rng: random.Random, tmp: Path) -> Iterator[str]:
+    """Every output of one case, one text each."""
+    rev, rcode = reverse_network(net), canonical_reverse_code(net, code)
+    scales = _scales(rng, code)
+    scaled = scale_sources(code, scales)
+    yield network_to_json(net)
+    yield code_to_json(code)
+    yield code_to_json(code_from_json(code_to_json(code)))
+    yield network_to_json(rev)
+    yield code_to_json(rcode)
+    yield code_to_json(scaled)
+    yield code_to_json(scale_sources(scaled, {msg: mat_inv(a) for msg, a in scales.items()}))
+    yield _attempt(lambda: transfer_matrix(net, code).matrix.tolists())
+    yield _attempt(lambda: transfer_matrix(rev, rcode).matrix.tolists())
+    # The CLI takes every other scale as the scalar p - 1, the rest as matrices.
+    cli_scales = {msg: a.tolists() if i % 2 else code.field.p - 1 for i, (msg, a) in enumerate(scales.items())}
+    files = {"net": network_to_json(net), "code": code_to_json(code), "scales": json.dumps(cli_scales)}
+    args = {}
+    for name, text in files.items():
+        args[name] = str(tmp / f"{name}.json")
+        Path(args[name]).write_text(text)
+    bound = ["--net", args["net"], "--code", args["code"]]
+    for argv in (["transfer", *bound], ["verify", *bound], ["reverse-code", *bound],
+                 ["scale-sources", "--code", args["code"], "--scales", args["scales"]]):
+        yield _cli_output(argv).replace(str(tmp), "<tmp>")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--lines", action="store_true", help="print each search's label and record")
+    ap.add_argument("--outputs", action="store_true", help="also digest the outputs that are not searches")
     args = ap.parse_args(argv)
     start = time.monotonic()
     digest, count = hashlib.sha256(), 0
@@ -82,6 +172,17 @@ def main(argv=None) -> int:
         if args.lines:
             print(label, line)
     print(f"{count} searches sha256 {digest.hexdigest()} in {time.monotonic() - start:.1f} s")
+    if args.outputs:
+        start, rng = time.monotonic(), random.Random(13)
+        digest, count = hashlib.sha256(), 0
+        with tempfile.TemporaryDirectory() as tmp:
+            for label, net, code in output_cases():
+                for text in output_records(net, code, rng, Path(tmp)):
+                    digest.update(text.encode() + b"\n")
+                    count += 1
+                    if args.lines:
+                        print(label, hashlib.sha256(text.encode()).hexdigest()[:16])
+        print(f"{count} outputs sha256 {digest.hexdigest()} in {time.monotonic() - start:.1f} s")
     return 0
 
 

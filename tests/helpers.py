@@ -276,6 +276,15 @@ def all_edge_paths(net: Network, start: str, goal: str) -> list[list[str]]:
     return out
 
 
+def path_product(code: LinearCode, path: list[str], msg: str, terminal: str | None = None, slot: int = 0) -> np.ndarray:
+    """The gain of ``msg`` along ``path``, through the decoder at ``terminal`` if given, as numpy products."""
+    p = code.field.p
+    g = code.source(msg, path[0]).array()
+    for a, b in zip(path, path[1:]):
+        g = (code.local(a, b).array() @ g) % p
+    return g if terminal is None else (code.decode(terminal, path[-1], slot).array() @ g) % p
+
+
 def transfer_by_path_enumeration(net: Network, code: LinearCode) -> np.ndarray:
     """Transfer matrix as an explicit sum of path gains (exponential; tests only)."""
     p, k = code.field.p, code.k
@@ -288,11 +297,7 @@ def transfer_by_path_enumeration(net: Network, code: LinearCode) -> np.ndarray:
                 s = net.message_source(m)
                 total = np.zeros((k, k), dtype=np.int64)
                 for path in all_edge_paths(net, s, t):
-                    g = code.source(m, path[0]).array()
-                    for a, b in zip(path, path[1:]):
-                        g = (code.local(a, b).array() @ g) % p
-                    g = (code.decode(t, path[-1], slot).array() @ g) % p
-                    total = (total + g) % p
+                    total = (total + path_product(code, path, m, t, slot)) % p
                 blocks.append(total)
             rows.append(np.concatenate(blocks, axis=1))
     return np.concatenate(rows, axis=0)

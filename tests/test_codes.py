@@ -18,17 +18,23 @@ from sumnet import (
     is_solution,
     path_gain,
     s_m,
+    search_linear,
     transfer_matrix,
     validate_code,
     verify_nonlinear,
 )
-from sumnet.codes import BudgetExceededError, CodeError, LinearCode, NonlinearCode, transfer_array, validate_nonlinear
-from sumnet.families import component
-from sumnet.gflin import DimensionMismatch, rank
+from sumnet.codes import (
+    BudgetExceededError, CodeError, LinearCode, NonlinearCode, code_from_json, code_to_json, transfer_array,
+    validate_nonlinear,
+)
+from sumnet.families import FamilySpec, component, known_code
+from sumnet.gflin import DimensionMismatch, mat_inv, rank
 from sumnet.netmodel import Demand, Edge, Network, recover, reverse_network
-from sumnet.transforms import c3
+from sumnet.transforms import c3, scale_sources
 
 from helpers import (
+    mun_path,
+    path_product,
     random_code,
     random_sum_network,
     sum_bipartite22,
@@ -171,7 +177,7 @@ def test_transfer_frees_each_edge_map_once_its_head_has_read_it():
         every_map = len(net.edges) * code.n * len(net.messages()) * code.k * 8
         a, peak = _traced_peak(transfer_array, net, code)
         assert peak < every_map / 2, (p, peak, every_map)
-        peak = _traced_peak(rank, MatrixGF.from_array(code.field, a))[1]
+        peak = _traced_peak(rank, MatrixGF(code.field, a.tolist()))[1]
         assert peak < every_map / 2, ("rank", p, peak, every_map)
 
 
@@ -206,6 +212,12 @@ def test_path_gain_order_and_virtuals():
     assert full == MatrixGF(F5, [[24 % 5]])
     with pytest.raises(CodeError):
         path_gain(net, code, ["e2", "e1"])
+    # At k != n the product with a message starts from the k x k identity.
+    for net, code, path, msg, t in ((mun_path(), search_linear(mun_path(), F2, 1, 2).witness, ["w_1>z_1"], "a", "z_1"),
+                                    (net, random_code(random.Random(3), net, 5, 2, 1), ["e1", "e2"], "x", "t")):
+        for terminal in (None, t):
+            got = path_gain(net, code, path, msg=msg, terminal=terminal)
+            assert got.tolists() == path_product(code, path, msg, terminal).tolist(), (net.name, terminal)
 
 
 def test_path_gain_transposes_in_reverse_code():
@@ -551,7 +563,10 @@ def test_every_built_matrix_keeps_the_matrix_invariants(data):
               code_from_json(code_to_json(code))):
         built += [*c.source_coeff.values(), *c.local_coeff.values(), *c.decode_coeff.values()]
     assert built
+    t = transfer_matrix(net, code)
+    built += [t.matrix, t.block(0, 0)]
     for m in built:
+        assert type(m.entries) is tuple and all(type(r) is tuple and set(map(type, r)) == {int} for r in m.entries)
         a = m.array()
         assert a.flags.writeable is False
         assert a.dtype == np.int64 and ((0 <= a) & (a < p)).all()
@@ -562,6 +577,35 @@ def test_every_built_matrix_keeps_the_matrix_invariants(data):
             m.rows = 1
         with pytest.raises(AttributeError):
             m.field = f
+
+
+def test_equal_coefficients_share_one_matrix():
+    # The benchmark's codes hold thousands of coefficients but few distinct
+    # matrices; one object per distinct matrix in each part of a code keeps
+    # reading, reversing and scaling a code from allocating one per coefficient.
+    net = s_m(4)
+    cases = [(s_m(10), known_code(FamilySpec("s_m", 10), F2)),
+             (net, code_from_json(code_to_json(random_code(random.Random(4), net, 2, 2, 2))))]
+    for net, code in cases:
+        rng = random.Random(6)
+        scales = {}
+        for msg in net.messages():
+            a = MatrixGF.zeros(code.field, code.k, code.k)
+            while mat_inv(a) is None:
+                a = MatrixGF(code.field, [[rng.randrange(2) for _ in range(code.k)] for _ in range(code.k)])
+            scales[msg] = a
+        scaled = scale_sources(code, scales)
+        back = scale_sources(scaled, {msg: mat_inv(a) for msg, a in scales.items()})
+        assert back == code
+        # Half the local coefficients spelled unreduced, which must not split a matrix in two.
+        d = json.loads(code_to_json(code))
+        for e in d["local_coeff"][::2]:
+            e["mat"] = [[x + code.field.p for x in row] for row in e["mat"]]
+        read = code_from_json(json.dumps(d))
+        assert read == code
+        for c in (read, canonical_reverse_code(net, code), scaled, back):
+            for part in (c.source_coeff, c.local_coeff, c.decode_coeff):
+                assert len(set(map(id, part.values()))) == len(set(part.values())), net.name
 
 
 # -- nonlinear -----------------------------------------------------------------

@@ -37,6 +37,13 @@ def test_fieldspec_rejects_nonprime():
 def test_entries_reduced_mod_p():
     a = m(F3, [[4, -1], [3, 5]])
     assert a.tolists() == [[1, 2], [0, 2]]
+    assert m(F5, [[2**70]]) == m(F5, [[2**70 % 5]])  # beyond int64
+
+
+def test_constructor_rejects_ragged_and_empty_rows():
+    for rows in ([[1, 0], [1]], [[1], [1, 0]], [], [[]]):
+        with pytest.raises(DimensionMismatch):
+            m(F2, rows)
 
 
 def test_identity_times_matrix():
@@ -198,5 +205,5 @@ def test_rank_and_solve_match_row_by_row_elimination(data):
     if r < rows:
         # Row r of the RREF of [a | I] is y with y a = 0 and y != 0; no X has a X = e_j where y_j != 0.
         y = _rref_by_rows(np.concatenate([a.array(), np.eye(rows, dtype=np.int64)], axis=1), p)[0][r, cols:]
-        e = MatrixGF.from_array(FieldSpec(p), np.eye(rows, dtype=np.int64)[:, [int(np.nonzero(y)[0][0])]])
+        e = MatrixGF(FieldSpec(p), np.eye(rows, dtype=np.int64)[:, [int(np.nonzero(y)[0][0])]].tolist())
         assert solve_right(a, e) is None and _solution_by_rows(a.array(), e.array(), p) is None

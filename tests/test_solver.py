@@ -226,9 +226,6 @@ def _list_rank(rows: list, p: int) -> int:
 class _ListCheckedRows(PackedRows):
     """The packed row kernel with each add and mul checked against lists, and each basis before use."""
 
-    def pack(self, entries: list) -> int:
-        return sum(x << (j * self.b) for j, x in enumerate(entries))
-
     def unpack(self, r: int) -> list:
         assert 0 <= r < 1 << (self.cols * self.b)
         return [self.entry(r, j) for j in range(self.cols)]
@@ -274,8 +271,7 @@ def test_packed_rows_match_list_arithmetic(data):
     rows = data.draw(st.lists(row, max_size=6), "rows")
     packed = [gf.pack(r) for r in rows]
     assert gf.array(packed, w).tolist() == rows
-    assert gf.rows(gf.array(packed, w)) == packed
-    assert gf.array([], w).shape == (0, w) and gf.rows(gf.array([], w)) == []
+    assert gf.array([], w).shape == (0, w)
     block = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)),
                                max_size=4), "block")
     assert [gf.unpack(r) for r in gf.times(block, packed)] == [
