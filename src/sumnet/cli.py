@@ -22,7 +22,7 @@ from .codes import (
     is_solution,
     matrix_from_json,
     nonlinear_from_json,
-    transfer_array,
+    transfer_entries,
     transfer_rows,
     validate_code,
     verify_nonlinear,
@@ -249,13 +249,13 @@ def _cmd_classify(args) -> int:
 
 
 def _format_transfer(net: Network, code: LinearCode) -> dict:
-    # The raw array, since a network without terminals or messages has an
+    # The raw rows, since a network without terminals or messages has an
     # empty transfer matrix, which MatrixGF rejects.
     return {
         "k": code.k,
         "rows": [[term, label] for term, label in transfer_rows(net)],
         "cols": list(net.messages()),
-        "matrix": transfer_array(net, code).tolist(),
+        "matrix": [list(r) for r in transfer_entries(net, code)],
     }
 
 

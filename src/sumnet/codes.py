@@ -19,12 +19,11 @@ the path-gain-sum definition by explicit path enumeration.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
-
-import numpy as np
 
 from .gflin import DimensionMismatch, FieldSpec, MatrixGF, PackedRows
 from .netmodel import (
@@ -127,19 +126,24 @@ def identity_code(net: Network, field: FieldSpec, k: int = 1) -> LinearCode:
 def eval_linear(
     net: Network, code: LinearCode, x: Mapping[str, Iterable[int]]
 ) -> dict[str, list[tuple[int, ...]]]:
-    """Propagate a concrete input; returns recovered slot vectors per terminal."""
-    p = code.field.p
+    """Recovered slot vectors per terminal, for k symbols per message: integers (``operator.index``) mod p."""
+    p, k = code.field.p, code.k
     msgs = net.messages()
-    missing = [m for m in msgs if m not in x]
-    if missing:
+    if missing := [m for m in msgs if m not in x]:
         raise CodeError(f"input misses messages {missing}")
-    vec = np.concatenate([np.asarray(list(x[m]), dtype=np.int64) % p for m in msgs])
-    if vec.shape != (len(msgs) * code.k,):
-        raise CodeError("every message needs a k-vector")
-    y = (transfer_array(net, code) @ vec) % p
+    vec: list[int] = []
+    for m in msgs:
+        try:
+            symbols = [operator.index(a) % p for a in x[m]]
+        except TypeError:
+            raise CodeError(f"message {m!r} needs a vector of integers") from None
+        if len(symbols) != k:
+            raise CodeError(f"message {m!r} needs {k} symbols, got {len(symbols)}")
+        vec += symbols
+    y = [sum(map(operator.mul, row, vec)) % p for row in transfer_entries(net, code)]
     out: dict[str, list[tuple[int, ...]]] = {}
     for i, (t, _label) in enumerate(transfer_rows(net)):
-        out.setdefault(t, []).append(tuple(int(v) for v in y[i * code.k:(i + 1) * code.k]))
+        out.setdefault(t, []).append(tuple(y[i * k:(i + 1) * k]))
     return out
 
 
@@ -217,18 +221,16 @@ def _recovered_rows(net: Network, code: LinearCode) -> tuple[PackedRows, dict, d
     return gf, units, out
 
 
-def transfer_array(net: Network, code: LinearCode) -> np.ndarray:
-    """The transfer matrix as a raw array, which may have no rows or no columns: the walk's rows, unpacked."""
+def transfer_entries(net: Network, code: LinearCode) -> tuple[tuple[int, ...], ...]:
+    """The transfer matrix's rows, which may be none or empty: the walk's rows, unpacked."""
     gf, _, rows = _recovered_rows(net, code)
-    return gf.array([r for t in net.terminal_nodes() for r in rows[t]], len(net.messages()) * code.k)
+    return tuple([gf.unpack(r) for t in net.terminal_nodes() for r in rows[t]])
 
 
 def transfer_matrix(net: Network, code: LinearCode) -> TransferMatrix:
-    out = transfer_array(net, code)
-    if out.size == 0:
+    if not (entries := transfer_entries(net, code)) or not entries[0]:
         raise DimensionMismatch("matrix needs at least one row and column")
-    # Row by row, so no list of every entry is alive at once.
-    matrix = MatrixGF._reduced(code.field, tuple(tuple(row.tolist()) for row in out))
+    matrix = MatrixGF._reduced(code.field, entries)
     return TransferMatrix(code.field, code.k, transfer_rows(net), net.messages(), matrix)
 
 

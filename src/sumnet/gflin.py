@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 
 class FieldMismatch(ValueError):
     """Operands live over different prime fields."""
@@ -84,12 +82,6 @@ class MatrixGF:
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "MatrixGF":
         return cls._reduced(field, ((0,) * cols,) * rows)
-
-    def array(self) -> np.ndarray:
-        """A new read-only int64 array of the entries."""
-        a = np.array(self.entries, dtype=np.int64)
-        a.setflags(write=False)
-        return a
 
     def tolists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
@@ -217,20 +209,22 @@ class PackedRows:
             out.append(row)
         return out
 
-    def array(self, rows: list[int], cols: int) -> np.ndarray:
-        """The rows as a len(rows) x cols int64 array, unpacked one bit plane at a time to keep the peak low."""
-        size = (cols * self.b + 7) // 8
-        data = np.frombuffer(b"".join(r.to_bytes(size, "little") for r in rows), dtype=np.uint8)
-        bits = np.unpackbits(data.reshape(len(rows), size), axis=1, count=cols * self.b, bitorder="little")
-        out = np.zeros((len(rows), cols), dtype=np.int64)
-        for i in range(self.b - 1):  # bit b - 1 of a reduced entry is 0
-            out |= bits[:, i::self.b].astype(np.int64) << i
-        return out
-
     def pack(self, entries: Sequence[int]) -> int:
-        """The packed row of ``entries``, residues in [0, p); ``array`` unpacks rows."""
+        """The packed row of ``entries``, residues in [0, p); ``unpack`` inverts it."""
         b = self.b
         return sum(entries[j] << (j * b) for j in compress(range(len(entries)), entries))
+
+    def unpack(self, r: int) -> tuple[int, ...]:
+        """The ``cols`` entries of row ``r``, read by skipping from one nonzero column to the next."""
+        b, m, out, j = self.b, self.mask, [0] * self.cols, 0
+        while r:
+            s = self.pivot(r)
+            r >>= s * b
+            j += s
+            out[j] = r & m
+            r >>= b
+            j += 1
+        return tuple(out)
 
     def reduce(self, basis: dict, r: int) -> int:
         """``r`` minus basis rows until its lowest nonzero column is no pivot; 0 iff r is in the span."""

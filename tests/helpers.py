@@ -250,6 +250,11 @@ def random_code(rng: random.Random, net: Network, p: int, k: int, n: int) -> Lin
 # -- independent oracles ---------------------------------------------------------
 
 
+def array(m: MatrixGF) -> np.ndarray:
+    """The entries of ``m`` as a new int64 array, for the numpy oracles."""
+    return np.array(m.entries, dtype=np.int64)
+
+
 def dumb_mat_mul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
     """Entry-wise product, written without numpy on purpose."""
     rows, inner, cols = len(a), len(b), len(b[0])
@@ -279,10 +284,10 @@ def all_edge_paths(net: Network, start: str, goal: str) -> list[list[str]]:
 def path_product(code: LinearCode, path: list[str], msg: str, terminal: str | None = None, slot: int = 0) -> np.ndarray:
     """The gain of ``msg`` along ``path``, through the decoder at ``terminal`` if given, as numpy products."""
     p = code.field.p
-    g = code.source(msg, path[0]).array()
+    g = array(code.source(msg, path[0]))
     for a, b in zip(path, path[1:]):
-        g = (code.local(a, b).array() @ g) % p
-    return g if terminal is None else (code.decode(terminal, path[-1], slot).array() @ g) % p
+        g = (array(code.local(a, b)) @ g) % p
+    return g if terminal is None else (array(code.decode(terminal, path[-1], slot)) @ g) % p
 
 
 def transfer_by_path_enumeration(net: Network, code: LinearCode) -> np.ndarray:

@@ -31,6 +31,7 @@ from sumnet.netmodel import min_source_terminal_cut, reverse_network
 from sumnet.transforms import c1, c2
 
 from helpers import (
+    array,
     mun_crossed,
     mun_disconnected,
     mun_disjoint2,
@@ -143,8 +144,8 @@ def test_criterion_02_cofinite_classification():
             if expected == "solvable":
                 w = report.witness
                 assert is_solution(net, w)
-                line = w.local("s_2>u_1", "u_1>v_1").array()[0, 0]
-                gamma = w.decode(f"t_{m}", f"v_1>t_{m}", 0).array()[0, 0]
+                line = w.local("s_2>u_1", "u_1>v_1").entries[0][0]
+                gamma = w.decode(f"t_{m}", f"v_1>t_{m}", 0).entries[0][0]
                 assert (gamma * line) % p == pow(m - 2, p - 2, p)
                 _record(f"s_m_star({m})/GF({p})", net, 1, 1)
     elapsed = time.monotonic() - start
@@ -208,8 +209,8 @@ def test_criterion_05_duality_suite():
             rev = reverse_network(net)
             rcode = canonical_reverse_code(net, code)
             validate_code(rev, rcode)
-            T = transfer_matrix(net, code).matrix.array()
-            RT = transfer_matrix(rev, rcode).matrix.array()
+            T = array(transfer_matrix(net, code).matrix)
+            RT = array(transfer_matrix(rev, rcode).matrix)
             assert np.array_equal(RT, T.T)
             assert is_solution(net, code) == is_solution(rev, rcode)
             assert canonical_reverse_code(rev, rcode) == code

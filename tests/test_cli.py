@@ -413,6 +413,15 @@ def test_console_entry_point_runs():
     assert '"s_1"' in proc.stdout
 
 
+def test_importing_sumnet_does_not_load_numpy():
+    # numpy is a test dependency only; a fresh interpreter shows what the package itself loads.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import sumnet, sumnet.cli; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, check=True)
+    modules = proc.stdout.split()
+    assert "sumnet.codes" in modules and "numpy" not in modules
+
+
 def test_export_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
     net_file = tmp_path / "net.json"
     net_file.write_text(json.dumps({

@@ -24,7 +24,7 @@ from sumnet import (
     verify_nonlinear,
 )
 from sumnet.codes import (
-    BudgetExceededError, CodeError, LinearCode, NonlinearCode, code_from_json, code_to_json, transfer_array,
+    BudgetExceededError, CodeError, LinearCode, NonlinearCode, code_from_json, code_to_json, transfer_entries,
     validate_nonlinear,
 )
 from sumnet.families import FamilySpec, component, known_code
@@ -33,6 +33,7 @@ from sumnet.netmodel import Demand, Edge, Network, recover, reverse_network
 from sumnet.transforms import c3, scale_sources
 
 from helpers import (
+    array,
     mun_path,
     path_product,
     random_code,
@@ -78,6 +79,31 @@ def test_eval_s4_identity_gf3_fails_at_t4():
     assert out["t_4"][0] != (total,)
 
 
+def test_eval_needs_k_symbols_per_message():
+    # The right total length used to shift symbols from x1 into x2.
+    net = s_m(3)
+    code = identity_code(net, F3, 2)
+    with pytest.raises(CodeError, match="'x1' needs 2 symbols, got 3"):
+        eval_linear(net, code, {"x1": [1, 0, 1], "x2": [1], "x3": [0, 0]})
+    with pytest.raises(CodeError, match="'x2' needs 2 symbols, got 1"):
+        eval_linear(net, code, {"x1": [1, 0], "x2": [1], "x3": [0, 0, 1]})
+
+
+def test_eval_reduces_wide_integers_mod_p():
+    net = s_m(3)
+    code = identity_code(net, F3, 2)
+    wide = eval_linear(net, code, {"x1": [2**70, -1], "x2": [3**50 + 1, 0], "x3": [0, 2**64]})
+    assert wide == eval_linear(net, code, {"x1": [2**70 % 3, 2], "x2": [1, 0], "x3": [0, 2**64 % 3]})
+
+
+def test_eval_rejects_symbols_that_are_not_integers():
+    net = s_m(3)
+    code = identity_code(net, F3, 2)
+    for bad in ([1.5, 0], ["1", 0], 1, [None, 0]):
+        with pytest.raises(CodeError, match="'x2' needs a vector of integers"):
+            eval_linear(net, code, {"x1": [1, 0], "x2": bad, "x3": [0, 0]})
+
+
 def test_transfer_single_identity_edge():
     net = single_edge_net()
     t = transfer_matrix(net, identity_code(net, F2))
@@ -118,7 +144,7 @@ def test_transfer_matches_path_enumeration():
             k = rng.choice([1, 2])
             code = random_code(rng, net, p, k, k)
             for c in (code, _dropped(rng, code)):
-                got = transfer_matrix(net, c).matrix.array()
+                got = array(transfer_matrix(net, c).matrix)
                 want = transfer_by_path_enumeration(net, c)
                 assert np.array_equal(got, want)
     # t1 recovers both messages and relays to t2, z is a relay with no
@@ -140,8 +166,8 @@ def test_transfer_matches_path_enumeration():
         want = transfer_by_path_enumeration(net, code)
         assert want.any()
         for c in (code, _dropped(rng, code), outside):
-            assert np.array_equal(transfer_matrix(net, c).matrix.array(), transfer_by_path_enumeration(net, c))
-        assert np.array_equal(transfer_matrix(net, outside).matrix.array(), want)
+            assert np.array_equal(array(transfer_matrix(net, c).matrix), transfer_by_path_enumeration(net, c))
+        assert np.array_equal(array(transfer_matrix(net, outside).matrix), want)
     # Edge maps are summed unreduced and reduced when read: at p = 65521,
     # relay r sums five products, two over parallel edges, and u and t sum
     # two more each.  Unreduced maps would overflow int64 by t.
@@ -152,7 +178,7 @@ def test_transfer_matches_path_enumeration():
     assert len(net.in_edges("r")) == 5
     for _ in range(5):
         code = random_code(rng, net, 65521, 2, 2)
-        assert np.array_equal(transfer_matrix(net, code).matrix.array(), transfer_by_path_enumeration(net, code))
+        assert np.array_equal(array(transfer_matrix(net, code).matrix), transfer_by_path_enumeration(net, code))
 
 
 def _traced_peak(f, *args):
@@ -167,23 +193,22 @@ def _traced_peak(f, *args):
 def test_transfer_frees_each_edge_map_once_its_head_has_read_it():
     # Only the maps of edges whose head node is still ahead stay alive, so the
     # traced peak stays under half of what every edge map would take at once
-    # as int64 entries.  Over GF(65521) the unpacked array is the larger part:
-    # unpacking every bit at once would break the bound.  Ranking the unpacked
-    # matrix packs its rows through one uint8 per bit and stays under the same
-    # bound; one int64 per bit would break it.
+    # as int64 entries.  The unpacked rows, one pointer per entry, are the
+    # larger part.  Ranking them packs each row back into one int and stays
+    # under the same bound.
     net = c3(s_m(10))[0]
     for p in (2, 65521):
         code = random_code(random.Random(1), net, p, 2, 2)
         every_map = len(net.edges) * code.n * len(net.messages()) * code.k * 8
-        a, peak = _traced_peak(transfer_array, net, code)
+        a, peak = _traced_peak(transfer_entries, net, code)
         assert peak < every_map / 2, (p, peak, every_map)
-        peak = _traced_peak(rank, MatrixGF(code.field, a.tolist()))[1]
+        peak = _traced_peak(rank, MatrixGF(code.field, a))[1]
         assert peak < every_map / 2, ("rank", p, peak, every_map)
 
 
 def test_transfer_matrix_without_a_terminal_is_a_dimension_mismatch():
     net = Network("no terminal", ("s", "a"), (Edge("e", "s", "a"),), {"s": ("x",)}, {})
-    assert transfer_array(net, identity_code(net, F2)).shape == (0, 1)
+    assert transfer_entries(net, identity_code(net, F2)) == ()
     with pytest.raises(DimensionMismatch):
         transfer_matrix(net, identity_code(net, F2))
 
@@ -260,7 +285,7 @@ def test_eval_agrees_with_transfer_action():
         t = transfer_matrix(net, code)
         x = {m: [rng.randrange(3), rng.randrange(3)] for m in net.messages()}
         vec = np.concatenate([np.array(x[m]) for m in t.col_labels]) % 3
-        want = (t.matrix.array() @ vec) % 3
+        want = (array(t.matrix) @ vec) % 3
         got = eval_linear(net, code, x)
         i = 0
         for term, label in t.row_labels:
@@ -279,8 +304,8 @@ def test_reverse_code_duality_suite():
             rev = reverse_network(net)
             rcode = canonical_reverse_code(net, code)
             validate_code(rev, rcode)
-            T = transfer_matrix(net, code).matrix.array()
-            RT = transfer_matrix(rev, rcode).matrix.array()
+            T = array(transfer_matrix(net, code).matrix)
+            RT = array(transfer_matrix(rev, rcode).matrix)
             assert np.array_equal(RT, T.T)
             assert is_solution(net, code) == is_solution(rev, rcode)
             assert canonical_reverse_code(rev, rcode) == code
@@ -349,7 +374,7 @@ def test_validate_code_rejects_each_bad_key():
             validate_code(net, code)
         assert any(str(x) in str(err.value) for x in key), what
         # The transfer walk reads only keys of the table, and checks each one's shape.
-        for read in (transfer_array, is_solution) if what.endswith("shape") else ():
+        for read in (transfer_entries, is_solution) if what.endswith("shape") else ():
             with pytest.raises(CodeError, match=re.escape(f"{key} must be 1 x 1")):
                 read(net, code)
     for k, n in ((0, 1), (1, 0)):
@@ -567,10 +592,7 @@ def test_every_built_matrix_keeps_the_matrix_invariants(data):
     built += [t.matrix, t.block(0, 0)]
     for m in built:
         assert type(m.entries) is tuple and all(type(r) is tuple and set(map(type, r)) == {int} for r in m.entries)
-        a = m.array()
-        assert a.flags.writeable is False
-        assert a.dtype == np.int64 and ((0 <= a) & (a < p)).all()
-        assert (m.rows, m.cols) == a.shape
+        assert all(0 <= a < p for r in m.entries for a in r)
         twin = MatrixGF(f, m.tolists())
         assert m == twin and hash(m) == hash(twin)
         with pytest.raises(AttributeError):

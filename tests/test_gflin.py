@@ -13,7 +13,7 @@ from sumnet.gflin import (
     solve_right,
 )
 
-from helpers import dumb_mat_mul
+from helpers import array, dumb_mat_mul
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -194,16 +194,16 @@ def test_rank_and_solve_match_row_by_row_elimination(data):
     inner = data.draw(st.integers(1, min(rows, cols)))
     a = data.draw(matrices(p, rows, inner)) @ data.draw(matrices(p, inner, cols))
     r = rank(a)
-    assert r == len(_rref_by_rows(a.array(), p)[1])
+    assert r == len(_rref_by_rows(array(a), p)[1])
     rhs = data.draw(st.integers(1, 3))
     consistent = a @ data.draw(matrices(p, cols, rhs))
     drawn = data.draw(matrices(p, rows, rhs))
     for b in (consistent, drawn):
         x = solve_right(a, b)
-        assert (None if x is None else x.tolists()) == _solution_by_rows(a.array(), b.array(), p)
+        assert (None if x is None else x.tolists()) == _solution_by_rows(array(a), array(b), p)
     assert solve_right(a, consistent) is not None
     if r < rows:
         # Row r of the RREF of [a | I] is y with y a = 0 and y != 0; no X has a X = e_j where y_j != 0.
-        y = _rref_by_rows(np.concatenate([a.array(), np.eye(rows, dtype=np.int64)], axis=1), p)[0][r, cols:]
+        y = _rref_by_rows(np.concatenate([array(a), np.eye(rows, dtype=np.int64)], axis=1), p)[0][r, cols:]
         e = MatrixGF(FieldSpec(p), np.eye(rows, dtype=np.int64)[:, [int(np.nonzero(y)[0][0])]].tolist())
-        assert solve_right(a, e) is None and _solution_by_rows(a.array(), e.array(), p) is None
+        assert solve_right(a, e) is None and _solution_by_rows(array(a), array(e), p) is None

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from sumnet import FieldSpec, MatrixGF, SearchOptions, eval_linear, identity_code, s_m, search_linear
-from sumnet.codes import CodeError, LinearCode, transfer_array
+from sumnet.codes import CodeError, LinearCode, transfer_matrix
 from sumnet.families import bottleneck_mun
 from sumnet.gflin import rank
 from sumnet.netmodel import Demand, Edge, Network, NetworkError, recover, reverse_network
 from sumnet.transforms import c1, c2, c3, scale_sources, to_type_ia
 
 from helpers import (
+    array,
     mun_crossed,
     mun_disjoint2,
     mun_path,
@@ -357,9 +358,9 @@ def test_scaling_the_sources_scales_the_transfer_matrix():
                 blocks = np.zeros((len(msgs) * k, len(msgs) * k), dtype=np.int64)
                 for i, msg in enumerate(msgs):
                     a = scales.get(msg, MatrixGF.identity(f, k))
-                    blocks[i * k:(i + 1) * k, i * k:(i + 1) * k] = a.array()
-                want = transfer_array(net, code) @ blocks % p
-                assert np.array_equal(transfer_array(net, scale_sources(code, scales)), want), (
+                    blocks[i * k:(i + 1) * k, i * k:(i + 1) * k] = array(a)
+                want = array(transfer_matrix(net, code).matrix) @ blocks % p
+                assert np.array_equal(array(transfer_matrix(net, scale_sources(code, scales)).matrix), want), (
                     net.name, p, k, n)
 
 
