@@ -7,7 +7,8 @@ in-edge, recovery slot).  Missing keys mean the zero matrix, so sparse codes
 stay cheap to write down.
 
 Reading a code, reversing it and scaling its sources build one ``MatrixGF``
-per distinct coefficient, which equal coefficients share.
+per distinct coefficient, which equal coefficients share; writing a code
+encodes each distinct coefficient once.
 
 The transfer matrix between the stacked source messages and the stacked
 terminal recoveries is computed by propagating symbolic edge maps in
@@ -27,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .gflin import DimensionMismatch, FieldSpec, MatrixGF, PackedRows
 from .netmodel import (
-    Demand, Network, NetworkError, json_int, json_key, json_list, json_str, json_text, reverse_id,
+    Demand, Network, NetworkError, json_int, json_key, json_layout, json_list, json_str, reverse_id,
     reverse_roles,
 )
 
@@ -205,7 +206,8 @@ def _recovered_rows(net: Network, code: LinearCode) -> tuple[PackedRows, dict, d
                 for i, brow in enumerate(m.entries):
                     for c, y in zip(brow, x):
                         if c and y:
-                            acc[i] = add(acc[i], mul(c, y))
+                            y = y if c == 1 else mul(c, y)
+                            acc[i] = add(acc[i], y) if acc[i] else y
         return acc
 
     for v in net.topo_order():
@@ -449,6 +451,30 @@ def _section_to_json(values: Mapping, parts: tuple[str, ...], value: str, conver
     return [dict(zip(names, ((key,) if bare else key) + (convert(values[key]),))) for key in sorted(values)]
 
 
+class _Texts(dict):
+    """Each key's JSON text, encoded on its first lookup."""
+
+    def __missing__(self, x) -> str:
+        self[x] = text = json.dumps(x)
+        return text
+
+
+def _code_text(code, head: dict, sections: Mapping, value: str, text: Callable) -> str:
+    """``json_text`` of ``head`` and of each section's ``_section_to_json`` entries, without a dict per entry.
+
+    An entry's line fills its section's template, fields in sorted order, with
+    its key's parts, each string encoded once per file, and ``text`` of its value.
+    Only strings share texts: 1 and True are one dict key, written 1 and true.
+    """
+    strs, fields = _Texts(), {name: json.dumps(x) for name, x in head.items()}
+    for section, parts in sections.items():
+        values, names, bare = getattr(code, section), (*parts, value), len(parts) == 1
+        line = ("{{" + ", ".join(f"{json.dumps(x)}: {{{names.index(x)}}}" for x in sorted(names)) + "}}").format
+        fields[section] = [line(*[strs[x] if type(x) is str else repr(x) if type(x) is int else json.dumps(x)
+                                  for x in ((key,) if bare else key)], text(values[key])) for key in sorted(values)]
+    return json_layout(fields)
+
+
 def code_to_dict(code: LinearCode) -> dict:
     d = {"field": code.field.p, "k": code.k, "n": code.n}
     for section, parts in _LINEAR_SECTIONS.items():
@@ -457,12 +483,24 @@ def code_to_dict(code: LinearCode) -> dict:
 
 
 def _section_from_json(entries: tuple, section: str, parts: tuple[str, ...], value: str) -> Iterator[tuple]:
-    """Each entry's checked key as a tuple of its parts, with its unchecked ``value``."""
+    """Each entry's checked key as a tuple of its parts, with its unchecked ``value``.
+
+    A well-formed entry costs one lookup and one type test per part; any
+    other is read again by the ``json_key`` checks, which raise.
+    """
     what = f"{section} entry"
+    get, types = operator.itemgetter(*parts, value), tuple(int if part == "slot" else str for part in parts)
     checks = [(part, json_int if part == "slot" else json_str, f"{what} {part}") for part in parts]
     for e in entries:
-        key = tuple([check(json_key(e, part, what, CodeError), about, CodeError) for part, check, about in checks])
-        yield key, json_key(e, value, what, CodeError)
+        try:
+            got = get(e)
+        except (KeyError, TypeError):
+            got = None
+        if got is not None and tuple(map(type, key := got[:-1])) == types:
+            yield key, got[-1]
+        else:
+            key = tuple([check(json_key(e, part, what, CodeError), about, CodeError) for part, check, about in checks])
+            yield key, json_key(e, value, what, CodeError)
 
 
 def _ints(values, what: str) -> tuple[int, ...]:
@@ -497,18 +535,26 @@ def code_from_dict(d: dict) -> LinearCode:
     # Rows as written and as reduced both map to their one matrix, which equal coefficients share.
     coeffs, shared = {}, {}
     for section, parts in _LINEAR_SECTIONS.items():
-        entries = json_list(d.get(section, []), section, CodeError)
+        entries, what = json_list(d.get(section, []), section, CodeError), f"{section} mat"
         coeffs[section] = part = {}
         for key, mat in _section_from_json(entries, section, parts, "mat"):
-            if (m := shared.get(rows := _rows_from_json(mat, f"{section} mat"))) is None:
-                m = MatrixGF(f, rows)
+            try:
+                m = shared.get(rows := tuple(map(tuple, mat)))
+            except TypeError:  # a value or a row that is no list, or a list entry
+                m = None
+            # A hit has the shape of rows read before, but 1.0 and True hash like 1: test the types.
+            if m is None or not all([type(x) is int for r in rows for x in r]):
+                m = MatrixGF(f, rows := _rows_from_json(mat, what))
                 shared[rows] = m = shared.setdefault(m.entries, m)
             part[key] = m
     return LinearCode(f, k, n, **coeffs)
 
 
 def code_to_json(code: LinearCode) -> str:
-    return json_text(code_to_dict(code))
+    """``json_text(code_to_dict(code))``, with each distinct string and coefficient encoded once."""
+    mats = _Texts()  # a coefficient's entries are ints, so equal keys have one text
+    head = {"field": code.field.p, "k": code.k, "n": code.n}
+    return _code_text(code, head, _LINEAR_SECTIONS, "mat", lambda m: mats[m.entries])
 
 
 def code_from_json(text: str) -> LinearCode:
@@ -533,7 +579,8 @@ def nonlinear_from_dict(d: dict) -> NonlinearCode:
 
 
 def nonlinear_to_json(code: NonlinearCode) -> str:
-    return json_text(nonlinear_to_dict(code))
+    """``json_text(nonlinear_to_dict(code))``, with each distinct string encoded once."""
+    return _code_text(code, {"q": code.q}, _TABLE_SECTIONS, "table", json.dumps)
 
 
 def nonlinear_from_json(text: str) -> NonlinearCode:

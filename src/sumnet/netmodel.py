@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 SUM_SLOT = "<sum>"
 
@@ -304,20 +304,24 @@ def network_to_dict(net: Network) -> dict:
 _ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
-def json_text(obj: dict) -> str:
-    """``obj`` as JSON text with sorted keys: one line per key, and per item of a list value.
-
-    Each line is written by the C encoder, which ``indent`` would turn off.
-    """
+def json_layout(fields: Mapping[str, str | list[str]]) -> str:
+    """A JSON object from its values' texts: one line per key, sorted, and per item of a list of item texts."""
     lines = []
-    for key in sorted(obj):
-        value = obj[key]
-        if isinstance(value, list) and value:
-            items = ",\n".join("    " + _ENCODE(x) for x in value)
-            lines.append(f"  {_ENCODE(key)}: [\n{items}\n  ]")
-        else:
-            lines.append(f"  {_ENCODE(key)}: {_ENCODE(value)}")
+    for key in sorted(fields):
+        value = fields[key]
+        if isinstance(value, list):
+            value = "[\n    " + ",\n    ".join(value) + "\n  ]" if value else "[]"
+        lines.append(f"  {_ENCODE(key)}: {value}")
     return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def json_text(obj: dict) -> str:
+    """``obj`` as JSON text with sorted keys, laid out by ``json_layout``.
+
+    Each value and list item is written by the C encoder, which ``indent`` would turn off.
+    """
+    return json_layout({key: [_ENCODE(x) for x in value] if isinstance(value, list) else _ENCODE(value)
+                        for key, value in obj.items()})
 
 
 def network_to_json(net: Network) -> str:

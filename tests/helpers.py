@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
@@ -253,6 +254,21 @@ def random_code(rng: random.Random, net: Network, p: int, k: int, n: int) -> Lin
 def array(m: MatrixGF) -> np.ndarray:
     """The entries of ``m`` as a new int64 array, for the numpy oracles."""
     return np.array(m.entries, dtype=np.int64)
+
+
+def reference_json_text(obj: dict) -> str:
+    """The file layout of ``netmodel.json_text``, spelled the slow way: one C-encoder call per
+    value and per list item of ``obj`` (a ``code_to_dict``, ``nonlinear_to_dict`` or ``network_to_dict``)."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    lines = []
+    for key in sorted(obj):
+        value = obj[key]
+        if isinstance(value, list) and value:
+            items = ",\n".join("    " + encode(x) for x in value)
+            lines.append(f"  {encode(key)}: [\n{items}\n  ]")
+        else:
+            lines.append(f"  {encode(key)}: {encode(value)}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def dumb_mat_mul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:

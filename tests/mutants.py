@@ -9,10 +9,12 @@ there exactly once, with the test node ids that must fail under it.  The named
 tests of every mutant first run once on an unmutated copy, where they must
 pass.  Then, two mutants at a time, each mutant's edit is applied to a fresh
 copy of ``src/``, ``tests/`` and ``pyproject.toml`` in a temporary directory,
-and only its tests run there.  A mutant is killed when one of them fails, or
-when they run past ``TIMEOUT_S``.  The script prints one line per mutant and
-exits 0 when every mutant is killed, 1 otherwise: when a mutant survives, its
-edit no longer matches, or its tests do not pass unmutated.
+and only its tests run there, under the ``mutants`` hypothesis profile of
+``tests/conftest.py``, which does not shrink a failing example.  A mutant is
+killed when one of them fails, or when they run past ``TIMEOUT_S``.  The
+script prints one line per mutant and exits 0 when every mutant is killed, 1
+otherwise: when a mutant survives, its edit no longer matches, or its tests do
+not pass unmutated.
 
 pytest does not collect this file.  A mutant that survives means a test lost
 its check: mend the test and keep the mutant.  A change that adds a check adds
@@ -76,7 +78,8 @@ MUTANTS = [
            ("tests/test_gflin.py::test_entries_reduced_mod_p",)),
     # The linear search.
     Mutant("a bucket never made contextual", "solver.py", "contextual=not local)", "contextual=False)",
-           ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus",)),
+           ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus",
+            "tests/test_solver.py::test_determinism")),
     Mutant("blocks one column wider than n pinned", "solver.py", "            if cols > n:\n",
            "            if cols > n + 1:\n", ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus",)),
     Mutant("the lone source coefficient pinned when n < k", "solver.py", "            if cols > n:\n",
@@ -107,6 +110,12 @@ MUTANTS = [
            ("tests/test_codes.py::test_validate_code_rejects_each_bad_key",)),
     Mutant("path_gain from the n x n identity", "codes.py", "code.n if msg is None else code.k", "code.n",
            ("tests/test_codes.py::test_path_gain_order_and_virtuals",)),
+    # Code files.
+    Mutant("code lines with their fields in declared order", "codes.py", "for x in sorted(names)) + ",
+           "for x in names) + ", ("tests/test_codes.py::test_json_writers_match_one_encoder_call_per_item",)),
+    Mutant("a shared-matrix hit without its integer check", "codes.py",
+           "if m is None or not all([type(x) is int for r in rows for x in r]):", "if m is None:",
+           ("tests/test_codes.py::test_code_reader_rejects_malformed_matrices",)),
     Mutant("eval_linear without its per-message length check", "codes.py", "if len(symbols) != k:", "if False:",
            ("tests/test_codes.py::test_eval_needs_k_symbols_per_message",)),
     # The network model and the CLI.
@@ -139,7 +148,8 @@ def _pytest(tests, mutant: Mutant | None = None) -> str:
                 return f"its old text occurs {text.count(mutant.old)} times in {mutant.file}"
             path.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
-        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-profile=mutants",
+               *tests]
         try:
             proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:

@@ -38,6 +38,7 @@ from helpers import (
     path_product,
     random_code,
     random_sum_network,
+    reference_json_text,
     sum_bipartite22,
     transfer_by_path_enumeration,
 )
@@ -504,6 +505,36 @@ def test_json_writers_keep_the_old_layout_readable():
 """
 
 
+def test_json_writers_match_one_encoder_call_per_item():
+    # The writers fill each entry's line from texts encoded once per file; the
+    # bytes must be those of one C-encoder call per item of the written dict.
+    from sumnet.codes import code_to_dict, nonlinear_from_json, nonlinear_to_dict, nonlinear_to_json
+    from sumnet.netmodel import network_from_json, network_to_dict, network_to_json
+
+    odd = ['q"uote', "back\\slash", "\u00fcn\u00ef\u2192\u2211", "tab\tnl\n\x00\x1f", "\U0001f600\ud800", ""]
+    shared = MatrixGF(F5, [[1, 2], [3, 4]])
+    src = {(m, e): shared for m in odd for e in odd[:3]}
+    src[("x", "e")] = MatrixGF(F5, [[1, 2], [3, 4]])  # equal to shared, another object
+    dec = {("t", "e", slot): MatrixGF(F5, [[slot, 1], [0, slot + 1]]) for slot in range(12)}  # 10 after 9
+    dec[(odd[1], odd[3], 0)] = shared
+    codes = [LinearCode(F5, 2, 2, src, {}, dec), random_code(random.Random(5), s_m(4), 5, 2, 2)]
+    for code in codes:
+        blob = code_to_json(code)
+        assert blob == reference_json_text(code_to_dict(code))
+        assert code_from_json(blob) == code
+    tables = NonlinearCode(3, {e: (0, 1, 2) for e in odd}, {"t": (2, 1, 0), odd[0]: (1,)})
+    for code in (tables, NonlinearCode(2, {}, {}), additive_code(s_m(4), 3)):
+        blob = nonlinear_to_json(code)
+        assert blob == reference_json_text(nonlinear_to_dict(code))
+        assert nonlinear_from_json(blob) == code
+    net = Network(odd[0], (odd[1], odd[2]), (Edge(odd[3], odd[1], odd[2]),), {odd[1]: (odd[4],)},
+                  {odd[2]: Demand("sum")})
+    for net in (net, s_m(4)):
+        blob = network_to_json(net)
+        assert blob == reference_json_text(network_to_dict(net))
+        assert network_from_json(blob) == net
+
+
 def test_code_reader_rejects_malformed_matrices():
     from sumnet.codes import code_from_dict, code_to_dict
 
@@ -525,6 +556,15 @@ def test_code_reader_rejects_malformed_matrices():
             with pytest.raises(CodeError, match="local_coeff mat") as err:
                 code_from_dict(d)
             assert "inhomogeneous" not in str(err.value), what
+    # 1.0 and true equal, and hash like, 1: next to an equal all-int matrix,
+    # in an earlier section or earlier in their own, they are still rejected.
+    for mat, twin in (([[1.0]], [[1]]), ([[1, 0], [0, True]], [[1, 0], [0, 1]])):
+        for section in ("source_coeff", "local_coeff"):
+            d = json.loads(json.dumps(good))
+            d[section][0]["mat"] = twin
+            d["local_coeff"][1]["mat"] = mat
+            with pytest.raises(CodeError, match="local_coeff mat entries must be integers"):
+                code_from_dict(d)
     # An entry beyond int64 loads, reduced mod p.
     d = json.loads(json.dumps(good))
     d["local_coeff"][1]["mat"] = [[10**30]]

@@ -571,9 +571,15 @@ def test_determinism():
         (rand[22], F3, 1, 1, "solvable", 6),
         (rand[40], F2, 1, 1, "solvable", 8),
         # Its second bucket has only a cross check, so it is enumerated under
-        # the first bucket's assignment with that check inline.
+        # the first bucket's assignment with that check inline; enumerated
+        # without it, the bucket happens to yield the same first survivor.
         (rand[45], F2, 1, 1, "solvable", 8),
         (rand[45], F3, 1, 1, "solvable", 8),
+        # The hub bucket's one check, at t_1.1, also reads the first bucket's
+        # block; enumerated without that block it keeps more survivors, and
+        # the search takes 14 and 19 ticks.
+        (c2(bottleneck_mun(2))[0], F2, 1, 1, "unsolvable", 12),
+        (c2(bottleneck_mun(2))[0], F3, 1, 1, "unsolvable", 15),
         # Wide fields, where a row scalar is applied column by column.
         (s_m_star(4), FieldSpec(65521), 1, 1, "solvable", 9),
         (s_m(3), FieldSpec(257), 1, 1, "unsolvable", 518),
