@@ -104,87 +104,68 @@ def export_dot(net: Network, trace: Optional[transforms.TransformTrace] = None) 
     return "\n".join(lines) + "\n"
 
 
+def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for the subcommands that share it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sumnet", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
+    net, code, out = _option("--net", required=True), _option("--code", required=True), _option("-o", "--out")
+    budget = _option("--budget", type=int, default=SearchOptions.budget)
 
-    p = sub.add_parser("family", help="emit a built-in network")
+    def command(name: str, handler, about: str, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=about, parents=parents)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("family", _cmd_family, "emit a built-in network", out)
     p.add_argument("--name", required=True, choices=families.FAMILIES)
     p.add_argument("--m", type=int, default=0)
-    p.add_argument("-o", "--out")
 
-    p = sub.add_parser("known-code", help="emit a family's closed-form code, or null")
+    p = command("known-code", _cmd_known_code, "emit a family's closed-form code, or null", out)
     p.add_argument("--family", required=True, choices=families.FAMILIES)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--field", type=int, required=True)
-    p.add_argument("-o", "--out")
 
-    p = sub.add_parser("transform", help="apply a construction to a network")
+    p = command("transform", _cmd_transform, "apply a construction to a network", net, out)
     p.add_argument("--op", required=True, choices=["c1", "c2", "c3", "reverse", "to-type-ia"])
-    p.add_argument("--net", required=True)
-    p.add_argument("-o", "--out")
     p.add_argument("--trace-out", help="write construction roles as a JSON sidecar")
 
-    p = sub.add_parser("search", help="decide (k,n) linear solvability")
-    p.add_argument("--net", required=True)
+    p = command("search", _cmd_search, "decide (k,n) linear solvability", net, budget, out)
     p.add_argument("--field", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--budget", type=int, default=SearchOptions.budget)
     p.add_argument("--no-reduce", action="store_true")
-    p.add_argument("-o", "--out")
 
-    p = sub.add_parser("search-nonlinear", help="decide Z_q table-code solvability")
-    p.add_argument("--net", required=True)
+    p = command("search-nonlinear", _cmd_search_nonlinear, "decide Z_q table-code solvability", net, budget, out)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--budget", type=int, default=SearchOptions.budget)
-    p.add_argument("-o", "--out")
 
-    p = sub.add_parser("classify", help="solvability pattern of a family per prime")
+    p = command("classify", _cmd_classify, "solvability pattern of a family per prime", budget, out)
     p.add_argument("--family", required=True, choices=["s_m", "s_m_star"])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--primes", default="2,3,5")
-    p.add_argument("--budget", type=int, default=SearchOptions.budget)
-    p.add_argument("-o", "--out")
 
-    p = sub.add_parser("verify", help="check a linear code against a network")
-    p.add_argument("--net", required=True)
-    p.add_argument("--code", required=True)
-
-    p = sub.add_parser("verify-nonlinear", help="check a table code exhaustively")
-    p.add_argument("--net", required=True)
-    p.add_argument("--code", required=True)
+    command("verify", _cmd_verify, "check a linear code against a network", net, code)
+    p = command("verify-nonlinear", _cmd_verify_nonlinear, "check a table code exhaustively", net, code)
     p.add_argument("--budget", type=int, default=codes.MAX_INPUTS)
+    command("reverse-code", _cmd_reverse_code, "canonical code for the reversed network", net, code, out)
+    command("transfer", _cmd_transfer, "emit the transfer matrix of a code", net, code, out)
 
-    p = sub.add_parser("reverse-code", help="canonical code for the reversed network")
-    p.add_argument("--net", required=True)
-    p.add_argument("--code", required=True)
-    p.add_argument("-o", "--out")
-
-    p = sub.add_parser("transfer", help="emit the transfer matrix of a code")
-    p.add_argument("--net", required=True)
-    p.add_argument("--code", required=True)
-    p.add_argument("-o", "--out")
-
-    p = sub.add_parser("scale-sources", help="compose source coefficients with scales")
-    p.add_argument("--code", required=True)
+    p = command("scale-sources", _cmd_scale_sources, "compose source coefficients with scales", code, out)
     p.add_argument("--scales", required=True, help="JSON file mapping message -> k x k matrix or scalar")
-    p.add_argument("-o", "--out")
 
-    p = sub.add_parser("mincut", help="unit-capacity max-flow between two nodes")
-    p.add_argument("--net", required=True)
+    p = command("mincut", _cmd_mincut, "unit-capacity max-flow between two nodes", net)
     p.add_argument("--s", required=True)
     p.add_argument("--t", required=True)
 
-    p = sub.add_parser("connectivity", help="source x terminal reachability matrix")
-    p.add_argument("--net", required=True)
-
-    p = sub.add_parser("export-dot", help="emit Graphviz text")
-    p.add_argument("--net", required=True)
+    command("connectivity", _cmd_connectivity, "source x terminal reachability matrix", net)
+    p = command("export-dot", _cmd_export_dot, "emit Graphviz text", net, out)
     p.add_argument("--trace", help="role sidecar JSON to label nodes and edges")
-    p.add_argument("-o", "--out")
-
     return ap
 
 
@@ -332,28 +313,10 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "family": _cmd_family,
-    "known-code": _cmd_known_code,
-    "transform": _cmd_transform,
-    "search": _cmd_search,
-    "search-nonlinear": _cmd_search_nonlinear,
-    "classify": _cmd_classify,
-    "verify": _cmd_verify,
-    "verify-nonlinear": _cmd_verify_nonlinear,
-    "reverse-code": _cmd_reverse_code,
-    "transfer": _cmd_transfer,
-    "scale-sources": _cmd_scale_sources,
-    "mincut": _cmd_mincut,
-    "connectivity": _cmd_connectivity,
-    "export-dot": _cmd_export_dot,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.cmd](args)
+        return args.handler(args)
     except (NetworkError, CodeError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

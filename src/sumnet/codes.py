@@ -13,8 +13,9 @@ encodes each distinct coefficient once.
 The transfer matrix between the stacked source messages and the stacked
 terminal recoveries is computed by propagating symbolic edge maps in
 topological order, each row packed into one int by ``gflin.PackedRows``, the
-row kernel the search uses; on small graphs the tests cross-check it against
-the path-gain-sum definition by explicit path enumeration.
+row kernel the search uses, and each block multiplied with ``PackedRows.times``;
+on small graphs the tests cross-check it against the path-gain-sum definition
+by explicit path enumeration.
 """
 
 from __future__ import annotations
@@ -187,28 +188,25 @@ def _recovered_rows(net: Network, code: LinearCode) -> tuple[PackedRows, dict, d
     """The row kernel, each message's rows, and per terminal its recovered rows, k per slot.
 
     One walk in topological order over the keys ``coefficient_table`` names;
-    each coefficient multiplies its input rows into the sum in one loop.  Each
-    node pops its in-edges' maps, so only the maps of edges whose head is still ahead stay alive.
+    each out-edge's or slot's coefficients, side by side, multiply their stacked
+    input rows in one ``PackedRows.times`` call.  Each node pops its in-edges'
+    maps, so only the maps of edges whose head is still ahead stay alive.
     """
     gf = PackedRows(code.field.p, len(net.messages()) * code.k)
-    add, mul = gf.add, gf.mul
     units = message_rows(net, gf, code.k)
     maps: dict[str, list[int]] = {}
     out: dict[str, list[int]] = {}
 
     def combine(coeffs: Mapping, ins: list[tuple[tuple, list[int]]], rows: int) -> list[int]:
         """The sum over the keys of ``ins`` of the coefficient there times the key's input rows."""
-        acc = [0] * rows
+        entries, stacked = [], []
         for key, x in ins:
             if (m := coeffs.get(key)) is not None:
                 if (m.rows, m.cols) != (rows, len(x)):
                     raise CodeError(f"coefficient {key} must be {rows} x {len(x)}")
-                for i, brow in enumerate(m.entries):
-                    for c, y in zip(brow, x):
-                        if c and y:
-                            y = y if c == 1 else mul(c, y)
-                            acc[i] = add(acc[i], y) if acc[i] else y
-        return acc
+                entries.append(m.entries)
+                stacked += x
+        return gf.times(map(chain.from_iterable, zip(*entries)) if entries else [()] * rows, stacked)
 
     for v in net.topo_order():
         if v in net.sources:
@@ -327,20 +325,14 @@ class NonlinearCode:
 def table_arities(net: Network) -> dict[tuple[str, str], int]:
     """Every table of a Z_q code on ``net``, with its arity: it has q**arity entries.
 
-    ``("edge", e)`` per out-edge, in topological order of its tail and then by
-    id, then ``("dec", t)`` per terminal, whose inputs are t's in-edges.  A
+    ``("edge", e)`` per out-edge of ``edge_keys``, then ``("dec", t)`` per
+    terminal of ``decoder_keys``; a table's arity is its count of keys.  A
     decode table outputs one symbol, so a multi-slot demand is ``CodeError``.
     """
     if any(len(d.slots()) != 1 for d in net.terminals.values()):
         raise CodeError("nonlinear codes support single-slot demands only")
-    table: dict[tuple[str, str], int] = {}
-    for v in net.topo_order():
-        arity = len(net.sources[v]) if v in net.sources else len(net.in_edges(v))
-        for e in net.out_edges(v):
-            table[("edge", e.id)] = arity
-    for t in net.terminal_nodes():
-        table[("dec", t)] = len(net.in_edges(t))
-    return table
+    return {**{("edge", e): len(us) for e, us in edge_keys(net)},
+            **{("dec", t): len(us) for t, us in decoder_keys(net)}}
 
 
 def validate_nonlinear(net: Network, code: NonlinearCode) -> None:

@@ -31,8 +31,15 @@ class FamilySpec:
             raise NetworkError("bottleneck_mun needs m >= 2")
 
 
-def _e(tail: str, head: str) -> Edge:
-    return Edge(f"{tail}>{head}", tail, head)
+def _network(name: str, edges: list[tuple[str, str]], sources: dict, terminals: dict) -> Network:
+    """The network of ``edges``, each a (tail, head) pair with id "tail>head", on the edges' endpoints."""
+    return Network(
+        name=name,
+        nodes=tuple({v for e in edges for v in e}),
+        edges=tuple(Edge(f"{tail}>{head}", tail, head) for tail, head in edges),
+        sources=sources,
+        terminals=terminals,
+    )
 
 
 def s_m(m: int) -> Network:
@@ -44,57 +51,25 @@ def s_m(m: int) -> Network:
     """
     if m < 3:
         raise NetworkError("s_m needs m >= 3")
-    nodes = (
-        [f"s_{i}" for i in range(1, m + 1)]
-        + [f"u_{i}" for i in range(1, m)]
-        + [f"v_{i}" for i in range(1, m)]
-        + [f"t_{i}" for i in range(1, m + 1)]
-    )
     edges = []
     for i in range(1, m):
-        for j in range(1, m):
-            if i != j:
-                edges.append(_e(f"s_{i}", f"t_{j}"))
-        edges.append(_e(f"s_{i}", f"u_{i}"))
-        edges.append(_e(f"s_{m}", f"u_{i}"))
-        edges.append(_e(f"u_{i}", f"v_{i}"))
-        edges.append(_e(f"v_{i}", f"t_{i}"))
-        edges.append(_e(f"v_{i}", f"t_{m}"))
-    return Network(
-        name=f"s_{m}",
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        sources={f"s_{i}": (f"x{i}",) for i in range(1, m + 1)},
-        terminals={f"t_{i}": Demand("sum") for i in range(1, m + 1)},
-    )
+        edges += [(f"s_{i}", f"t_{j}") for j in range(1, m) if j != i]
+        edges += [(f"s_{i}", f"u_{i}"), (f"s_{m}", f"u_{i}"), (f"u_{i}", f"v_{i}"), (f"v_{i}", f"t_{i}"),
+                  (f"v_{i}", f"t_{m}")]
+    return _network(f"s_{m}", edges, {f"s_{i}": (f"x{i}",) for i in range(1, m + 1)},
+                    {f"t_{i}": Demand("sum") for i in range(1, m + 1)})
 
 
 def s_m_star(m: int) -> Network:
     """Sum network solvable exactly when the characteristic does not divide m - 2."""
     if m < 3:
         raise NetworkError("s_m_star needs m >= 3")
-    nodes = (
-        [f"s_{i}" for i in range(1, m)]
-        + [f"u_{i}" for i in range(1, m)]
-        + [f"v_{i}" for i in range(1, m)]
-        + [f"t_{i}" for i in range(1, m + 1)]
-    )
     edges = []
     for i in range(1, m):
-        edges.append(_e(f"s_{i}", f"t_{i}"))
-        for j in range(1, m):
-            if i != j:
-                edges.append(_e(f"s_{i}", f"u_{j}"))
-        edges.append(_e(f"u_{i}", f"v_{i}"))
-        edges.append(_e(f"v_{i}", f"t_{i}"))
-        edges.append(_e(f"v_{i}", f"t_{m}"))
-    return Network(
-        name=f"s_{m}_star",
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        sources={f"s_{i}": (f"x{i}",) for i in range(1, m)},
-        terminals={f"t_{i}": Demand("sum") for i in range(1, m + 1)},
-    )
+        edges += [(f"s_{i}", f"t_{i}")] + [(f"s_{i}", f"u_{j}") for j in range(1, m) if j != i]
+        edges += [(f"u_{i}", f"v_{i}"), (f"v_{i}", f"t_{i}"), (f"v_{i}", f"t_{m}")]
+    return _network(f"s_{m}_star", edges, {f"s_{i}": (f"x{i}",) for i in range(1, m)},
+                    {f"t_{i}": Demand("sum") for i in range(1, m + 1)})
 
 
 def component() -> Network:
@@ -105,49 +80,21 @@ def component() -> Network:
     both relay out-edges to carry an invertible multiple of x1 and nothing
     else, in every solution.
     """
-    nodes = ("s_1", "s_2", "s_3", "rel_1", "rel_2", "mix", "fan", "t_1", "t_2")
-    edges = (
-        _e("s_1", "rel_1"),
-        _e("s_2", "rel_1"),
-        _e("s_1", "rel_2"),
-        _e("s_2", "rel_2"),
-        _e("rel_1", "mix"),
-        _e("s_3", "mix"),
-        _e("mix", "fan"),
-        _e("fan", "t_1"),
-        _e("fan", "t_2"),
-        _e("rel_2", "t_2"),
-        _e("s_3", "t_1"),
-    )
-    return Network(
-        name="component",
-        nodes=nodes,
-        edges=edges,
-        sources={"s_1": ("x1",), "s_2": ("x2",), "s_3": ("x3",)},
-        terminals={"t_1": recover("x1"), "t_2": recover("x3")},
-    )
+    edges = [("s_1", "rel_1"), ("s_2", "rel_1"), ("s_1", "rel_2"), ("s_2", "rel_2"), ("rel_1", "mix"),
+             ("s_3", "mix"), ("mix", "fan"), ("fan", "t_1"), ("fan", "t_2"), ("rel_2", "t_2"), ("s_3", "t_1")]
+    return _network("component", edges, {"s_1": ("x1",), "s_2": ("x2",), "s_3": ("x3",)},
+                    {"t_1": recover("x1"), "t_2": recover("x3")})
 
 
 def bottleneck_mun(m: int) -> Network:
     """m unicast pairs all squeezed through one shared unit edge."""
     if m < 2:
         raise NetworkError("bottleneck_mun needs m >= 2")
-    nodes = (
-        [f"w_{i}" for i in range(1, m + 1)]
-        + ["hub_in", "hub_out"]
-        + [f"z_{i}" for i in range(1, m + 1)]
-    )
-    edges = [_e("hub_in", "hub_out")]
+    edges = [("hub_in", "hub_out")]
     for i in range(1, m + 1):
-        edges.append(_e(f"w_{i}", "hub_in"))
-        edges.append(_e("hub_out", f"z_{i}"))
-    return Network(
-        name=f"bottleneck_{m}",
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        sources={f"w_{i}": (f"x{i}",) for i in range(1, m + 1)},
-        terminals={f"z_{i}": recover(f"x{i}") for i in range(1, m + 1)},
-    )
+        edges += [(f"w_{i}", "hub_in"), ("hub_out", f"z_{i}")]
+    return _network(f"bottleneck_{m}", edges, {f"w_{i}": (f"x{i}",) for i in range(1, m + 1)},
+                    {f"z_{i}": recover(f"x{i}") for i in range(1, m + 1)})
 
 
 def generate(spec: FamilySpec) -> Network:

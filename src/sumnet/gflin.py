@@ -205,7 +205,8 @@ class PackedRows:
             row = 0
             for c, srow in zip(brow, rows):
                 if c and srow:
-                    row = add(row, mul(c, srow)) if row else mul(c, srow)
+                    y = srow if c == 1 else mul(c, srow)
+                    row = add(row, y) if row else y
             out.append(row)
         return out
 

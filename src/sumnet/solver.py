@@ -507,8 +507,7 @@ class _StagedProblem:
                 continue
             self.pinned[eid] = _eye(n, cols)
             if all(u[0] == "alpha" or u[1] in self.const_maps for u in us):
-                # eye(n, cols) times the inputs: the inputs, then zero rows.
-                self.const_maps[eid] = self._inputs(eid, self.const_maps) + [0] * (n - cols)
+                self.const_maps[eid] = self.gf.times(self.pinned[eid], self._inputs(eid, self.const_maps))
         self.decoders = dict(decoder_keys(net))
 
         self.cone = _backward_cones(net)

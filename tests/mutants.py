@@ -74,6 +74,8 @@ MUTANTS = [
            (PACKED, TRANSFER)),
     Mutant("unpack mask one bit short", "gflin.py", "b, m, out, j = self.b, self.mask,",
            "b, m, out, j = self.b, self.mask >> 2,", (PACKED, TRANSFER)),
+    Mutant("times passes rows through at c <= 2", "gflin.py", "y = srow if c == 1 else", "y = srow if c <= 2 else",
+           (PACKED,)),
     Mutant("MatrixGF without % p", "gflin.py", "tuple([int(x) % p for x in r])", "tuple([int(x) for x in r])",
            ("tests/test_gflin.py::test_entries_reduced_mod_p",)),
     # The linear search.
@@ -108,6 +110,8 @@ MUTANTS = [
            "        if v in net.terminals and False:\n", (TRANSFER,)),
     Mutant("validate_code without its shape check", "codes.py", "if (m.rows, m.cols) != shape:", "if False:",
            ("tests/test_codes.py::test_validate_code_rejects_each_bad_key",)),
+    Mutant("the transfer walk without its shape check", "codes.py", "if (m.rows, m.cols) != (rows, len(x)):",
+           "if False:", ("tests/test_codes.py::test_validate_code_rejects_each_bad_key",)),
     Mutant("path_gain from the n x n identity", "codes.py", "code.n if msg is None else code.k", "code.n",
            ("tests/test_codes.py::test_path_gain_order_and_virtuals",)),
     # Code files.
@@ -126,6 +130,8 @@ MUTANTS = [
            "return {start}", ("tests/test_netmodel.py::test_connectivity_false_entry",)),
     Mutant("no backslash escape in export-dot", "cli.py", '.replace("\\\\", "\\\\\\\\")', "",
            ("tests/test_cli.py::test_export_dot_escapes_quotes_and_backslashes",)),
+    Mutant("verify-nonlinear with the search budget", "cli.py", "default=codes.MAX_INPUTS)",
+           "default=SearchOptions.budget)", ("tests/test_cli.py::test_each_subcommand_declares_its_options_and_defaults",)),
 ]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumnet import FieldSpec, SearchOptions, known_code, s_m
-from sumnet.cli import export_dot, main
-from sumnet.codes import code_from_json, code_to_json, nonlinear_to_json, additive_code, linear_code
+from sumnet.cli import _build_parser, export_dot, main
+from sumnet.codes import MAX_INPUTS, code_from_json, code_to_json, nonlinear_to_json, additive_code, linear_code
 from sumnet.families import FamilySpec
 from sumnet.netmodel import Demand, Edge, Network, network_from_json, network_to_json
 from sumnet.solver import search_linear, search_nonlinear
@@ -396,6 +397,47 @@ def test_removed_search_flags_are_usage_errors(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search", "--net", str(net_file), "--field", "2", flag])
         assert exc.value.code == 2
+
+
+def test_each_subcommand_declares_its_options_and_defaults(capsys):
+    budget, out = SearchOptions.budget, {"out": None}
+    # Per subcommand, its required options as flag-value pairs, then every parsed field but the handler.
+    cases = {
+        "family": (["--name", "s_m"], {"name": "s_m", "m": 0, **out}),
+        "known-code": (["--family", "s_m", "--field", "2"], {"family": "s_m", "m": 0, "field": 2, **out}),
+        "transform": (["--op", "c1", "--net", "n"], {"op": "c1", "net": "n", "trace_out": None, **out}),
+        "search": (["--net", "n", "--field", "2"],
+                   {"net": "n", "field": 2, "k": 1, "n": 1, "budget": budget, "no_reduce": False, **out}),
+        "search-nonlinear": (["--net", "n", "--q", "2"], {"net": "n", "q": 2, "budget": budget, **out}),
+        "classify": (["--family", "s_m", "--m", "4"],
+                     {"family": "s_m", "m": 4, "k": 1, "primes": "2,3,5", "budget": budget, **out}),
+        "verify": (["--net", "n", "--code", "c"], {"net": "n", "code": "c"}),
+        "verify-nonlinear": (["--net", "n", "--code", "c"], {"net": "n", "code": "c", "budget": MAX_INPUTS}),
+        "reverse-code": (["--net", "n", "--code", "c"], {"net": "n", "code": "c", **out}),
+        "transfer": (["--net", "n", "--code", "c"], {"net": "n", "code": "c", **out}),
+        "scale-sources": (["--code", "c", "--scales", "s"], {"code": "c", "scales": "s", **out}),
+        "mincut": (["--net", "n", "--s", "a", "--t", "b"], {"net": "n", "s": "a", "t": "b"}),
+        "connectivity": (["--net", "n"], {"net": "n"}),
+        "export-dot": (["--net", "n"], {"net": "n", "trace": None, **out}),
+    }
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(cases)
+    for cmd, (required, fields) in cases.items():
+        args = vars(parser.parse_args([cmd, *required]))
+        args.pop("handler", None)
+        assert args == {"cmd": cmd, **fields}, cmd
+        for flag in ("-o", "--out") if "out" in fields else ():
+            assert parser.parse_args([cmd, *required, flag, "f"]).out == "f", cmd
+        for i in range(0, len(required), 2):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([cmd, *required[:i], *required[i + 2:]])
+            assert exc.value.code == 2, (cmd, required[i])
+    search = ["search", "--net", "n", "--field", "2"]
+    assert parser.parse_args([*search, "--no-reduce"]).no_reduce is True
+    with pytest.raises(SystemExit):
+        parser.parse_args([*search, "--reduce"])
+    capsys.readouterr()
 
 
 def test_console_entry_point_runs():

@@ -410,7 +410,7 @@ def test_validate_nonlinear_rejects_each_bad_table():
         assert repr(at) in str(err.value), what
     with pytest.raises(CodeError):
         validate_nonlinear(net, NonlinearCode(1, good.edge_fn, good.decode_fn))
-    with pytest.raises(CodeError):
+    with pytest.raises(CodeError, match="single-slot"):
         validate_nonlinear(two_source_relay(Demand("recover", ("x", "y"))), good)
 
 

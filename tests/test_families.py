@@ -53,6 +53,14 @@ def test_s_m_star_structure():
     assert len(net.edges) == (4 - 1) * (4 + 2)
 
 
+def test_family_node_counts_and_every_node_an_edge_endpoint():
+    nets = [(s_m(m), 4 * m - 2) for m in range(3, 9)] + [(s_m_star(m), 4 * m - 3) for m in range(3, 9)]
+    nets += [(bottleneck_mun(m), 2 * m + 2) for m in range(2, 7)] + [(component(), 9)]
+    for net, count in nets:
+        assert len(net.nodes) == count, net.name
+        assert set(net.nodes) == {v for e in net.edges for v in (e.tail, e.head)}, net.name
+
+
 def test_s_m_connectivity_all_pairs():
     for m in (3, 4, 5):
         _, _, matrix = connectivity(s_m(m))
