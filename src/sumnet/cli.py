@@ -132,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", type=int, required=True)
 
     p = command("transform", _cmd_transform, "apply a construction to a network", net, out)
-    p.add_argument("--op", required=True, choices=["c1", "c2", "c3", "reverse", "to-type-ia"])
+    p.add_argument("--op", required=True, choices=_TRANSFORMS)
     p.add_argument("--trace-out", help="write construction roles as a JSON sidecar")
 
     p = command("search", _cmd_search, "decide (k,n) linear solvability", net, budget, out)
@@ -169,49 +169,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_family(args) -> int:
+# Each construction of ``transform --op``, returning the network and its role trace or None.
+_TRANSFORMS = {"c1": transforms.c1, "c2": transforms.c2, "c3": transforms.c3,
+               "reverse": lambda net: (reverse_network(net), None), "to-type-ia": transforms.to_type_ia}
+
+
+def _cmd_family(args) -> str:
     spec = families.FamilySpec(args.name, args.m)
-    _write(args.out, network_to_json(families.generate(spec)))
-    return 0
+    return network_to_json(families.generate(spec))
 
 
-def _cmd_known_code(args) -> int:
+def _cmd_known_code(args) -> str:
     code = families.known_code(families.FamilySpec(args.family, args.m), FieldSpec(args.field))
-    _write(args.out, "null\n" if code is None else code_to_json(code))
-    return 0
+    return "null\n" if code is None else code_to_json(code)
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> str:
     net = _load_net(args.net)
-    trace = None
-    if args.op == "reverse":
-        out = reverse_network(net)
-    else:
-        fn = {"c1": transforms.c1, "c2": transforms.c2, "c3": transforms.c3,
-              "to-type-ia": transforms.to_type_ia}[args.op]
-        out, trace = fn(net)
-    _write(args.out, network_to_json(out))
+    out, trace = _TRANSFORMS[args.op](net)
     if args.trace_out and trace is not None:
         _write(args.trace_out, _dump_json(trace.roles))
-    return 0
+    return network_to_json(out)
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> str:
     net = _load_net(args.net)
     opts = SearchOptions(budget=args.budget, reduce=not args.no_reduce)
     report = solver.search_linear(net, FieldSpec(args.field), args.k, args.n, opts)
-    _write(args.out, _dump_json(report.to_dict()))
-    return 0
+    return _dump_json(report.to_dict())
 
 
-def _cmd_search_nonlinear(args) -> int:
+def _cmd_search_nonlinear(args) -> str:
     net = _load_net(args.net)
     report = solver.search_nonlinear(net, args.q, SearchOptions(budget=args.budget))
-    _write(args.out, _dump_json(report.to_dict()))
-    return 0
+    return _dump_json(report.to_dict())
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> str:
     primes = [int(x) for x in args.primes.split(",") if x]
     verdicts = solver.classify_characteristics(
         families.FamilySpec(args.family, args.m),
@@ -225,8 +219,7 @@ def _cmd_classify(args) -> int:
         "k": args.k,
         "verdicts": {str(p): v for p, v in verdicts.items()},
     }
-    _write(args.out, _dump_json(out))
-    return 0
+    return _dump_json(out)
 
 
 def _format_transfer(net: Network, code: LinearCode) -> dict:
@@ -240,35 +233,30 @@ def _format_transfer(net: Network, code: LinearCode) -> dict:
     }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> str:
     net, code = _load_bound_code(args)
     ok = is_solution(net, code)
-    print("SOLUTION" if ok else "NOT A SOLUTION")
-    print(_dump_json(_format_transfer(net, code)), end="")
-    return 0
+    return ("SOLUTION\n" if ok else "NOT A SOLUTION\n") + _dump_json(_format_transfer(net, code))
 
 
-def _cmd_verify_nonlinear(args) -> int:
+def _cmd_verify_nonlinear(args) -> str:
     net = _load_net(args.net)
     code = nonlinear_from_json(_read(args.code))
     ok = verify_nonlinear(net, code, budget=args.budget)
-    print("SOLUTION" if ok else "NOT A SOLUTION")
-    return 0
+    return "SOLUTION\n" if ok else "NOT A SOLUTION\n"
 
 
-def _cmd_reverse_code(args) -> int:
+def _cmd_reverse_code(args) -> str:
     net, code = _load_bound_code(args)
-    _write(args.out, code_to_json(canonical_reverse_code(net, code)))
-    return 0
+    return code_to_json(canonical_reverse_code(net, code))
 
 
-def _cmd_transfer(args) -> int:
+def _cmd_transfer(args) -> str:
     net, code = _load_bound_code(args)
-    _write(args.out, _dump_json(_format_transfer(net, code)))
-    return 0
+    return _dump_json(_format_transfer(net, code))
 
 
-def _cmd_scale_sources(args) -> int:
+def _cmd_scale_sources(args) -> str:
     code = code_from_json(_read(args.code))
     raw = json_obj(json.loads(_read(args.scales)), "scales", CodeError)
     known = {msg for msg, _ in code.source_coeff}
@@ -283,25 +271,22 @@ def _cmd_scale_sources(args) -> int:
             c = json_int(val, what, CodeError) % code.field.p
             eye = MatrixGF.identity(code.field, code.k)
             scales[msg] = MatrixGF(code.field, [[c * x for x in row] for row in eye.tolists()])
-    _write(args.out, code_to_json(transforms.scale_sources(code, scales)))
-    return 0
+    return code_to_json(transforms.scale_sources(code, scales))
 
 
-def _cmd_mincut(args) -> int:
+def _cmd_mincut(args) -> str:
     net = _load_net(args.net)
     value = min_cut(net, args.s, args.t)
-    print(_dump_json({"s": args.s, "t": args.t, "min_cut": value}), end="")
-    return 0
+    return _dump_json({"s": args.s, "t": args.t, "min_cut": value})
 
 
-def _cmd_connectivity(args) -> int:
+def _cmd_connectivity(args) -> str:
     net = _load_net(args.net)
     srcs, terms, matrix = connectivity(net)
-    print(_dump_json({"sources": list(srcs), "terminals": list(terms), "matrix": matrix}), end="")
-    return 0
+    return _dump_json({"sources": list(srcs), "terminals": list(terms), "matrix": matrix})
 
 
-def _cmd_export_dot(args) -> int:
+def _cmd_export_dot(args) -> str:
     net = _load_net(args.net)
     trace = None
     if args.trace:
@@ -309,17 +294,18 @@ def _cmd_export_dot(args) -> int:
         for ident, role in roles.items():
             json_str(role, f"trace role of {ident!r}")
         trace = transforms.TransformTrace(roles)
-    _write(args.out, export_dot(net, trace))
-    return 0
+    return export_dot(net, trace)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one subcommand and write the text its handler returns to ``-o`` or standard output."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        _write(getattr(args, "out", None), args.handler(args))
     except (NetworkError, CodeError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

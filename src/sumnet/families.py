@@ -10,8 +10,6 @@ from .gflin import FieldSpec, MatrixGF
 from .netmodel import Demand, Edge, Network, NetworkError, recover
 from .transforms import c2
 
-FAMILIES = ("s_m", "s_m_star", "component", "bottleneck_mun")
-
 # Relay out-edges of the component gadget that every solution is forced to
 # fill with an invertible multiple of x1.
 COMPONENT_DESIGNATED_EDGES = ("rel_1>mix", "rel_2>t_2")
@@ -25,10 +23,14 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise NetworkError(f"unknown family {self.family!r}")
-        if self.family in ("s_m", "s_m_star") and self.m < 3:
-            raise NetworkError(f"{self.family} needs m >= 3")
-        if self.family == "bottleneck_mun" and self.m < 2:
-            raise NetworkError("bottleneck_mun needs m >= 2")
+        _check_m(self.family, self.m)
+
+
+def _check_m(family: str, m: int) -> None:
+    """Reject an m below the family's least m."""
+    least = _BUILDERS[family][1]
+    if least is not None and m < least:
+        raise NetworkError(f"{family} needs m >= {least}")
 
 
 def _network(name: str, edges: list[tuple[str, str]], sources: dict, terminals: dict) -> Network:
@@ -49,8 +51,7 @@ def s_m(m: int) -> Network:
     directly, while the shared relays u_i, v_i merge s_i with s_m and fan out
     to t_i and t_m.
     """
-    if m < 3:
-        raise NetworkError("s_m needs m >= 3")
+    _check_m("s_m", m)
     edges = []
     for i in range(1, m):
         edges += [(f"s_{i}", f"t_{j}") for j in range(1, m) if j != i]
@@ -62,8 +63,7 @@ def s_m(m: int) -> Network:
 
 def s_m_star(m: int) -> Network:
     """Sum network solvable exactly when the characteristic does not divide m - 2."""
-    if m < 3:
-        raise NetworkError("s_m_star needs m >= 3")
+    _check_m("s_m_star", m)
     edges = []
     for i in range(1, m):
         edges += [(f"s_{i}", f"t_{i}")] + [(f"s_{i}", f"u_{j}") for j in range(1, m) if j != i]
@@ -88,8 +88,7 @@ def component() -> Network:
 
 def bottleneck_mun(m: int) -> Network:
     """m unicast pairs all squeezed through one shared unit edge."""
-    if m < 2:
-        raise NetworkError("bottleneck_mun needs m >= 2")
+    _check_m("bottleneck_mun", m)
     edges = [("hub_in", "hub_out")]
     for i in range(1, m + 1):
         edges += [(f"w_{i}", "hub_in"), ("hub_out", f"z_{i}")]
@@ -97,14 +96,15 @@ def bottleneck_mun(m: int) -> Network:
                     {f"z_{i}": recover(f"x{i}") for i in range(1, m + 1)})
 
 
+# Each family's builder and its least m; component takes no m.
+_BUILDERS = {"s_m": (s_m, 3), "s_m_star": (s_m_star, 3), "component": (component, None),
+             "bottleneck_mun": (bottleneck_mun, 2)}
+FAMILIES = tuple(_BUILDERS)
+
+
 def generate(spec: FamilySpec) -> Network:
-    if spec.family == "s_m":
-        return s_m(spec.m)
-    if spec.family == "s_m_star":
-        return s_m_star(spec.m)
-    if spec.family == "component":
-        return component()
-    return bottleneck_mun(spec.m)
+    build, least = _BUILDERS[spec.family]
+    return build() if least is None else build(spec.m)
 
 
 def _bottleneck_fractional_code(m: int, field: FieldSpec) -> LinearCode:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 SUM_SLOT = "<sum>"
@@ -91,12 +91,9 @@ class Network:
     edges: tuple[Edge, ...]
     sources: dict[str, tuple[str, ...]]
     terminals: dict[str, Demand]
-    _in: dict[str, tuple[Edge, ...]] = field(default=None, repr=False, compare=False)
-    _out: dict[str, tuple[Edge, ...]] = field(default=None, repr=False, compare=False)
-    _topo: tuple[str, ...] = field(default=None, repr=False, compare=False)
-    _by_id: dict[str, Edge] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        """Normalize and validate, then set the lookups ``_in``, ``_out``, ``_by_id`` and ``_topo``."""
         nodes = tuple(sorted(set(self.nodes)))
         if len(nodes) != len(self.nodes):
             raise NetworkError("duplicate node id")

@@ -20,12 +20,14 @@ free entries row-major.  With ``reduce`` off, a wider block runs over every
 matrix instead, while narrow blocks stay pinned.  ``_StagedProblem`` sets
 itself up in one pass over the out-edges in topological order, from
 ``codes.edge_keys``, the walk ``codes.coefficient_table`` is built from: each
-edge gets its keys' column slices, its pinned block or its candidates, and a
-constant map when its block is pinned and its inputs are constant.  Each
-enumerated block is one unit, ``("block", eid)``.  The witness is one walk
-that computes every edge map once in topological order, splits each block
-back into its keys by column slice, and solves each terminal's decoders on its
-in-edges' maps.
+edge gets its keys' column slices and its pinned block or its candidates.
+Each enumerated block is one unit, ``("block", eid)``.  Set-up, the check and
+the witness share one map walk, ``_fill_maps``, which gives each edge of a
+list, in topological order, its block times the rows it reads.  Set-up runs
+it on each edge whose block is pinned and whose inputs are constant, and
+keeps its constant map; the check runs it on a terminal's cone; the witness
+runs it on every edge, splits each block back into its keys by column slice,
+and solves each terminal's decoders on its in-edges' maps.
 
 The Z_q table search has the same gauge: if an edge's table is g h, with h
 onto min(q, L) values, its consumers read g(h) and absorb g and any renaming
@@ -102,7 +104,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import combinations, product, tee
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .codes import (
     LinearCode,
@@ -507,7 +509,7 @@ class _StagedProblem:
                 continue
             self.pinned[eid] = _eye(n, cols)
             if all(u[0] == "alpha" or u[1] in self.const_maps for u in us):
-                self.const_maps[eid] = self.gf.times(self.pinned[eid], self._inputs(eid, self.const_maps))
+                self._fill_maps([eid], {}, self.const_maps)
         self.decoders = dict(decoder_keys(net))
 
         self.cone = _backward_cones(net)
@@ -515,29 +517,21 @@ class _StagedProblem:
             t: {("block", eid) for eid in cone if eid not in self.pinned} for t, cone in self.cone.items()
         }
 
-    def _block(self, eid: str, assign: dict) -> Optional[Sequence]:
-        """The edge's pinned or assigned block, or None while it is unassigned."""
-        return self.pinned[eid] if eid in self.pinned else assign.get(("block", eid))
+    def _fill_maps(self, eids: Iterable[str], assign: dict, maps: dict, u: tuple = (), open_: Sequence = ()) -> list:
+        """Put the map of each edge of ``eids``, in topological order, into ``maps``; return the loose rows.
 
-    def _inputs(self, eid: str, maps: dict) -> list[int]:
-        """The rows edge eid's block multiplies: its in-edges' maps, or its source's message rows."""
-        return [row for u, _, _ in self.slices[eid]
-                for row in (self.unit_rows[u[1]] if u[0] == "alpha" else maps[u[1]])]
-
-    def _cone_maps(self, t: str, assign: dict, u: tuple = (), open_: Sequence = ()) -> tuple[dict, list]:
-        """Maps of t's cone edges under a partial assignment, and the cone's loose rows.
-
-        The module docstring says which rows are loose and why every loose row
-        of the cone reaches t's in-edges, so no edge tracks the loose rows it carries.
+        An edge's map is its block times the rows it reads: its in-edges' maps,
+        or its source's message rows.  The module docstring says which rows are
+        loose and why no edge needs to track the loose rows it carries.
         """
-        maps: dict[str, list[int]] = {}
         loose: list[int] = []
-        for eid in self.cone[t]:
+        for eid in eids:
             if eid in self.const_maps:
                 maps[eid] = self.const_maps[eid]
                 continue
-            ins = self._inputs(eid, maps)
-            block = self._block(eid, assign)
+            ins = [row for x, _, _ in self.slices[eid]
+                   for row in (self.unit_rows[x[1]] if x[0] == "alpha" else maps[x[1]])]
+            block = self.pinned[eid] if eid in self.pinned else assign.get(("block", eid))
             if block is None:
                 maps[eid] = [0] * self.n
                 loose += ins
@@ -545,7 +539,7 @@ class _StagedProblem:
                 maps[eid] = self.gf.times(block, ins)
                 if open_ and u[1] == eid:
                     loose += [ins[j] for j in {j for _, j in open_}]
-        return maps, loose
+        return loose
 
     def feasible(self, t: str, assign: dict, u: tuple = (), open_: Sequence = ()) -> bool:
         """Every target row of t lies in the span of its in-edge maps and its cone's loose rows.
@@ -553,7 +547,8 @@ class _StagedProblem:
         With every block assigned this is exact: decoders exist iff it holds.
         Otherwise, as the module docstring shows, a False answer rules out every completion.
         """
-        maps, spare = self._cone_maps(t, assign, u, open_)
+        maps: dict[str, list[int]] = {}
+        spare = self._fill_maps(self.cone[t], assign, maps, u, open_)
         basis: dict[int, int] = {}
         for row in [row for e in self.net.in_edges(t) for row in maps[e.id]] + spare:
             self.gf.insert(basis, row)
@@ -562,17 +557,17 @@ class _StagedProblem:
     def witness(self, assign: dict) -> LinearCode:
         """The code of a search result, every unit assigned.
 
-        One walk over the edges in topological order gives every map, and each
-        terminal's decoders are solved on its in-edges' maps.
+        The map walk over every edge gives each terminal's in-edge maps, on
+        which its decoders are solved; each block splits back into its keys.
         """
         k, n, gf = self.k, self.n, self.gf
-        values: dict[tuple, tuple] = {}
         maps: dict[str, list[int]] = {}
+        self._fill_maps(self.slices, assign, maps)
+        values: dict[tuple, tuple] = {}
         for eid, slices in self.slices.items():
-            block = self._block(eid, assign)
+            block = self.pinned[eid] if eid in self.pinned else assign[("block", eid)]
             for u, a, b in slices:
                 values[u] = tuple([row[a:b] for row in block])
-            maps[eid] = self.const_maps[eid] if eid in self.const_maps else gf.times(block, self._inputs(eid, maps))
         for t, keys in self.decoders.items():
             ins = self.net.in_edges(t)
             x = gf.solve([row for e in ins for row in maps[e.id]], self.targets[t])

@@ -19,9 +19,13 @@ Z_2 and Z_3, all at budget 3,000.  A search is recorded as its
 seed-11 random codes on small networks, their c1/c2/c3 images and their
 reverses): the network and code JSON, the code read back, the canonical
 reverse code, ``scale_sources`` there and back, the transfer matrix of the
-code and of its reverse, and the stdout of ``transfer``, ``verify``,
-``reverse-code`` and ``scale-sources`` through ``cli.main``, with their
-exit status and stderr.
+code and of its reverse, and what every subcommand of ``cli.main`` makes of
+the case (``case_commands``).  Then it digests ``family``, ``known-code`` and
+``classify`` over a fixed grid (``grid_commands``).  A command is recorded as
+its exit status, stdout and stderr, with a search's ``elapsed_s`` blanked.  A
+command that takes ``-o`` runs once more with ``-o`` to a file, which is
+recorded too, and the case's ``transfer`` once with ``-o`` under a missing
+directory.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import sys
 import tempfile
 import time
@@ -47,7 +52,7 @@ from sumnet import (  # noqa: E402
     FamilySpec, FieldSpec, MatrixGF, SearchOptions, c1, c2, c3, canonical_reverse_code, cli, known_code,
     mat_inv, network_to_json, reverse_network, scale_sources, search_linear, search_nonlinear, transfer_matrix,
 )
-from sumnet.codes import code_from_json, code_to_json  # noqa: E402
+from sumnet.codes import additive_code, code_from_json, code_to_json, nonlinear_to_json  # noqa: E402
 from sumnet.families import bottleneck_mun, component, s_m, s_m_star  # noqa: E402
 
 from helpers import (  # noqa: E402
@@ -56,6 +61,10 @@ from helpers import (  # noqa: E402
 
 RATES = ((1, 1), (2, 1), (1, 2), (2, 2))
 BUDGET = 3_000
+# The subcommands that take -o, and transform's constructions.
+OUT_COMMANDS = {"family", "known-code", "transform", "search", "search-nonlinear", "classify", "reverse-code",
+                "transfer", "scale-sources", "export-dot"}
+OPS = ("c1", "c2", "c3", "reverse", "to-type-ia")
 
 
 def networks() -> list:
@@ -131,6 +140,51 @@ def _cli_output(argv: list[str]) -> str:
     return f"{status}\n{out.getvalue()}\n{err.getvalue()}"
 
 
+def cli_records(argvs, tmp: Path) -> Iterator[str]:
+    """Each command's record; a command that takes -o runs again with it, and the file is recorded."""
+    def clean(text: str) -> str:
+        return re.sub(r'"elapsed_s": [-+.e0-9]+', '"elapsed_s": -', text.replace(str(tmp), "<tmp>"))
+
+    out = tmp / "out.txt"
+    for argv in argvs:
+        yield clean(_cli_output(argv))
+        if argv[0] in OUT_COMMANDS and "-o" not in argv:
+            out.unlink(missing_ok=True)
+            record = _cli_output([*argv, "-o", str(out)])
+            yield clean(record + (out.read_text() if out.exists() else "<no file>"))
+
+
+def case_commands(net, code, files: dict[str, str], tmp: Path) -> Iterator[list[str]]:
+    """Every subcommand on one case; each ``transform`` writes a trace sidecar, which an ``export-dot`` reads."""
+    bound = ["--net", files["net"], "--code", files["code"]]
+    yield from (["transfer", *bound], ["verify", *bound], ["reverse-code", *bound],
+                ["scale-sources", "--code", files["code"], "--scales", files["scales"]])
+    yield ["transfer", *bound, "-o", str(tmp / "missing" / "out.txt")]
+    yield ["verify-nonlinear", "--net", files["net"], "--code", files["table"]]
+    p, k, n = code.field.p, code.k, code.n
+    yield ["search", "--net", files["net"], "--field", str(p), "--k", str(k), "--n", str(n), "--budget", "100"]
+    yield ["search-nonlinear", "--net", files["net"], "--q", "2", "--budget", "20"]
+    yield ["mincut", "--net", files["net"], "--s", net.source_nodes()[0], "--t", net.terminal_nodes()[-1]]
+    yield ["connectivity", "--net", files["net"]]
+    yield ["export-dot", "--net", files["net"]]
+    trace = tmp / "trace.json"
+    for op in OPS:
+        trace.unlink(missing_ok=True)
+        yield ["transform", "--op", op, "--net", files["net"], "--trace-out", str(trace)]
+        yield ["export-dot", "--net", files["net"], "--trace", str(trace)]
+
+
+def grid_commands() -> Iterator[list[str]]:
+    """``family``, ``known-code`` and ``classify`` over a fixed grid, invalid values included."""
+    for name, m in product(("s_m", "s_m_star", "component", "bottleneck_mun"), (0, 2, 3, 5)):
+        yield ["family", "--name", name, "--m", str(m)]
+        for p in (2, 3, 5):
+            yield ["known-code", "--family", name, "--m", str(m), "--field", str(p)]
+    yield ["classify", "--family", "s_m", "--m", "4", "--primes", "2,3"]
+    yield ["classify", "--family", "s_m_star", "--m", "5", "--k", "2", "--primes", "2,3", "--budget", "50"]
+    yield ["classify", "--family", "s_m", "--m", "2"]
+
+
 def output_records(net, code, rng: random.Random, tmp: Path) -> Iterator[str]:
     """Every output of one case, one text each."""
     rev, rcode = reverse_network(net), canonical_reverse_code(net, code)
@@ -147,15 +201,13 @@ def output_records(net, code, rng: random.Random, tmp: Path) -> Iterator[str]:
     yield _attempt(lambda: transfer_matrix(rev, rcode).matrix.tolists())
     # The CLI takes every other scale as the scalar p - 1, the rest as matrices.
     cli_scales = {msg: a.tolists() if i % 2 else code.field.p - 1 for i, (msg, a) in enumerate(scales.items())}
-    files = {"net": network_to_json(net), "code": code_to_json(code), "scales": json.dumps(cli_scales)}
-    args = {}
-    for name, text in files.items():
-        args[name] = str(tmp / f"{name}.json")
-        Path(args[name]).write_text(text)
-    bound = ["--net", args["net"], "--code", args["code"]]
-    for argv in (["transfer", *bound], ["verify", *bound], ["reverse-code", *bound],
-                 ["scale-sources", "--code", args["code"], "--scales", args["scales"]]):
-        yield _cli_output(argv).replace(str(tmp), "<tmp>")
+    texts = {"net": network_to_json(net), "code": code_to_json(code), "scales": json.dumps(cli_scales),
+             "table": _attempt(lambda: nonlinear_to_json(additive_code(net, 2)))}
+    files = {}
+    for name, text in texts.items():
+        files[name] = str(tmp / f"{name}.json")
+        Path(files[name]).write_text(text)
+    yield from cli_records(case_commands(net, code, files, tmp), tmp)
 
 
 def main(argv=None) -> int:
@@ -182,6 +234,11 @@ def main(argv=None) -> int:
                     count += 1
                     if args.lines:
                         print(label, hashlib.sha256(text.encode()).hexdigest()[:16])
+            for text in cli_records(grid_commands(), Path(tmp)):
+                digest.update(text.encode() + b"\n")
+                count += 1
+                if args.lines:
+                    print("grid", hashlib.sha256(text.encode()).hexdigest()[:16])
         print(f"{count} outputs sha256 {digest.hexdigest()} in {time.monotonic() - start:.1f} s")
     return 0
 

@@ -48,6 +48,9 @@ class Mutant(NamedTuple):
 
 PACKED = "tests/test_solver.py::test_packed_rows_match_list_arithmetic"
 TRANSFER = "tests/test_codes.py::test_transfer_matches_path_enumeration"
+# cli.main's error guard, after the statement it guards.
+GUARD = ("    except (NetworkError, CodeError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:\n"
+         '        print(f"error: {exc}", file=sys.stderr)\n        return 1\n')
 
 MUTANTS = [
     # The packed row kernel.
@@ -86,6 +89,10 @@ MUTANTS = [
            "            if cols > n + 1:\n", ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus",)),
     Mutant("the lone source coefficient pinned when n < k", "solver.py", "            if cols > n:\n",
            "            if cols > n and len(us) > 1:\n", ("tests/test_solver.py::test_fractional_modes",)),
+    Mutant("the open-prefix rows not loose", "solver.py", "loose += [ins[j] for j in {j for _, j in open_}]", "pass",
+           ("tests/test_solver.py::test_relaxed_check_is_sound_under_partial_assignments",)),
+    Mutant("an unassigned block's inputs not loose", "solver.py", "                loose += ins\n",
+           "                pass\n", ("tests/test_solver.py::test_s4_scalar_gf2_solvable_with_identity_interior",)),
     Mutant("a cone edge dropped from deps", "solver.py", "for eid in cone if eid not in self.pinned}",
            "for eid in sorted(cone)[1:] if eid not in self.pinned}",
            ("tests/test_solver.py::test_setup_pass_states_the_coefficient_table",)),
@@ -132,6 +139,10 @@ MUTANTS = [
            ("tests/test_cli.py::test_export_dot_escapes_quotes_and_backslashes",)),
     Mutant("verify-nonlinear with the search budget", "cli.py", "default=codes.MAX_INPUTS)",
            "default=SearchOptions.budget)", ("tests/test_cli.py::test_each_subcommand_declares_its_options_and_defaults",)),
+    Mutant("main writes outside its guard", "cli.py",
+           '        _write(getattr(args, "out", None), args.handler(args))\n' + GUARD,
+           "        text = args.handler(args)\n" + GUARD + '    _write(getattr(args, "out", None), text)\n',
+           ("tests/test_cli.py::test_unwritable_out_is_an_error_without_traceback",)),
 ]
 
 

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -577,3 +578,55 @@ def test_cli_fuzz_exits_cleanly(tmp_path):
             assert "Traceback" not in out.getvalue() + err.getvalue()
 
     run()
+
+
+def _out_commands(tmp_path) -> dict[str, list[str]]:
+    """Per subcommand that takes -o, an argv that succeeds, on s_m(4) and its known GF(2) code."""
+    texts = {"net": network_to_json(s_m(4)), "code": code_to_json(known_code(FamilySpec("s_m", 4), FieldSpec(2))),
+             "scales": json.dumps({"x1": 1, "x3": [[1]]})}
+    f = {}
+    for name, text in texts.items():
+        f[name] = str(tmp_path / f"{name}.json")
+        Path(f[name]).write_text(text)
+    bound = ["--net", f["net"], "--code", f["code"]]
+    commands = {
+        "family": ["--name", "s_m", "--m", "4"],
+        "known-code": ["--family", "s_m", "--m", "4", "--field", "2"],
+        "transform": ["--op", "c3", "--net", f["net"]],
+        "search": ["--net", f["net"], "--field", "2"],
+        "search-nonlinear": ["--net", f["net"], "--q", "2", "--budget", "20"],
+        "classify": ["--family", "s_m", "--m", "4", "--primes", "2"],
+        "reverse-code": bound,
+        "transfer": bound,
+        "scale-sources": ["--code", f["code"], "--scales", f["scales"]],
+        "export-dot": ["--net", f["net"]],
+    }
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands) == {cmd for cmd, p in sub.choices.items() if any(a.dest == "out" for a in p._actions)}
+    return {cmd: [cmd, *argv] for cmd, argv in commands.items()}
+
+
+def test_out_file_gets_the_bytes_stdout_gets(tmp_path, capsys):
+    # main makes the one write: with -o the file gets what stdout gets without
+    # it, and stdout gets nothing.  A search's elapsed time is blanked.
+    def same(text: str) -> str:
+        return re.sub(r'"elapsed_s": [-+.e0-9]+', '"elapsed_s": -', text)
+
+    out = tmp_path / "out.txt"
+    for cmd, argv in _out_commands(tmp_path).items():
+        rc, stdout = run_cli(capsys, *argv)
+        assert rc == 0 and stdout, cmd
+        rc, rest = run_cli(capsys, *argv, "-o", str(out))
+        assert rc == 0 and rest == "", cmd
+        assert same(out.read_text()) == same(stdout), cmd
+        out.unlink()
+
+
+def test_unwritable_out_is_an_error_without_traceback(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "out.json")
+    for cmd, argv in _out_commands(tmp_path).items():
+        assert main([*argv, "-o", missing]) == 1, cmd
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), cmd
+        assert "Traceback" not in captured.err, cmd

@@ -351,7 +351,8 @@ def test_relaxed_check_is_sound_under_partial_assignments():
                             full.update(zip(free, values))
                             for (i, j), v in zip(open_, values[len(free):]):
                                 full[u][i][j] = v
-                            maps = prob._cone_maps(t, full)[0]
+                            maps = {}
+                            prob._fill_maps(prob.cone[t], full, maps)
                             ins = [row for e in net.in_edges(t) for row in maps[e.id]]
                             passes = prob.gf.solve(ins, prob.targets[t]) is not None
                             assert ok or not passes, (net.name, f.p, k, n, t, assign, u, open_)
