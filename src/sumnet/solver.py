@@ -21,13 +21,14 @@ matrix instead, while narrow blocks stay pinned.  ``_StagedProblem`` sets
 itself up in one pass over the out-edges in topological order, from
 ``codes.edge_keys``, the walk ``codes.coefficient_table`` is built from: each
 edge gets its keys' column slices and its pinned block or its candidates.
-Each enumerated block is one unit, ``("block", eid)``.  Set-up, the check and
-the witness share one map walk, ``_fill_maps``, which gives each edge of a
-list, in topological order, its block times the rows it reads.  Set-up runs
-it on each edge whose block is pinned and whose inputs are constant, and
-keeps its constant map; the check runs it on a terminal's cone; the witness
-runs it on every edge, splits each block back into its keys by column slice,
-and solves each terminal's decoders on its in-edges' maps.
+Each enumerated block is one unit, ``("block", eid)``.  ``reads[eid]`` is
+what an edge reads: message rows and constant maps as row lists, any other
+in-edge by id.  The one map walk, ``_fill_maps``, gives each edge of a list,
+in topological order, its block times the rows it reads.  Set-up runs it on
+each pinned edge that reads only row lists, and keeps its constant map; the
+check runs it on a terminal's plan, below; the witness runs it on every edge,
+splits each block back into its keys by column slice, and solves each
+terminal's decoders on its in-edges' maps.
 
 The Z_q table search has the same gauge: if an edge's table is g h, with h
 onto min(q, L) values, its consumers read g(h) and absorb g and any renaming
@@ -75,7 +76,13 @@ every step e -> e' is a local coefficient, as tail(e') has an in-edge, and no
 edge below an open block has a constant map, so every loose row of the cone
 reaches t.  A target row of t outside the span of t's in-edge maps and the
 cone's loose rows therefore rules out every completion.  With every block
-assigned the check is exact.
+assigned the check is exact.  Set-up gives t a plan: the basis of its
+constant in-edge maps, its targets reduced against it, zero rows dropped, and
+its cone edges and in-edges without a constant map.  With no target left the
+check answers True; else it walks the plan's edges and puts the distinct
+in-edge and loose rows into a copy of the basis.  Every check's span holds
+the constant span, and a span depends on neither the order nor the repeats
+of its rows, so no answer changes.
 The driver tries it before a bucket's first unit, after each earlier unit of
 t's cone, at t's last unit, and, with ``reduce`` on, on the block prefixes of
 t's cone units: ``_rref_matrices`` walks a block's free entries as a prefix
@@ -494,8 +501,9 @@ class _StagedProblem:
         # enumerated, as RREF blocks when reducing.  A pinned block whose inputs
         # never change during the search gives its edge a constant map.
         enum = _rref_matrices if opts.reduce else _all_matrices
-        # Per edge, each coefficient with its column slice of the block.
+        # Per edge, each coefficient with its column slice of the block, and what it reads.
         self.slices: dict[str, list[tuple[tuple, int, int]]] = {}
+        self.reads: dict[str, list] = {}
         self.pinned: dict[str, tuple[tuple[int, ...], ...]] = {}
         self.candidates: dict[tuple, Callable[[], Iterator[tuple]]] = {}
         self.const_maps: dict[str, list[int]] = {}
@@ -503,12 +511,14 @@ class _StagedProblem:
             # An edge's keys are all alpha, n x k, or all beta, n x n.
             w = k if us and us[0][0] == "alpha" else n
             self.slices[eid] = [(u, i * w, (i + 1) * w) for i, u in enumerate(us)]
+            self.reads[eid] = reads = [self.unit_rows[u[1]] if u[0] == "alpha" else self.const_maps.get(u[1], u[1])
+                                       for u in us]
             cols = len(us) * w
             if cols > n:
                 self.candidates[("block", eid)] = partial(enum, n, cols, self.p)
                 continue
             self.pinned[eid] = _eye(n, cols)
-            if all(u[0] == "alpha" or u[1] in self.const_maps for u in us):
+            if str not in map(type, reads):
                 self._fill_maps([eid], {}, self.const_maps)
         self.decoders = dict(decoder_keys(net))
 
@@ -516,21 +526,32 @@ class _StagedProblem:
         self.deps = {
             t: {("block", eid) for eid in cone if eid not in self.pinned} for t, cone in self.cone.items()
         }
+        # Per terminal t, its check set up once (module docstring): t's cone edges
+        # and in-edges without a constant map, the basis of its constant in-edge
+        # maps, and its target rows reduced against that basis, zero rows dropped.
+        self.plans: dict[str, tuple[list[str], list[str], dict[int, int], list[int]]] = {}
+        for t, cone in self.cone.items():
+            ins, basis = [e.id for e in net.in_edges(t)], {}
+            for e in ins:
+                for row in self.const_maps.get(e, ()):
+                    self.gf.insert(basis, row)
+            targets = [r for r in (self.gf.reduce(basis, trow) for trow in self.targets[t]) if r]
+            self.plans[t] = ([e for e in cone if e not in self.const_maps],
+                             [e for e in ins if e not in self.const_maps], basis, targets)
 
     def _fill_maps(self, eids: Iterable[str], assign: dict, maps: dict, u: tuple = (), open_: Sequence = ()) -> list:
         """Put the map of each edge of ``eids``, in topological order, into ``maps``; return the loose rows.
 
-        An edge's map is its block times the rows it reads: its in-edges' maps,
-        or its source's message rows.  The module docstring says which rows are
-        loose and why no edge needs to track the loose rows it carries.
+        An edge's map is its block times the rows it ``reads``, an in-edge id
+        standing for that edge's map in ``maps``.  The module docstring says
+        which rows are loose and why no edge needs to track the loose rows it carries.
         """
         loose: list[int] = []
         for eid in eids:
             if eid in self.const_maps:
                 maps[eid] = self.const_maps[eid]
                 continue
-            ins = [row for x, _, _ in self.slices[eid]
-                   for row in (self.unit_rows[x[1]] if x[0] == "alpha" else maps[x[1]])]
+            ins = [row for x in self.reads[eid] for row in (maps[x] if isinstance(x, str) else x)]
             block = self.pinned[eid] if eid in self.pinned else assign.get(("block", eid))
             if block is None:
                 maps[eid] = [0] * self.n
@@ -545,14 +566,20 @@ class _StagedProblem:
         """Every target row of t lies in the span of its in-edge maps and its cone's loose rows.
 
         With every block assigned this is exact: decoders exist iff it holds.
-        Otherwise, as the module docstring shows, a False answer rules out every completion.
+        Otherwise, as the module docstring shows, a False answer rules out every
+        completion.  Only t's plan is walked, from its constant basis.
         """
+        walk, ins, const_basis, targets = self.plans[t]
+        if not targets:
+            return True
         maps: dict[str, list[int]] = {}
-        spare = self._fill_maps(self.cone[t], assign, maps, u, open_)
-        basis: dict[int, int] = {}
-        for row in [row for e in self.net.in_edges(t) for row in maps[e.id]] + spare:
+        rows = set(self._fill_maps(walk, assign, maps, u, open_))
+        for e in ins:
+            rows.update(maps[e])
+        basis = dict(const_basis)
+        for row in rows:
             self.gf.insert(basis, row)
-        return not any(self.gf.reduce(basis, trow) for trow in self.targets[t])
+        return not any(self.gf.reduce(basis, trow) for trow in targets)
 
     def witness(self, assign: dict) -> LinearCode:
         """The code of a search result, every unit assigned.

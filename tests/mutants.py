@@ -48,6 +48,7 @@ class Mutant(NamedTuple):
 
 PACKED = "tests/test_solver.py::test_packed_rows_match_list_arithmetic"
 TRANSFER = "tests/test_codes.py::test_transfer_matches_path_enumeration"
+PLANS = "tests/test_solver.py::test_check_plans_match_the_whole_cone_check"
 # cli.main's error guard, after the statement it guards.
 GUARD = ("    except (NetworkError, CodeError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:\n"
          '        print(f"error: {exc}", file=sys.stderr)\n        return 1\n')
@@ -93,6 +94,13 @@ MUTANTS = [
            ("tests/test_solver.py::test_relaxed_check_is_sound_under_partial_assignments",)),
     Mutant("an unassigned block's inputs not loose", "solver.py", "                loose += ins\n",
            "                pass\n", ("tests/test_solver.py::test_s4_scalar_gf2_solvable_with_identity_interior",)),
+    Mutant("the constant in-edge rows left out of a plan's basis", "solver.py",
+           "for row in self.const_maps.get(e, ()):", "for row in ():", (PLANS,)),
+    Mutant("a plan's walk skips pinned edges with variable inputs", "solver.py",
+           "self.plans[t] = ([e for e in cone if e not in self.const_maps]",
+           "self.plans[t] = ([e for e in cone if e not in self.pinned]", (PLANS,)),
+    Mutant("the no-target shortcut with one reduced target left", "solver.py", "if not targets:",
+           "if len(targets) <= 1:", (PLANS,)),
     Mutant("a cone edge dropped from deps", "solver.py", "for eid in cone if eid not in self.pinned}",
            "for eid in sorted(cone)[1:] if eid not in self.pinned}",
            ("tests/test_solver.py::test_setup_pass_states_the_coefficient_table",)),

@@ -362,6 +362,70 @@ def test_relaxed_check_is_sound_under_partial_assignments():
     assert rejected >= 100 and exact >= 10_000, (rejected, exact)
 
 
+def _whole_cone_check(prob, t, assign, u=(), open_=()):
+    # The check without plans: t's whole cone walked, every in-edge row and
+    # loose row inserted, the unreduced targets reduced.
+    maps = {}
+    loose = prob._fill_maps(prob.cone[t], assign, maps, u, open_)
+    basis = {}
+    for row in [row for e in prob.net.in_edges(t) for row in maps[e.id]] + loose:
+        prob.gf.insert(basis, row)
+    return not any(prob.gf.reduce(basis, trow) for trow in prob.targets[t])
+
+
+def test_check_plans_match_the_whole_cone_check():
+    # feasible walks only t's plan, from the basis of t's constant in-edge
+    # rows, and reduces the targets left outside it.  It must answer as the
+    # whole-cone check does: on random partial assignments and block
+    # prefixes, on terminals whose constant in-edges already span their
+    # targets, on pinned edges that read an enumerated one, and on every
+    # prefix of parallel_fan(6)'s block, whose loose rows repeat.
+    rng = random.Random(5)
+    nets = [random_sum_network(rng, max_nodes=7) for _ in range(30)] + [s_m(4), s_m_star(4), mun_crossed()]
+    spanned = pinned_reading = one_target_rejected = 0
+    for net in nets:
+        for f in (F2, F3):
+            for k, n in RATES:
+                prob = _StagedProblem(net, f, k, n, SearchOptions())
+                for t in net.terminal_nodes():
+                    walk, _, _, targets = prob.plans[t]
+                    spanned += not targets
+                    pinned_reading += any(e in prob.pinned for e in walk)
+                    shape = {u: (n, prob.slices[u[1]][-1][2]) for u in sorted(prob.deps[t])}
+                    for _ in range(4):
+                        assign = {u: [[rng.randrange(f.p) for _ in range(c)] for _ in range(r)]
+                                  for u, (r, c) in shape.items() if rng.random() < 0.6}
+                        u, open_ = (), []
+                        if assign and rng.random() < 0.5:
+                            u = rng.choice(sorted(assign))
+                            entries = [(i, j) for i in range(n) for j in range(shape[u][1])]
+                            open_ = rng.sample(entries, rng.randint(1, len(entries)))
+                            for i, j in open_:
+                                assign[u][i][j] = 0
+                        ok = prob.feasible(t, assign, u, open_)
+                        assert ok == _whole_cone_check(prob, t, assign, u, open_), (net.name, f.p, k, n, t)
+                        one_target_rejected += not ok and len(targets) == 1
+    assert spanned >= 50 and pinned_reading >= 50 and one_target_rejected >= 50, (
+        spanned, pinned_reading, one_target_rejected)
+
+    u, repeats = ("block", "r>t"), 0
+    for f in (F2, F3):
+        prob = _StagedProblem(parallel_fan(6), f, 1, 1, SearchOptions())
+
+        def offer(block, open_):
+            nonlocal repeats
+            assign = {u: [row[:] for row in block]}
+            loose = prob._fill_maps(prob.cone["t"], assign, {}, u, open_)
+            repeats += len(set(loose)) < len(loose)
+            ok = prob.feasible("t", assign, u, open_)
+            assert ok == _whole_cone_check(prob, "t", assign, u, open_), (f.p, block, open_)
+            return ok
+
+        for block in _rref_matrices(1, 6, f.p, prune=offer):
+            assert prob.feasible("t", {u: block}) == _whole_cone_check(prob, "t", {u: block}), (f.p, block)
+    assert repeats >= 10, repeats
+
+
 def test_setup_pass_states_the_coefficient_table():
     # The set-up pass names the same units as codes.coefficient_table, in its
     # order and with its widths, pins exactly the blocks at most n wide, and
