@@ -35,7 +35,7 @@ from .codes import (
     validate_code,
     verify_nonlinear,
 )
-from .transforms import TransformTrace, c1, c2, c3, scale_sources, to_type_ia
+from .transforms import c1, c2, c3, scale_sources, to_type_ia
 from .families import FamilySpec, bottleneck_mun, component, known_code, s_m, s_m_star
 from .solver import (
     SearchOptions,

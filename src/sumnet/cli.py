@@ -78,8 +78,9 @@ def _dot_quote(*lines: str) -> str:
     return '"' + "\\n".join(x.replace("\\", "\\\\").replace('"', '\\"') for x in lines) + '"'
 
 
-def export_dot(net: Network, trace: Optional[transforms.TransformTrace] = None) -> str:
-    """Graphviz text with sources and terminals visually distinguished."""
+def export_dot(net: Network, roles: Optional[dict[str, str]] = None) -> str:
+    """Graphviz text with sources and terminals visually distinguished, each id labelled with its role."""
+    roles = roles or {}
     lines = [f"digraph {_dot_quote(net.name or 'network')} {{", "  rankdir=LR;"]
     for v in net.nodes:
         attrs = ['shape=ellipse']
@@ -91,14 +92,14 @@ def export_dot(net: Network, trace: Optional[transforms.TransformTrace] = None) 
             d = net.terminals[v]
             attrs = ["shape=doubleoctagon", "style=filled", "fillcolor=lightyellow"]
             label.append("sum" if d.kind == "sum" else ",".join(d.messages))
-        if trace is not None and trace.role(v):
-            label.append("[" + trace.role(v) + "]")
+        if roles.get(v):
+            label.append("[" + roles[v] + "]")
         attrs.append(f"label={_dot_quote(*label)}")
         lines.append(f'  {_dot_quote(v)} [{", ".join(attrs)}];')
     for e in net.edges:
         label = [e.id]
-        if trace is not None and trace.role(e.id):
-            label.append("[" + trace.role(e.id) + "]")
+        if roles.get(e.id):
+            label.append("[" + roles[e.id] + "]")
         lines.append(f"  {_dot_quote(e.tail)} -> {_dot_quote(e.head)} [label={_dot_quote(*label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -169,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# Each construction of ``transform --op``, returning the network and its role trace or None.
+# Each construction of ``transform --op``, returning the network and its roles or None.
 _TRANSFORMS = {"c1": transforms.c1, "c2": transforms.c2, "c3": transforms.c3,
                "reverse": lambda net: (reverse_network(net), None), "to-type-ia": transforms.to_type_ia}
 
@@ -186,9 +187,9 @@ def _cmd_known_code(args) -> str:
 
 def _cmd_transform(args) -> str:
     net = _load_net(args.net)
-    out, trace = _TRANSFORMS[args.op](net)
-    if args.trace_out and trace is not None:
-        _write(args.trace_out, _dump_json(trace.roles))
+    out, roles = _TRANSFORMS[args.op](net)
+    if args.trace_out and roles is not None:
+        _write(args.trace_out, _dump_json(roles))
     return network_to_json(out)
 
 
@@ -288,13 +289,10 @@ def _cmd_connectivity(args) -> str:
 
 def _cmd_export_dot(args) -> str:
     net = _load_net(args.net)
-    trace = None
-    if args.trace:
-        roles = json_obj(json.loads(_read(args.trace)), "trace")
-        for ident, role in roles.items():
-            json_str(role, f"trace role of {ident!r}")
-        trace = transforms.TransformTrace(roles)
-    return export_dot(net, trace)
+    roles = json_obj(json.loads(_read(args.trace)), "trace") if args.trace else {}
+    for ident, role in roles.items():
+        json_str(role, f"trace role of {ident!r}")
+    return export_dot(net, roles)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -102,7 +102,7 @@ def linear_code(field: FieldSpec, k: int, n: int, coeffs: Mapping[tuple, MatrixG
 
 
 def validate_code(net: Network, code: LinearCode) -> None:
-    """Check that k, n >= 1 and every coefficient is in the network's table with its shape."""
+    """Check that k, n >= 1 and every coefficient is in the network's table with its shape, over the code's field."""
     if code.k < 1 or code.n < 1:
         raise CodeError("k and n must be positive")
     table = coefficient_table(net, code.k, code.n)
@@ -114,6 +114,8 @@ def validate_code(net: Network, code: LinearCode) -> None:
                 raise CodeError(f"{kind} coefficient {key} is not in the network's coefficient table")
             if (m.rows, m.cols) != shape:
                 raise CodeError(f"{kind} coefficient {key} must be {shape[0]} x {shape[1]}")
+            if m.field != code.field:
+                raise CodeError(f"{kind} coefficient {key} must be over GF({code.field.p})")
 
 
 def identity_code(net: Network, field: FieldSpec, k: int = 1) -> LinearCode:
@@ -384,14 +386,24 @@ def demanded_symbol(demand: Demand, x: Mapping[str, int], q: int) -> int:
     return sum(x.values()) % q if demand.kind == "sum" else x[demand.messages[0]]
 
 
+def _decoded(net: Network, code: NonlinearCode, edges: list[str], x: Mapping[str, int]) -> dict[str, int]:
+    """Each terminal's output under the residues ``x``; ``edges`` lists every edge in topological order."""
+    sym = table_symbols(net, edges, code.edge_fn, x, code.q)
+    return {t: code.decode_fn[t][table_index((sym[e.id] for e in net.in_edges(t)), code.q)]
+            for t in net.terminal_nodes()}
+
+
 def eval_nonlinear(net: Network, code: NonlinearCode, x: Mapping[str, int]) -> dict[str, int]:
-    q = code.q
-    edges = [e.id for v in net.topo_order() for e in net.out_edges(v)]
-    sym = table_symbols(net, edges, code.edge_fn, {m: v % q for m, v in x.items()}, q)
-    return {
-        t: code.decode_fn[t][table_index((sym[e.id] for e in net.in_edges(t)), q)]
-        for t in net.terminal_nodes()
-    }
+    """Each terminal's output symbol, for one symbol per message: an integer (``operator.index``) mod q."""
+    if missing := [m for m in net.messages() if m not in x]:
+        raise CodeError(f"input misses messages {missing}")
+    symbols = {}
+    for m in net.messages():
+        try:
+            symbols[m] = operator.index(x[m]) % code.q
+        except TypeError:
+            raise CodeError(f"message {m!r} needs an integer") from None
+    return _decoded(net, code, [eid for eid, _ in edge_keys(net)], symbols)
 
 
 MAX_INPUTS = 1_000_000  # the most source tuples an exhaustive Z_q check or search runs over
@@ -407,8 +419,9 @@ def source_inputs(msgs: Sequence[str], q: int, budget: int = MAX_INPUTS) -> Iter
 def verify_nonlinear(net: Network, code: NonlinearCode, budget: int = MAX_INPUTS) -> bool:
     """Exhaustively check every source tuple; may raise BudgetExceededError."""
     validate_nonlinear(net, code)
+    edges = [eid for eid, _ in edge_keys(net)]
     for x in source_inputs(net.messages(), code.q, budget):
-        got = eval_nonlinear(net, code, x)
+        got = _decoded(net, code, edges, x)
         if any(got[t] != demanded_symbol(d, x, code.q) for t, d in net.terminals.items()):
             return False
     return True

@@ -114,7 +114,7 @@ def _bottleneck_fractional_code(m: int, field: FieldSpec) -> LinearCode:
     to every left terminal while the mix lines carry only x_{m+1}.  Second
     slot: each right terminal combines its direct edge with its mix line.
     """
-    net, trace = c2(bottleneck_mun(m))
+    net, roles = c2(bottleneck_mun(m))
     top = MatrixGF(field, [[1], [0]])
     bottom = MatrixGF(field, [[0], [1]])
     both = MatrixGF(field, [[1], [1]])
@@ -122,7 +122,7 @@ def _bottleneck_fractional_code(m: int, field: FieldSpec) -> LinearCode:
     coeffs = {}
     for u in coefficient_table(net, 1, 2):
         # The role of an alpha's edge, or of a gamma's terminal.
-        role = trace.role(u[2] if u[0] == "alpha" else u[1]) or ""
+        role = roles.get(u[2] if u[0] == "alpha" else u[1], "")
         if u[0] == "beta":
             coeffs[u] = eye2
         elif u[0] == "gamma":

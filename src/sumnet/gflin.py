@@ -20,8 +20,6 @@ class DimensionMismatch(ValueError):
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
     d = 2
     while d * d <= p:
         if p % d == 0:

@@ -77,9 +77,6 @@ class Demand:
         return self.messages if self.messages else (SUM_SLOT,)
 
 
-SUM = Demand("sum")
-
-
 def recover(*messages: str) -> Demand:
     return Demand("recover", tuple(messages))
 

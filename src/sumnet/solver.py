@@ -26,9 +26,9 @@ what an edge reads: message rows and constant maps as row lists, any other
 in-edge by id.  The one map walk, ``_fill_maps``, gives each edge of a list,
 in topological order, its block times the rows it reads.  Set-up runs it on
 each pinned edge that reads only row lists, and keeps its constant map; the
-check runs it on a terminal's plan, below; the witness runs it on every edge,
-splits each block back into its keys by column slice, and solves each
-terminal's decoders on its in-edges' maps.
+check runs it on a terminal's plan, below; the witness starts from the constant
+maps, runs it on every other edge, splits each block back into its keys by
+column slice, and solves each terminal's decoders on its in-edges' maps.
 
 The Z_q table search has the same gauge: if an edge's table is g h, with h
 onto min(q, L) values, its consumers read g(h) and absorb g and any renaming
@@ -542,15 +542,13 @@ class _StagedProblem:
     def _fill_maps(self, eids: Iterable[str], assign: dict, maps: dict, u: tuple = (), open_: Sequence = ()) -> list:
         """Put the map of each edge of ``eids``, in topological order, into ``maps``; return the loose rows.
 
-        An edge's map is its block times the rows it ``reads``, an in-edge id
-        standing for that edge's map in ``maps``.  The module docstring says
-        which rows are loose and why no edge needs to track the loose rows it carries.
+        No edge of ``eids`` has a constant map.  An edge's map is its block
+        times the rows it ``reads``, an in-edge id standing for that edge's map
+        in ``maps``.  The module docstring says which rows are loose and why no
+        edge needs to track the loose rows it carries.
         """
         loose: list[int] = []
         for eid in eids:
-            if eid in self.const_maps:
-                maps[eid] = self.const_maps[eid]
-                continue
             ins = [row for x in self.reads[eid] for row in (maps[x] if isinstance(x, str) else x)]
             block = self.pinned[eid] if eid in self.pinned else assign.get(("block", eid))
             if block is None:
@@ -584,12 +582,13 @@ class _StagedProblem:
     def witness(self, assign: dict) -> LinearCode:
         """The code of a search result, every unit assigned.
 
-        The map walk over every edge gives each terminal's in-edge maps, on
-        which its decoders are solved; each block splits back into its keys.
+        The constant maps and the map walk over every other edge give each
+        terminal's in-edge maps, on which its decoders are solved; each block
+        splits back into its keys.
         """
         k, n, gf = self.k, self.n, self.gf
-        maps: dict[str, list[int]] = {}
-        self._fill_maps(self.slices, assign, maps)
+        maps = dict(self.const_maps)
+        self._fill_maps([e for e in self.slices if e not in maps], assign, maps)
         values: dict[tuple, tuple] = {}
         for eid, slices in self.slices.items():
             block = self.pinned[eid] if eid in self.pinned else assign[("block", eid)]
@@ -634,8 +633,12 @@ def naive_search_linear(
 
     No gauge fixing, no relaxed checks, no stage-2 solving: terminals are
     checked by direct comparison of their transfer rows once all their
-    coefficients are assigned.  Exponentially slower than the staged search;
-    exists so the two can be cross-checked on micro networks.
+    coefficients are assigned.  The check is plain list arithmetic, apart from
+    ``PackedRows``: a source coefficient writes its message's k columns of the
+    edge map, as each message appears once per source out-edge, and one list
+    product, ``times``, adds in each relay and decoder coefficient times the
+    rows it reads.  Exponentially slower than the staged search; exists so the
+    two can be cross-checked on micro networks.
     """
     start = time.monotonic()
     p = fieldspec.p
@@ -643,7 +646,8 @@ def naive_search_linear(
     width = len(msgs) * k
     off = {m: i * k for i, m in enumerate(msgs)}
 
-    # Each edge's and each terminal's units, in canonical order.
+    # Each edge's and each terminal's units, in canonical order: an edge's are
+    # all alpha, each read at its message's columns, or all beta, each read from its in-edge.
     shape = coefficient_table(net, k, n)
     units, decoders = dict(edge_keys(net)), dict(decoder_keys(net))
 
@@ -655,45 +659,29 @@ def naive_search_linear(
         ones = {off[m] for m in (msgs if net.terminals[t].kind == "sum" else [label])}
         target_rows_of.setdefault(t, []).append([[int(j - i in ones) for j in range(width)] for i in range(k)])
 
+    def times(out: list[list[int]], coeff, ins: list[list[int]]) -> None:
+        """Add ``coeff`` times the rows ``ins`` to the rows ``out``, mod p."""
+        for row, crow in zip(out, coeff):
+            for c, src in zip(crow, ins):
+                if c:
+                    for w in range(width):
+                        row[w] = (row[w] + c * src[w]) % p
+
     def check(t: str, assign: dict) -> bool:
         maps: dict[str, list[list[int]]] = {}
         for eid in cones[t]:
-            e = net.edge(eid)
-            m = [[0] * width for _ in range(n)]
-            if e.tail in net.sources:
-                for msg in net.sources[e.tail]:
-                    a = assign[("alpha", msg, eid)]
-                    o = off[msg]
-                    for i in range(n):
-                        row, arow = m[i], a[i]
-                        for j in range(k):
-                            row[o + j] = (row[o + j] + arow[j]) % p
-            else:
-                for ein in net.in_edges(e.tail):
-                    b = assign[("beta", ein.id, eid)]
-                    src = maps[ein.id]
-                    for i in range(n):
-                        row, brow = m[i], b[i]
-                        for l in range(n):
-                            c = brow[l]
-                            if c:
-                                srow = src[l]
-                                for w in range(width):
-                                    row[w] = (row[w] + c * srow[w]) % p
-            maps[eid] = m
+            maps[eid] = m = [[0] * width for _ in range(n)]
+            for u in units[eid]:
+                if u[0] == "alpha":
+                    o = off[u[1]]
+                    for row, arow in zip(m, assign[u]):
+                        row[o:o + k] = arow
+                else:
+                    times(m, assign[u], maps[u[1]])
         for slot, want in enumerate(target_rows_of[t]):
             r = [[0] * width for _ in range(k)]
             for e in net.in_edges(t):
-                g = assign[("gamma", t, e.id, slot)]
-                src = maps[e.id]
-                for i in range(k):
-                    row, grow = r[i], g[i]
-                    for l in range(n):
-                        c = grow[l]
-                        if c:
-                            srow = src[l]
-                            for w in range(width):
-                                row[w] = (row[w] + c * srow[w]) % p
+                times(r, assign[("gamma", t, e.id, slot)], maps[e.id])
             if r != want:
                 return False
         return True

@@ -1,13 +1,12 @@
 """Graph constructions relating sum demands and unicast demands.
 
-Each construction returns a fresh validated Network plus a TransformTrace
-mapping every added node and edge id back to its construction role; ids of
-the input network pass through unchanged.
+Each construction returns a fresh validated Network plus its roles, a plain
+dict mapping every added node and edge id to its construction role; ids of the
+input network pass through unchanged and have no role.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -22,16 +21,6 @@ from .netmodel import (
 )
 
 
-@dataclass
-class TransformTrace:
-    """Construction roles for every id added by a transform."""
-
-    roles: dict[str, str] = field(default_factory=dict)
-
-    def role(self, ident: str) -> str | None:
-        return self.roles.get(ident)
-
-
 class _Builder:
     """Accumulates a network, refusing id collisions with the embedded input."""
 
@@ -41,7 +30,7 @@ class _Builder:
         self.edges: list[Edge] = list(base.edges) if base else []
         self.sources: dict[str, tuple[str, ...]] = {}
         self.terminals: dict[str, Demand] = {}
-        self.trace = TransformTrace()
+        self.roles: dict[str, str] = {}
         self._taken = set(self.nodes) | {e.id for e in self.edges}
 
     def add_node(self, node_id: str, role: str) -> str:
@@ -51,7 +40,7 @@ class _Builder:
             nid = f"{node_id}#{i}"
         self._taken.add(nid)
         self.nodes.append(nid)
-        self.trace.roles[nid] = role
+        self.roles[nid] = role
         return nid
 
     def add_edge(self, tail: str, head: str, role: str) -> str:
@@ -62,10 +51,10 @@ class _Builder:
             eid = f"{base}#{i}"
         self._taken.add(eid)
         self.edges.append(Edge(eid, tail, head))
-        self.trace.roles[eid] = role
+        self.roles[eid] = role
         return eid
 
-    def build(self) -> tuple[Network, TransformTrace]:
+    def build(self) -> tuple[Network, dict[str, str]]:
         net = Network(
             name=self.name,
             nodes=tuple(self.nodes),
@@ -73,7 +62,7 @@ class _Builder:
             sources=self.sources,
             terminals=self.terminals,
         )
-        return net, self.trace
+        return net, self.roles
 
 
 def _unicast_pairs(net: Network) -> list[tuple[str, str, str]]:
@@ -89,15 +78,11 @@ def _unicast_pairs(net: Network) -> list[tuple[str, str, str]]:
         if m in demanded:
             raise NetworkError(f"message {m!r} demanded twice")
         demanded[m] = t
+    # Each terminal demands a distinct message of the network, which has one
+    # message per source: with equal counts, every message is demanded.
     if len(net.terminals) != len(net.sources):
         raise NetworkError("source and terminal counts differ")
-    pairs = []
-    for w in net.source_nodes():
-        m = net.sources[w][0]
-        if m not in demanded:
-            raise NetworkError(f"message {m!r} is never demanded")
-        pairs.append((w, m, demanded[m]))
-    return pairs
+    return [(w, m, demanded[m]) for w in net.source_nodes() for m in net.sources[w]]
 
 
 def _hub(b: _Builder, gens: Sequence[str]) -> tuple[list[str], list[str]]:
@@ -123,7 +108,7 @@ def _hub(b: _Builder, gens: Sequence[str]) -> tuple[list[str], list[str]]:
     return s, v
 
 
-def c1(mun: Network) -> tuple[Network, TransformTrace]:
+def c1(mun: Network) -> tuple[Network, dict[str, str]]:
     """Sum network built around a multiple-unicast network.
 
     Adds the hub (sources s_1..s_{m+1}, per-pair relays u_i, v_i) and
@@ -147,7 +132,7 @@ def c1(mun: Network) -> tuple[Network, TransformTrace]:
     return b.build()
 
 
-def to_type_ia(net: Network) -> tuple[Network, TransformTrace]:
+def to_type_ia(net: Network) -> tuple[Network, dict[str, str]]:
     """One fresh source per message and one fresh terminal per demanded copy.
 
     The relay layers leave each new source generating a single process and
@@ -171,7 +156,7 @@ def to_type_ia(net: Network) -> tuple[Network, TransformTrace]:
     return b.build()
 
 
-def c2(net: Network) -> tuple[Network, TransformTrace]:
+def c2(net: Network) -> tuple[Network, dict[str, str]]:
     """Sum network built from a subset-demand network in two steps.
 
     First the input is normalised to one process per source and per terminal
@@ -179,14 +164,14 @@ def c2(net: Network) -> tuple[Network, TransformTrace]:
     process plus one per original demand are attached; every terminal demands
     the sum of the m+1 fresh messages.
     """
-    tia, trace0 = to_type_ia(net)
+    tia, roles = to_type_ia(net)
     gens = tia.source_nodes()
     by_msg: dict[str, list[str]] = {tia.sources[g][0]: [] for g in gens}
     for t in tia.terminal_nodes():
         by_msg[tia.terminals[t].messages[0]].append(t)
 
     b = _Builder(f"c2({net.name})" if net.name else "c2", tia)
-    b.trace.roles.update(trace0.roles)
+    b.roles.update(roles)
     s, v = _hub(b, gens)
     for i, g in enumerate(gens):
         t_right = b.add_node(f"t_{i + 1}", f"right terminal i={i + 1}")
@@ -202,7 +187,7 @@ def c2(net: Network) -> tuple[Network, TransformTrace]:
     return b.build()
 
 
-def c3(sumnet: Network) -> tuple[Network, TransformTrace]:
+def c3(sumnet: Network) -> tuple[Network, dict[str, str]]:
     """Multiple-unicast network whose solvability matches a sum network's.
 
     The upper half wires fresh pair sources s_i into the old sources, mixes

@@ -107,6 +107,10 @@ MUTANTS = [
     Mutant("free RREF entries only at 0", "solver.py", "for vals in product(range(p), repeat=len(free)):",
            "for vals in product(range(1), repeat=len(free)):",
            ("tests/test_solver.py::test_rref_blocks_list_each_row_space_once",)),
+    Mutant("the oracle writes a source coefficient one column to the right", "solver.py", "row[o:o + k] = arow",
+           "row[o + 1:o + k + 1] = arow", ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus",)),
+    Mutant("the oracle's product skips a relay's last input row", "solver.py", "for c, src in zip(crow, ins):",
+           "for c, src in zip(crow[:-1], ins):", ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus",)),
     Mutant("witness rows as lists", "solver.py", "MatrixGF._reduced(f, rows) for rows in set(values.values())",
            "MatrixGF._reduced(f, [list(r) for r in rows]) for rows in set(values.values())",
            ("tests/test_solver.py::test_witness_matrices_are_read_only_residue_arrays",)),
@@ -125,6 +129,8 @@ MUTANTS = [
            "        if v in net.terminals and False:\n", (TRANSFER,)),
     Mutant("validate_code without its shape check", "codes.py", "if (m.rows, m.cols) != shape:", "if False:",
            ("tests/test_codes.py::test_validate_code_rejects_each_bad_key",)),
+    Mutant("validate_code without its field check", "codes.py", "if m.field != code.field:", "if False:",
+           ("tests/test_codes.py::test_validate_code_rejects_bad_shapes",)),
     Mutant("the transfer walk without its shape check", "codes.py", "if (m.rows, m.cols) != (rows, len(x)):",
            "if False:", ("tests/test_codes.py::test_validate_code_rejects_each_bad_key",)),
     Mutant("path_gain from the n x n identity", "codes.py", "code.n if msg is None else code.k", "code.n",
@@ -137,6 +143,9 @@ MUTANTS = [
            ("tests/test_codes.py::test_code_reader_rejects_malformed_matrices",)),
     Mutant("eval_linear without its per-message length check", "codes.py", "if len(symbols) != k:", "if False:",
            ("tests/test_codes.py::test_eval_needs_k_symbols_per_message",)),
+    Mutant("eval_nonlinear without its missing-message check", "codes.py",
+           "if missing := [m for m in net.messages() if m not in x]:", "if False:",
+           ("tests/test_codes.py::test_eval_rejects_symbols_that_are_not_integers",)),
     # The network model and the CLI.
     Mutant("a flow search without its backward walk", "netmodel.py",
            "if e.tail not in prev and e.id in used:", "if False:",

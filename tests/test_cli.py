@@ -205,12 +205,23 @@ def test_verify_nonlinear_cli(tmp_path, capsys):
     assert out.startswith("SOLUTION")
 
 
-def test_search_nonlinear_cli(tmp_path, capsys):
+def test_search_nonlinear_cli(tmp_path, capsys, monkeypatch):
     net_file = tmp_path / "net.json"
     run_cli(capsys, "family", "--name", "bottleneck_mun", "--m", "2", "-o", str(net_file))
     rc, out = run_cli(capsys, "search-nonlinear", "--net", str(net_file), "--q", "2")
     assert rc == 0
     assert json.loads(out)["verdict"] == "unsolvable"
+    # A solvable network read from standard input: the printed witness is a table code that verifies.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(network_to_json(s_m(4))))
+    rc, out = run_cli(capsys, "search-nonlinear", "--net", "-", "--q", "2")
+    report = json.loads(out)
+    assert rc == 0 and report["verdict"] == "solvable" and report["witness"]["kind"] == "nonlinear"
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps(report["witness"]))
+    network_file = tmp_path / "s4.json"
+    network_file.write_text(network_to_json(s_m(4)))
+    rc, out = run_cli(capsys, "verify-nonlinear", "--net", str(network_file), "--code", str(code_file))
+    assert (rc, out) == (0, "SOLUTION\n")
 
 
 def test_search_nonlinear_cli_on_wide_tables(tmp_path, capsys):

@@ -29,7 +29,7 @@ from sumnet.codes import (
 )
 from sumnet.families import FamilySpec, component, known_code
 from sumnet.gflin import DimensionMismatch, mat_inv, rank
-from sumnet.netmodel import Demand, Edge, Network, recover, reverse_network
+from sumnet.netmodel import Demand, Edge, Network, NetworkError, recover, reverse_network
 from sumnet.transforms import c3, scale_sources
 
 from helpers import (
@@ -103,6 +103,17 @@ def test_eval_rejects_symbols_that_are_not_integers():
     for bad in ([1.5, 0], ["1", 0], 1, [None, 0]):
         with pytest.raises(CodeError, match="'x2' needs a vector of integers"):
             eval_linear(net, code, {"x1": [1, 0], "x2": bad, "x3": [0, 0]})
+    with pytest.raises(CodeError, match=re.escape("input misses messages ['x3']")):
+        eval_linear(net, code, {"x1": [1, 0], "x2": [0, 0]})
+    # The table evaluator checks its input alike, one integer per message, mod q.
+    table = additive_code(net, 3)
+    for bad in ("a", 1.5, [1], None):
+        with pytest.raises(CodeError, match="'x2' needs an integer"):
+            eval_nonlinear(net, table, {"x1": 1, "x2": bad, "x3": 0})
+    with pytest.raises(CodeError, match=re.escape("input misses messages ['x3']")):
+        eval_nonlinear(net, table, {"x1": 1, "x2": 0})
+    wide = eval_nonlinear(net, table, {"x1": 3**40 + 1, "x2": -1, "x3": True, "x4": "ignored"})
+    assert wide == eval_nonlinear(net, table, {"x1": 1, "x2": 2, "x3": 1})
 
 
 def test_transfer_single_identity_edge():
@@ -238,6 +249,11 @@ def test_path_gain_order_and_virtuals():
     assert full == MatrixGF(F5, [[24 % 5]])
     with pytest.raises(CodeError):
         path_gain(net, code, ["e2", "e1"])
+    for path, msg, t, match in (([], None, None, "empty path"),
+                                (["e2"], "x", None, "path does not start at the source of 'x'"),
+                                (["e1"], None, "t", "path does not end at 't'")):
+        with pytest.raises(CodeError, match=match):
+            path_gain(net, code, path, msg=msg, terminal=t)
     # At k != n the product with a message starts from the k x k identity.
     for net, code, path, msg, t in ((mun_path(), search_linear(mun_path(), F2, 1, 2).witness, ["w_1>z_1"], "a", "z_1"),
                                     (net, random_code(random.Random(3), net, 5, 2, 1), ["e1", "e2"], "x", "t")):
@@ -310,6 +326,9 @@ def test_reverse_code_duality_suite():
             assert np.array_equal(RT, T.T)
             assert is_solution(net, code) == is_solution(rev, rcode)
             assert canonical_reverse_code(rev, rcode) == code
+    stray = LinearCode(F2, 1, 1, {("nope", "e"): MatrixGF(F2, [[1]])}, {}, {})
+    with pytest.raises(NetworkError, match="unknown message 'nope'"):
+        canonical_reverse_code(single_edge_net(), stray)
 
 
 def test_reverse_of_identity_code_is_identity():
@@ -336,6 +355,12 @@ def test_validate_code_rejects_bad_shapes():
     bad = LinearCode(F2, 1, 1, {("x", "e"): MatrixGF(F2, [[1, 0]])}, {}, {})
     with pytest.raises(CodeError):
         validate_code(net, bad)
+    # A coefficient over another field: is_solution would read it mod 2.
+    net, code = s_m(4), identity_code(s_m(4), F2)
+    key = next(iter(code.source_coeff))
+    source = {**code.source_coeff, key: MatrixGF(F5, [[3]])}
+    with pytest.raises(CodeError, match=re.escape(f"alpha coefficient {key} must be over GF(2)")):
+        validate_code(net, LinearCode(F2, 1, 1, source, code.local_coeff, code.decode_coeff))
 
 
 def two_source_relay(demand: Demand = Demand("sum")) -> Network:

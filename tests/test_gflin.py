@@ -32,6 +32,8 @@ def test_fieldspec_rejects_nonprime():
     with pytest.raises(ValueError):
         FieldSpec(1 << 17)
     assert FieldSpec(65521).p == 65521  # largest prime below 2**16
+    with pytest.raises(ZeroDivisionError):
+        FieldSpec(7).inv(14)
 
 
 def test_entries_reduced_mod_p():
@@ -90,6 +92,8 @@ def test_solve_right_basics():
     zero = MatrixGF.zeros(F2, 2, 2)
     assert solve_right(zero, MatrixGF.zeros(F2, 2, 2)) == MatrixGF.zeros(F2, 2, 2)
     assert solve_right(m(F2, [[1, 1], [0, 0]]), m(F2, [[1], [1]])) is None
+    with pytest.raises(DimensionMismatch, match="matching row counts"):
+        solve_right(MatrixGF.identity(F2, 2), m(F2, [[1]]))
 
 
 small_fields = st.sampled_from([2, 3, 5])

@@ -68,6 +68,25 @@ def test_recover_unknown_message_rejected():
         Network("r", ("a", "b"), (), {"a": ("x",)}, {"b": recover("nope")})
 
 
+def test_malformed_demands_and_networks_rejected():
+    for kind, messages, match in (("both", None, "unknown demand kind 'both'"),
+                                  ("recover", (), "recover demand needs at least one message")):
+        with pytest.raises(NetworkError, match=match):
+            Demand(kind, messages)
+    bad = {
+        "duplicate node id": (("a", "a", "b"), {"a": ("x",)}, {"b": recover("x")}),
+        "source node 'c' not declared": (("a", "b"), {"c": ("x",)}, {}),
+        "terminal node 'c' not declared": (("a", "b"), {"a": ("x",)}, {"c": recover("x")}),
+        "source 'a' generates no messages": (("a", "b"), {"a": ()}, {}),
+        "node 'a' is both source and terminal": (("a", "b"), {"a": ("x",)}, {"a": Demand("sum")}),
+    }
+    for match, (nodes, sources, terminals) in bad.items():
+        with pytest.raises(NetworkError, match=match):
+            Network("bad", nodes, (), sources, terminals)
+    with pytest.raises(NetworkError, match="unknown message 'nope'"):
+        mun_path().message_source("nope")
+
+
 def test_topo_chain_and_isolated():
     chain = Network("ch", ("a", "b", "c"), (Edge("1", "a", "b"), Edge("2", "b", "c")), {}, {})
     assert chain.topo_order() == ("a", "b", "c")

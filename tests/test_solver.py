@@ -773,6 +773,8 @@ def test_budget_exceeded_is_a_verdict():
     r = search_linear(s_m(4), F2, 1, 1, SearchOptions(budget=2))
     assert r.verdict == "budget_exceeded"
     assert r.witness is None
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        SearchOptions(budget=0)
 
 
 def test_witnesses_respect_rate_bound():
@@ -815,6 +817,8 @@ def test_nonlinear_single_edge_relay():
     r = search_nonlinear(single_edge_relay(), 2)
     assert r.verdict == "solvable"
     assert verify_nonlinear(single_edge_relay(), r.witness)
+    with pytest.raises(ValueError, match="q must be at least 2"):
+        search_nonlinear(single_edge_relay(), 1)
 
 
 def test_nonlinear_decoder_is_the_first_valid_table():

@@ -50,13 +50,22 @@ def test_c1_roles_and_demands():
     # embedded nodes lose their roles but keep their edges
     assert "w_1" not in out.sources and "z_1" not in out.terminals
     assert out.has_edge("w_1>z_1")
-    assert trace.role("u_1") == "mix relay i=1"
-    assert trace.role("s_1>w_1") is not None
+    assert trace.get("u_1") == "mix relay i=1"
+    assert trace.get("s_1>w_1") is not None
 
 
 def test_c1_rejects_non_unicast():
     with pytest.raises(NetworkError):
         c1(sum_bipartite22())
+    edges = (Edge("a>t", "a", "t"), Edge("b>u", "b", "u"))
+    bad = {
+        "source 'a' must generate exactly one message": ({"a": ("x", "y")}, {"t": recover("x")}),
+        "message 'x' demanded twice": ({"a": ("x",), "b": ("y",)}, {"t": recover("x"), "u": recover("x")}),
+        "source and terminal counts differ": ({"a": ("x",), "b": ("y",)}, {"t": recover("x")}),
+    }
+    for match, (sources, terminals) in bad.items():
+        with pytest.raises(NetworkError, match=match):
+            c1(Network("bad", ("a", "b", "t", "u"), edges, sources, terminals))
 
 
 def test_c1_id_collision_uniquified():
@@ -69,7 +78,13 @@ def test_c1_id_collision_uniquified():
     )
     out, trace = c1(clash)
     assert "s_1#2" in out.source_nodes()
-    assert trace.role("s_1#2") == "hub source i=1"
+    assert trace.get("s_1#2") == "hub source i=1"
+    # An added edge whose id the input already holds takes the next free suffix.
+    clash = Network(clash.name, clash.nodes, clash.edges + (Edge("u_1>v_1", "w_1", "z_1"),), clash.sources,
+                    clash.terminals)
+    out, trace = c1(clash)
+    assert out.edge("u_1>v_1#2").tail == "u_1" and trace.get("u_1>v_1#2") == "mix line i=1"
+    assert trace.get("u_1>v_1") is None
 
 
 def test_reverse_of_c1_matches_swapped_structure():
@@ -183,9 +198,9 @@ def test_c2_differs_from_c1_by_relay_layer():
     edge_roles = ("extra source feed ", "mix line ", "cross feed ")
 
     def hub(net, trace):
-        nodes = {v: trace.role(v) for v in net.nodes if (trace.role(v) or "").startswith(node_roles)}
-        edges = {(e.id, e.tail, e.head, trace.role(e.id)) for e in net.edges
-                 if (trace.role(e.id) or "").startswith(edge_roles)}
+        nodes = {v: trace.get(v) for v in net.nodes if (trace.get(v) or "").startswith(node_roles)}
+        edges = {(e.id, e.tail, e.head, trace.get(e.id)) for e in net.edges
+                 if (trace.get(e.id) or "").startswith(edge_roles)}
         return nodes, edges, {v: net.sources[v] for v in nodes if v in net.sources}
 
     for net in (mun_path(), mun_crossed()):
@@ -214,13 +229,19 @@ def test_c3_pair_count():
 def test_c3_requires_sum_demands():
     with pytest.raises(NetworkError):
         c3(mun_path())
+    two = two_message_source()
+    with pytest.raises(NetworkError, match="source 'a' must generate exactly one message"):
+        c3(Network(two.name, two.nodes, two.edges, two.sources, {"t": Demand("sum")}))
+    # to_type_ia, c2's first step, needs subset demands instead.
+    with pytest.raises(NetworkError, match="terminal 't_1' of a subset-demand network expected"):
+        to_type_ia(s_m(3))
 
 
 def test_c3_three_by_three_pairs():
     net = s_m(3)  # 3 sources, 3 terminals
     out, trace = c3(net)
     assert len(out.terminals) == 9
-    assert trace.role("r_2_1") == "recovery relay (terminal 2, source 1)"
+    assert trace.get("r_2_1") == "recovery relay (terminal 2, source 1)"
 
 
 @pytest.mark.parametrize("make,p", [
@@ -259,7 +280,7 @@ def test_c3_trace_covers_every_added_id():
     base_ids = set(base.nodes) | {e.id for e in base.edges}
     for ident in list(out.nodes) + [e.id for e in out.edges]:
         if ident not in base_ids:
-            assert trace.role(ident), ident
+            assert trace.get(ident), ident
 
 
 # -- scale_sources ---------------------------------------------------------------
