@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .gflin import DimensionMismatch, FieldSpec, MatrixGF, PackedRows
+from .gflin import DimensionMismatch, FieldSpec, MatrixGF, PackedRows, packed_rows
 from .netmodel import (
     Demand, Network, NetworkError, json_int, json_key, json_layout, json_list, json_str, reverse_id,
     reverse_roles,
@@ -194,7 +194,7 @@ def _recovered_rows(net: Network, code: LinearCode) -> tuple[PackedRows, dict, d
     input rows in one ``PackedRows.times`` call.  Each node pops its in-edges'
     maps, so only the maps of edges whose head is still ahead stay alive.
     """
-    gf = PackedRows(code.field.p, len(net.messages()) * code.k)
+    gf = packed_rows(code.field.p, len(net.messages()) * code.k)
     units = message_rows(net, gf, code.k)
     maps: dict[str, list[int]] = {}
     out: dict[str, list[int]] = {}
@@ -204,7 +204,7 @@ def _recovered_rows(net: Network, code: LinearCode) -> tuple[PackedRows, dict, d
         entries, stacked = [], []
         for key, x in ins:
             if (m := coeffs.get(key)) is not None:
-                if (m.rows, m.cols) != (rows, len(x)):
+                if len(m.entries) != rows or len(m.entries[0]) != len(x):
                     raise CodeError(f"coefficient {key} must be {rows} x {len(x)}")
                 entries.append(m.entries)
                 stacked += x

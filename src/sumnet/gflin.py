@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from typing import Iterable, Optional, Sequence
 
@@ -119,7 +120,7 @@ def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
 
 
 def rank(a: MatrixGF) -> int:
-    gf, basis = PackedRows(a.field.p, a.cols), {}
+    gf, basis = packed_rows(a.field.p, a.cols), {}
     for r in a.entries:
         gf.insert(basis, gf.pack(r))
     return len(basis)
@@ -141,7 +142,7 @@ def solve_right(a: MatrixGF, b: MatrixGF) -> Optional[MatrixGF]:
     _check_same_field(a, b)
     if a.rows != b.rows:
         raise DimensionMismatch("solve_right needs matching row counts")
-    gf = PackedRows(a.field.p, a.rows)
+    gf = packed_rows(a.field.p, a.rows)
     x = gf.solve([gf.pack(c) for c in zip(*a.entries)], [gf.pack(c) for c in zip(*b.entries)])
     return None if x is None else MatrixGF._reduced(a.field, tuple(zip(*x)))
 
@@ -245,7 +246,7 @@ class PackedRows:
         independent of the earlier ones enter the basis, so every free
         coefficient is 0.
         """
-        w, gf = self.cols, type(self)(self.p, self.cols + len(rows))
+        w, gf = self.cols, packed_rows(self.p, self.cols + len(rows))
         messages = gf.unit(w) - 1  # the bits of columns 0 .. w - 1
         basis: dict[int, int] = {}
         for j, row in enumerate(rows):
@@ -255,3 +256,7 @@ class PackedRows:
         rest = [gf.reduce(basis, trow) for trow in targets]
         return None if any(r & messages for r in rest) else [
             [-gf.entry(r, w + j) % self.p for j in range(len(rows))] for r in rest]
+
+
+# One kernel per (p, cols), shared by every caller: a kernel holds only constants of the two.
+packed_rows = lru_cache(maxsize=256)(PackedRows)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping, Optional
 
 SUM_SLOT = "<sum>"
@@ -90,11 +91,11 @@ class Network:
     terminals: dict[str, Demand]
 
     def __post_init__(self) -> None:
-        """Normalize and validate, then set the lookups ``_in``, ``_out``, ``_by_id`` and ``_topo``."""
+        """Normalize and validate, then set the lookups ``_in``, ``_out``, ``_by_id``, ``_topo`` and the orders."""
         nodes = tuple(sorted(set(self.nodes)))
         if len(nodes) != len(self.nodes):
             raise NetworkError("duplicate node id")
-        edges = tuple(sorted(self.edges, key=lambda e: e.id))
+        edges = tuple(sorted(self.edges, key=attrgetter("id")))
         sources = {v: tuple(ms) for v, ms in self.sources.items()}
         terminals = dict(self.terminals)
         object.__setattr__(self, "nodes", nodes)
@@ -115,7 +116,7 @@ class Network:
             outs[e.tail].append(e)
             ins[e.head].append(e)
 
-        seen: set[str] = set()
+        msg_source: dict[str, str] = {}  # each message's source
         for v, ms in sources.items():
             if v not in nodeset:
                 raise UnknownNode(f"source node {v!r} not declared")
@@ -124,9 +125,9 @@ class Network:
             if not ms:
                 raise NetworkError(f"source {v!r} generates no messages")
             for m in ms:
-                if m in seen:
+                if m in msg_source:
                     raise DuplicateMessageId(m)
-                seen.add(m)
+                msg_source[m] = v
         for v, d in terminals.items():
             if v not in nodeset:
                 raise UnknownNode(f"terminal node {v!r} not declared")
@@ -134,31 +135,33 @@ class Network:
                 raise NetworkError(f"node {v!r} is both source and terminal")
             if d.kind == "recover":
                 for m in d.messages:
-                    if m not in seen:
+                    if m not in msg_source:
                         raise NetworkError(f"demand references unknown message {m!r}")
 
         object.__setattr__(self, "_in", {v: tuple(ins[v]) for v in nodes})
         object.__setattr__(self, "_out", {v: tuple(outs[v]) for v in nodes})
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_topo", self._toposort())
+        object.__setattr__(self, "_sources", tuple(sorted(sources)))
+        object.__setattr__(self, "_terminals", tuple(sorted(terminals)))
+        object.__setattr__(self, "_messages", tuple(m for v in self._sources for m in sources[v]))
+        object.__setattr__(self, "_msg_source", msg_source)
 
     def _toposort(self) -> tuple[str, ...]:
         """Nodes by longest distance from the in-degree-0 layer, ties by id."""
-        indeg = {v: len(self._in[v]) for v in self.nodes}
-        level = {v: 0 for v in self.nodes}
-        queue = deque(v for v in self.nodes if indeg[v] == 0)
-        done = 0
-        while queue:
-            v = queue.popleft()
-            done += 1
+        indeg = {v: len(es) for v, es in self._in.items()}
+        order = [v for v, d in indeg.items() if not d]
+        level = dict.fromkeys(order, 0)
+        for v in order:  # first in, first out: levels never fall along the list
             for e in self._out[v]:
-                level[e.head] = max(level[e.head], level[v] + 1)
-                indeg[e.head] -= 1
-                if indeg[e.head] == 0:
-                    queue.append(e.head)
-        if done != len(self.nodes):
+                w = e.head
+                indeg[w] -= 1
+                if not indeg[w]:  # v is w's last tail in the list, so one of largest level
+                    level[w] = level[v] + 1
+                    order.append(w)
+        if len(order) != len(self.nodes):
             raise CycleDetected(self.name or "<network>")
-        return tuple(sorted(self.nodes, key=lambda v: (level[v], v)))
+        return tuple(sorted(self.nodes, key=level.__getitem__))  # nodes are sorted, so ties stay in id order
 
     # -- accessors ---------------------------------------------------------
 
@@ -178,23 +181,19 @@ class Network:
         return self._topo
 
     def source_nodes(self) -> tuple[str, ...]:
-        return tuple(sorted(self.sources))
+        return self._sources
 
     def terminal_nodes(self) -> tuple[str, ...]:
-        return tuple(sorted(self.terminals))
+        return self._terminals
 
     def messages(self) -> tuple[str, ...]:
         """Global message order: by source node id, then declaration order."""
-        out = []
-        for v in self.source_nodes():
-            out.extend(self.sources[v])
-        return tuple(out)
+        return self._messages
 
     def message_source(self, msg: str) -> str:
-        for v, ms in self.sources.items():
-            if msg in ms:
-                return v
-        raise NetworkError(f"unknown message {msg!r}")
+        if msg not in self._msg_source:
+            raise NetworkError(f"unknown message {msg!r}")
+        return self._msg_source[msg]
 
     def is_sum_network(self) -> bool:
         return all(d.kind == "sum" for d in self.terminals.values())

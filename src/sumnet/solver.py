@@ -20,15 +20,16 @@ free entries row-major.  With ``reduce`` off, a wider block runs over every
 matrix instead, while narrow blocks stay pinned.  ``_StagedProblem`` sets
 itself up in one pass over the out-edges in topological order, from
 ``codes.edge_keys``, the walk ``codes.coefficient_table`` is built from: each
-edge gets its keys' column slices and its pinned block or its candidates.
-Each enumerated block is one unit, ``("block", eid)``.  ``reads[eid]`` is
-what an edge reads: message rows and constant maps as row lists, any other
-in-edge by id.  The one map walk, ``_fill_maps``, gives each edge of a list,
-in topological order, its block times the rows it reads.  Set-up runs it on
-each pinned edge that reads only row lists, and keeps its constant map; the
-check runs it on a terminal's plan, below; the witness starts from the constant
-maps, runs it on every other edge, splits each block back into its keys by
-column slice, and solves each terminal's decoders on its in-edges' maps.
+edge gets its keys and its pinned block or its candidates.  Each enumerated
+block is one unit, ``("block", eid)``.  ``reads[eid]`` is what an edge reads:
+message rows and constant maps as row lists, any other in-edge by id.  The
+one map walk, ``_fill_maps``, gives each edge of a list, in topological
+order, its block times the rows it reads; a pinned block passes them through.
+Set-up runs it on each pinned edge that reads only row lists, and keeps its
+constant map; the check runs it on a terminal's plan, below; the witness
+starts from the constant maps, runs it on every other edge, splits each block
+back into its keys by column slice, and solves each terminal's decoders on
+its in-edges' maps.
 
 The Z_q table search has the same gauge: if an edge's table is g h, with h
 onto min(q, L) values, its consumers read g(h) and absorb g and any renaming
@@ -134,7 +135,7 @@ from .codes import (
     verify_nonlinear,
 )
 from .families import FamilySpec, generate
-from .gflin import FieldSpec, MatrixGF, PackedRows
+from .gflin import FieldSpec, MatrixGF, packed_rows
 from .netmodel import Network
 
 SOLVABLE = "solvable"
@@ -491,7 +492,7 @@ class _StagedProblem:
         self.field = fieldspec
         self.p = fieldspec.p
         self.k, self.n = k, n
-        self.gf = PackedRows(self.p, len(net.messages()) * k)
+        self.gf = packed_rows(self.p, len(net.messages()) * k)
         self.unit_rows = message_rows(net, self.gf, k)
         self.targets = target_rows(net, self.unit_rows, k)
 
@@ -501,18 +502,21 @@ class _StagedProblem:
         # enumerated, as RREF blocks when reducing.  A pinned block whose inputs
         # never change during the search gives its edge a constant map.
         enum = _rref_matrices if opts.reduce else _all_matrices
-        # Per edge, each coefficient with its column slice of the block, and what it reads.
-        self.slices: dict[str, list[tuple[tuple, int, int]]] = {}
+        # Per edge, its coefficient keys with their width, and what it reads.
+        self.keys: dict[str, tuple[list[tuple], int]] = {}
         self.reads: dict[str, list] = {}
         self.pinned: dict[str, tuple[tuple[int, ...], ...]] = {}
         self.candidates: dict[tuple, Callable[[], Iterator[tuple]]] = {}
         self.const_maps: dict[str, list[int]] = {}
+        units, const = self.unit_rows, self.const_maps
         for eid, us in edge_keys(net):
             # An edge's keys are all alpha, n x k, or all beta, n x n.
-            w = k if us and us[0][0] == "alpha" else n
-            self.slices[eid] = [(u, i * w, (i + 1) * w) for i, u in enumerate(us)]
-            self.reads[eid] = reads = [self.unit_rows[u[1]] if u[0] == "alpha" else self.const_maps.get(u[1], u[1])
-                                       for u in us]
+            if us and us[0][0] == "alpha":
+                w, reads = k, [units[u[1]] for u in us]
+            else:
+                w, reads = n, [const.get(u[1], u[1]) for u in us]
+            self.keys[eid] = us, w
+            self.reads[eid] = reads
             cols = len(us) * w
             if cols > n:
                 self.candidates[("block", eid)] = partial(enum, n, cols, self.p)
@@ -520,7 +524,6 @@ class _StagedProblem:
             self.pinned[eid] = _eye(n, cols)
             if str not in map(type, reads):
                 self._fill_maps([eid], {}, self.const_maps)
-        self.decoders = dict(decoder_keys(net))
 
         self.cone = _backward_cones(net)
         self.deps = {
@@ -544,14 +547,16 @@ class _StagedProblem:
 
         No edge of ``eids`` has a constant map.  An edge's map is its block
         times the rows it ``reads``, an in-edge id standing for that edge's map
-        in ``maps``.  The module docstring says which rows are loose and why no
-        edge needs to track the loose rows it carries.
+        in ``maps``; a pinned block, ``eye(n, cols)``, passes its rows through
+        and adds n - cols zero rows.  The module docstring says which rows are
+        loose and why no edge needs to track the loose rows it carries.
         """
         loose: list[int] = []
         for eid in eids:
             ins = [row for x in self.reads[eid] for row in (maps[x] if isinstance(x, str) else x)]
-            block = self.pinned[eid] if eid in self.pinned else assign.get(("block", eid))
-            if block is None:
+            if eid in self.pinned:
+                maps[eid] = ins + [0] * (self.n - len(ins))
+            elif (block := assign.get(("block", eid))) is None:
                 maps[eid] = [0] * self.n
                 loose += ins
             else:
@@ -588,13 +593,13 @@ class _StagedProblem:
         """
         k, n, gf = self.k, self.n, self.gf
         maps = dict(self.const_maps)
-        self._fill_maps([e for e in self.slices if e not in maps], assign, maps)
+        self._fill_maps([e for e in self.keys if e not in maps], assign, maps)
         values: dict[tuple, tuple] = {}
-        for eid, slices in self.slices.items():
+        for eid, (us, w) in self.keys.items():
             block = self.pinned[eid] if eid in self.pinned else assign[("block", eid)]
-            for u, a, b in slices:
-                values[u] = tuple([row[a:b] for row in block])
-        for t, keys in self.decoders.items():
+            for i, u in enumerate(us):
+                values[u] = tuple([row[i * w:(i + 1) * w] for row in block])
+        for t, keys in decoder_keys(self.net):
             ins = self.net.in_edges(t)
             x = gf.solve([row for e in ins for row in maps[e.id]], self.targets[t])
             if x is None:

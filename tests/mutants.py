@@ -80,6 +80,9 @@ MUTANTS = [
            "b, m, out, j = self.b, self.mask >> 2,", (PACKED, TRANSFER)),
     Mutant("times passes rows through at c <= 2", "gflin.py", "y = srow if c == 1 else", "y = srow if c <= 2 else",
            (PACKED,)),
+    Mutant("the kernel cache keyed by p alone", "gflin.py", "packed_rows = lru_cache(maxsize=256)(PackedRows)",
+           "packed_rows = lambda p, cols, _kernels={}: _kernels.setdefault(p, PackedRows(p, cols))",
+           ("tests/test_gflin.py::test_packed_rows_keeps_one_kernel_per_field_and_width",)),
     Mutant("MatrixGF without % p", "gflin.py", "tuple([int(x) % p for x in r])", "tuple([int(x) for x in r])",
            ("tests/test_gflin.py::test_entries_reduced_mod_p",)),
     # The linear search.
@@ -94,6 +97,10 @@ MUTANTS = [
            ("tests/test_solver.py::test_relaxed_check_is_sound_under_partial_assignments",)),
     Mutant("an unassigned block's inputs not loose", "solver.py", "                loose += ins\n",
            "                pass\n", ("tests/test_solver.py::test_s4_scalar_gf2_solvable_with_identity_interior",)),
+    Mutant("a pinned map without its zero rows", "solver.py", "maps[eid] = ins + [0] * (self.n - len(ins))",
+           "maps[eid] = ins", ("tests/test_solver.py::test_fractional_modes",)),
+    Mutant("a pinned map one row too long", "solver.py", "maps[eid] = ins + [0] * (self.n - len(ins))",
+           "maps[eid] = ins + [0] * (self.n + 1 - len(ins))", ("tests/test_solver.py::test_fractional_modes",)),
     Mutant("the constant in-edge rows left out of a plan's basis", "solver.py",
            "for row in self.const_maps.get(e, ()):", "for row in ():", (PLANS,)),
     Mutant("a plan's walk skips pinned edges with variable inputs", "solver.py",
@@ -131,8 +138,9 @@ MUTANTS = [
            ("tests/test_codes.py::test_validate_code_rejects_each_bad_key",)),
     Mutant("validate_code without its field check", "codes.py", "if m.field != code.field:", "if False:",
            ("tests/test_codes.py::test_validate_code_rejects_bad_shapes",)),
-    Mutant("the transfer walk without its shape check", "codes.py", "if (m.rows, m.cols) != (rows, len(x)):",
-           "if False:", ("tests/test_codes.py::test_validate_code_rejects_each_bad_key",)),
+    Mutant("the transfer walk without its shape check", "codes.py",
+           "if len(m.entries) != rows or len(m.entries[0]) != len(x):", "if False:",
+           ("tests/test_codes.py::test_validate_code_rejects_each_bad_key",)),
     Mutant("path_gain from the n x n identity", "codes.py", "code.n if msg is None else code.k", "code.n",
            ("tests/test_codes.py::test_path_gain_order_and_virtuals",)),
     # Code files.
@@ -150,6 +158,10 @@ MUTANTS = [
     Mutant("a flow search without its backward walk", "netmodel.py",
            "if e.tail not in prev and e.id in used:", "if False:",
            ("tests/test_netmodel.py::test_min_cut_cancels_flow_on_a_used_edge",)),
+    Mutant("every later node on level 1", "netmodel.py", "level[w] = level[v] + 1", "level[w] = 1",
+           ("tests/test_netmodel.py::test_topo_chain_and_isolated",)),
+    Mutant("messages in declaration order", "netmodel.py", "tuple(m for v in self._sources for m in sources[v])",
+           "tuple(msg_source)", ("tests/test_netmodel.py::test_stored_orders_match_their_derivations",)),
     Mutant("reachable returns only its start", "netmodel.py", "return set(_residual_search(net, start, set()))",
            "return {start}", ("tests/test_netmodel.py::test_connectivity_false_entry",)),
     Mutant("no backslash escape in export-dot", "cli.py", '.replace("\\\\", "\\\\\\\\")', "",

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,10 @@ from sumnet.gflin import (
     FieldMismatch,
     FieldSpec,
     MatrixGF,
+    PackedRows,
     mat_inv,
     mat_mul,
+    packed_rows,
     rank,
     solve_right,
 )
@@ -46,6 +50,26 @@ def test_constructor_rejects_ragged_and_empty_rows():
     for rows in ([[1, 0], [1]], [[1], [1, 0]], [], [[]]):
         with pytest.raises(DimensionMismatch):
             m(F2, rows)
+
+
+def test_packed_rows_keeps_one_kernel_per_field_and_width():
+    rng = random.Random(28)
+    for p in (2, 3, 7, 65521):
+        for cols in (1, 4, 9):
+            kernel, fresh = packed_rows(p, cols), PackedRows(p, cols)
+            assert packed_rows(p, cols) is kernel and (kernel.p, kernel.cols) == (p, cols)
+            assert packed_rows(p, cols + 1) is not kernel
+            rows = [fresh.pack([rng.randrange(p) for _ in range(cols)]) for _ in range(6)]
+            block = [[rng.randrange(p) for _ in rows] for _ in range(3)]
+            assert kernel.times(block, rows) == fresh.times(block, rows)
+            bases = [{}, {}]
+            for gf, basis in zip((kernel, fresh), bases):
+                for row in rows[:3]:
+                    gf.insert(basis, row)
+            assert bases[0] == bases[1]
+            assert [kernel.reduce(bases[0], r) for r in rows] == [fresh.reduce(bases[1], r) for r in rows]
+            assert kernel.solve(rows[:3], rows[3:]) == fresh.solve(rows[:3], rows[3:])
+            assert kernel.solve(rows[:3], kernel.times(block, rows[:3])) is not None
 
 
 def test_identity_times_matrix():

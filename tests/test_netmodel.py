@@ -23,10 +23,10 @@ from sumnet.netmodel import (
     recover,
     reverse_network,
 )
-from sumnet.families import bottleneck_mun, s_m, s_m_star
-from sumnet.transforms import c1, c2
+from sumnet.families import FAMILIES, FamilySpec, bottleneck_mun, generate, s_m, s_m_star
+from sumnet.transforms import c1, c2, c3
 
-from helpers import mun_path, random_sum_network
+from helpers import mun_crossed, mun_path, random_sum_network, sum_bipartite22, two_message_source
 
 
 def test_build_single_edge_sum():
@@ -87,11 +87,40 @@ def test_malformed_demands_and_networks_rejected():
         mun_path().message_source("nope")
 
 
+def test_stored_orders_match_their_derivations():
+    # The accessors return orders stored at construction; each must equal the
+    # derivation from the fields, written out here.
+    rng = random.Random(7)
+    nets = [random_sum_network(rng, max_nodes=8) for _ in range(200)]
+    nets += [generate(FamilySpec(f, 0 if f == "component" else 4)) for f in FAMILIES]
+    nets += [mun_path(), mun_crossed(), sum_bipartite22(), two_message_source()]
+    nets += [c1(mun_crossed())[0], c2(bottleneck_mun(2))[0], c3(s_m(3))[0], c3(sum_bipartite22())[0]]
+    nets += [reverse_network(net) for net in nets[200:] if net.name not in ("component", "two_message_source")]
+    nets += [network_from_json(network_to_json(net)) for net in nets]
+    for net in nets:
+        assert net.source_nodes() == tuple(sorted(net.sources))
+        assert net.terminal_nodes() == tuple(sorted(net.terminals))
+        assert net.messages() == tuple(m for v in sorted(net.sources) for m in net.sources[v])
+        for m in net.messages():
+            assert net.message_source(m) == next(v for v, ms in net.sources.items() if m in ms)
+    # Equality reads the fields only: the same fields in another dict order make an equal network.
+    net = nets[-1]
+    shuffled = Network(net.name, net.nodes[::-1], net.edges[::-1], dict(reversed(net.sources.items())),
+                       dict(reversed(net.terminals.items())))
+    assert shuffled == net and shuffled.messages() == net.messages()
+    assert network_from_json(network_to_json(net)) == net
+    assert Network("other", net.nodes, net.edges, net.sources, net.terminals) != net
+
+
 def test_topo_chain_and_isolated():
     chain = Network("ch", ("a", "b", "c"), (Edge("1", "a", "b"), Edge("2", "b", "c")), {}, {})
     assert chain.topo_order() == ("a", "b", "c")
     iso = Network("iso", ("b", "a"), (), {}, {})
     assert iso.topo_order() == ("a", "b")
+    # A node's level is its longest distance: b is one edge from d, and two by way of c.
+    skip = Network("sk", ("a", "b", "c", "d"),
+                   (Edge("1", "d", "c"), Edge("2", "d", "b"), Edge("3", "c", "b"), Edge("4", "b", "a")), {}, {})
+    assert skip.topo_order() == ("d", "c", "b", "a")
 
 
 def test_topo_s4_layering():

@@ -317,6 +317,12 @@ def test_relaxed_check_keeps_every_verdict_and_witness(monkeypatch):
     assert sum(r.enumerated for r in real) < sum(r.enumerated for r in loose)
 
 
+def _block_cols(prob, u):
+    """The width of unit u's block: one slice per coefficient key of its edge."""
+    us, w = prob.keys[u[1]]
+    return len(us) * w
+
+
 def test_relaxed_check_is_sound_under_partial_assignments():
     # feasible may reject a partial assignment, or a block prefix with its
     # open entries at 0, only if no completion passes the exact check: brute
@@ -330,7 +336,7 @@ def test_relaxed_check_is_sound_under_partial_assignments():
             for k, n in ((1, 1), (2, 1)):
                 prob = _StagedProblem(net, f, k, n, SearchOptions())
                 for t in net.terminal_nodes():
-                    shape = {u: (n, prob.slices[u[1]][-1][2]) for u in sorted(prob.deps[t])}
+                    shape = {u: (n, _block_cols(prob, u)) for u in sorted(prob.deps[t])}
                     for _ in range(4):
                         assign = {u: [[rng.randrange(f.p) for _ in range(c)] for _ in range(r)]
                                   for u, (r, c) in shape.items() if rng.random() < 0.5}
@@ -391,7 +397,7 @@ def test_check_plans_match_the_whole_cone_check():
                     walk, _, _, targets = prob.plans[t]
                     spanned += not targets
                     pinned_reading += any(e in prob.pinned for e in walk)
-                    shape = {u: (n, prob.slices[u[1]][-1][2]) for u in sorted(prob.deps[t])}
+                    shape = {u: (n, _block_cols(prob, u)) for u in sorted(prob.deps[t])}
                     for _ in range(4):
                         assign = {u: [[rng.randrange(f.p) for _ in range(c)] for _ in range(r)]
                                   for u, (r, c) in shape.items() if rng.random() < 0.6}
@@ -435,14 +441,11 @@ def test_setup_pass_states_the_coefficient_table():
         for k, n in RATES:
             prob = _StagedProblem(net, F2, k, n, SearchOptions())
             table = coefficient_table(net, k, n)
-            keys = [u for slices in prob.slices.values() for u, _, _ in slices]
-            assert keys + [u for us in prob.decoders.values() for u in us] == list(table), net.name
-            for eid, slices in prob.slices.items():
-                width = 0
-                for u, a, b in slices:
-                    assert (a, b - a) == (width, table[u][1]), (net.name, u)
-                    width = b
-                assert (eid in prob.pinned) == (width <= n) != (("block", eid) in prob.candidates)
+            keys = [u for us, _ in prob.keys.values() for u in us]
+            assert keys == [u for u in table if u[0] != "gamma"], net.name
+            for eid, (us, w) in prob.keys.items():
+                assert all(table[u] == (n, w) for u in us), (net.name, eid)
+                assert (eid in prob.pinned) == (len(us) * w <= n) != (("block", eid) in prob.candidates)
             for t in net.terminal_nodes():
                 cone = {e.id for e in net.edges if t in reachable(net, e.head)}
                 assert prob.deps[t] == {("block", e) for e in cone if e not in prob.pinned}, (net.name, t)
