@@ -204,8 +204,8 @@ def _recovered_rows(net: Network, code: LinearCode) -> tuple[PackedRows, dict, d
         entries, stacked = [], []
         for key, x in ins:
             if (m := coeffs.get(key)) is not None:
-                if len(m.entries) != rows or len(m.entries[0]) != len(x):
-                    raise CodeError(f"coefficient {key} must be {rows} x {len(x)}")
+                if m.field.p != gf.p or len(m.entries) != rows or len(m.entries[0]) != len(x):
+                    raise CodeError(f"coefficient {key} must be {rows} x {len(x)} over GF({gf.p})")
                 entries.append(m.entries)
                 stacked += x
         return gf.times(map(chain.from_iterable, zip(*entries)) if entries else [()] * rows, stacked)
@@ -395,6 +395,7 @@ def _decoded(net: Network, code: NonlinearCode, edges: list[str], x: Mapping[str
 
 def eval_nonlinear(net: Network, code: NonlinearCode, x: Mapping[str, int]) -> dict[str, int]:
     """Each terminal's output symbol, for one symbol per message: an integer (``operator.index``) mod q."""
+    validate_nonlinear(net, code)
     if missing := [m for m in net.messages() if m not in x]:
         raise CodeError(f"input misses messages {missing}")
     symbols = {}

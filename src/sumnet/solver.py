@@ -42,16 +42,16 @@ The remaining unknowns are grouped into buckets, one per terminal, in greedy
 order of smallest outstanding dependency set.  A bucket with a terminal check
 that reads only its own unknowns has one context-independent enumerator.
 The outer search is one loop over a stack of survivor iterators, one per
-bucket reached, and each visit of such a bucket reads an ``itertools.tee``
-copy, which pulls a survivor only past those already buffered.  So a
-solvable search stops at its first witness, and ``enumerated`` counts the
-ticks up to it; an unsolvable one enumerates such a bucket in full, once.  The
-outer search applies the bucket's cross-bucket checks to each survivor.  A
-bucket whose every check is cross-bucket would share only its whole product,
-so it is enumerated afresh under each assignment of the earlier buckets
-instead, with each check tried as soon as its terminal's last unknown is
-assigned.  Within a bucket, each unit runs over its candidates in order and
-buckets nest in emission order, so the first witness is deterministic.
+bucket reached, popped only once exhausted: so the first visit of such a
+bucket lists all its survivors or ends the search, and later visits read that
+list.  A solvable search stops at its first witness, and ``enumerated``
+counts the ticks up to it.  The outer search applies the bucket's
+cross-bucket checks to each survivor.  A bucket whose every check is
+cross-bucket would share only its whole product, so it is enumerated afresh
+under each assignment of the earlier buckets instead, with each check tried
+as soon as its terminal's last unknown is assigned.  Within a bucket, each
+unit runs over its candidates in order and buckets nest in emission order,
+so the first witness is deterministic.
 
 ``search_linear``, the reference ``naive_search_linear`` and
 ``search_nonlinear`` share one driver, ``_BucketSearch``: each passes its
@@ -101,8 +101,7 @@ re-verification share the row kernel ``gflin.PackedRows`` and the rows of
 ``codes.message_rows`` and ``codes.target_rows``.
 
 Nothing recurses per bucket, per unit or per free entry, and the walk leaves
-no reference cycle: the shared enumerators are dropped when it ends, so all
-of it is freed by reference counting rather than by the cyclic collector.
+no reference cycle, so all of it is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -111,7 +110,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
-from itertools import combinations, product, tee
+from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .codes import (
@@ -180,10 +179,6 @@ class SearchReport:
         }
 
 
-class _Budget(Exception):
-    pass
-
-
 def _mode(k: int, n: int) -> str:
     if k == n == 1:
         return "scalar"
@@ -198,13 +193,13 @@ def _all_matrices(rows: int, cols: int, base: int) -> Iterator[tuple[tuple[int, 
         yield tuple(flat[r * cols:(r + 1) * cols] for r in range(rows))
 
 
-def _rref_matrices(rows: int, cols: int, p: int, prune: Optional[Callable] = None) -> Iterator[tuple]:
+def _rref_matrices(rows: int, cols: int, p: int, prune: Optional[Callable] = None) -> Iterator[Optional[tuple]]:
     """The full-rank rows x cols matrices in reduced row echelon form, one per row space.
 
     Pivot sets come in lexicographic order, then the free entries row-major
     over 0..p-1, the last varying fastest.  ``prune(block, open)`` is offered
     the prefixes the module docstring names, with the free entries ``open``
-    at 0 in ``block``; a False answer skips the prefix's completions.
+    at 0 in ``block``; a False answer yields None in place of its completions.
     """
     for pivots in combinations(range(cols), rows):
         free = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, cols) if j not in pivots]
@@ -212,7 +207,7 @@ def _rref_matrices(rows: int, cols: int, p: int, prune: Optional[Callable] = Non
         yield from _completions(m, free, p, prune, pivots != tuple(range(rows)))
 
 
-def _completions(m: list, free: list, p: int, prune, check: bool) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _completions(m: list, free: list, p: int, prune, check: bool) -> Iterator[Optional[tuple[tuple[int, ...], ...]]]:
     """``m`` with its ``free`` entries run over 0..p-1 in order; ``check`` offers this prefix to ``prune``.
 
     With ``prune``, a stack holds the child blocks of each free entry fixed, so nothing recurses per entry."""
@@ -228,7 +223,7 @@ def _completions(m: list, free: list, p: int, prune, check: bool) -> Iterator[tu
         if m is None:
             stack.pop()
         elif prune is not None and len(free) >= 2 and check and not prune(m, free):
-            pass  # the prefix is pruned
+            yield None  # the prefix is rejected
         elif prune is not None and len(free) >= 3:
             stack.append(children(m, free))
         else:
@@ -316,12 +311,12 @@ class _BucketSearch:
     ``opts.reduce`` offers it each block prefix of those units as
     ``check(t, assign, u, open)``; a rejected prefix costs one tick.
 
-    A bucket with local checks has one enumerator, kept in ``memo`` and read
-    through ``tee`` copies under every assignment of the earlier buckets; its
-    cross checks filter the survivors.  A contextual bucket is enumerated
-    afresh under each assignment of the earlier buckets, with each check
-    tried at its terminal's last unit, so it yields the same survivors in the
-    same order as a filtered full product would.
+    A bucket with local checks is enumerated on its first visit into a list of
+    survivors, which later visits read; its cross checks filter them.  A
+    contextual bucket is enumerated afresh under each assignment of the
+    earlier buckets, yielding the survivors a filtered full product would, in
+    order.  The walk yields None per tick (a value drawn, a prefix rejected, a
+    survivor read), and ``report`` alone counts them against the budget.
     """
 
     def __init__(
@@ -336,7 +331,6 @@ class _BucketSearch:
         self.candidates = candidates
         self.check = check
         self.opts = opts
-        self.count = 0
         pos = {u: i for i, u in enumerate(candidates)}
         self.prechecks = sorted(t for t in terminals if not deps[t])
         # Each bucket's lead is the terminal with the fewest units left, least
@@ -384,16 +378,8 @@ class _BucketSearch:
                     b.prefixes_at.setdefault(d, []).append(t)
             self.buckets.append(b)
         self.unobserved = [u for u in candidates if u not in placed]
-        # Per shared bucket: an unread tee of its enumerator, which buffers its survivors.
-        self.memo: dict[int, Iterator[tuple]] = {}
-        self.assign: dict = {}
 
-    def _tick(self) -> None:
-        self.count += 1
-        if self.count > self.opts.budget:
-            raise _Budget()
-
-    def _candidates(self, bi: int, depth: int, assign: dict) -> Iterator[tuple]:
+    def _candidates(self, bi: int, depth: int, assign: dict) -> Iterator[Optional[tuple]]:
         """Unit ``depth`` of bucket bi's values, offering their prefixes to its prefix checks."""
         b = self.buckets[bi]
         u = b.units[depth]
@@ -402,24 +388,22 @@ class _BucketSearch:
         if prefixes:
             def keep(block: list, open_: list) -> bool:
                 assign[u] = block
-                if all(self.check(t, assign, u, open_) for t in prefixes):
-                    return True
-                self._tick()
-                return False
+                return all(self.check(t, assign, u, open_) for t in prefixes)
             values = partial(values, prune=keep)
         return iter(values())
 
-    def _enumerate(self, bi: int, assign: dict) -> Iterator[tuple]:
-        """Bucket bi's survivors in order, from a stack of per-unit iterators; each unit goes into ``assign``."""
+    def _enumerate(self, bi: int, assign: dict, kept: Optional[list] = None) -> Iterator[Optional[tuple]]:
+        """None per tick and bucket bi's survivors in order, also put in ``kept``; units go into ``assign``."""
         units, at = self.buckets[bi].units, self.buckets[bi].checks_at
         stack = [self._candidates(bi, 0, assign)] if all(self.check(t, assign) for t in at.get(-1, ())) else []
         while stack:
             u = units[depth := len(stack) - 1]
             for value in stack[-1]:
-                self._tick()
-                assign[u] = value
-                if all(self.check(t, assign) for t in at.get(depth, ())):
-                    break
+                yield None
+                if value is not None:
+                    assign[u] = value
+                    if all(self.check(t, assign) for t in at.get(depth, ())):
+                        break
             else:
                 stack.pop()
                 del assign[u]
@@ -427,56 +411,59 @@ class _BucketSearch:
             if depth + 1 < len(units):
                 stack.append(self._candidates(bi, depth + 1, assign))
             else:
-                yield tuple(assign[u] for u in units)
+                sv = tuple(assign[u] for u in units)
+                if kept is not None:
+                    kept.append(sv)
+                yield sv
 
-    def _walk(self) -> Optional[dict]:
-        """The first full assignment that every bucket's checks pass, or None."""
-        buckets, stack = self.buckets, []
+    def _walk(self) -> Iterator[Optional[dict]]:
+        """None once per tick, then the first full assignment that every bucket's checks pass, if any."""
+        buckets, stack, assign, memo = self.buckets, [], {}, {}
+        if not all(self.check(t, assign) for t in self.prechecks):
+            return
         while len(stack) < len(buckets):
             bi = len(stack)
             if buckets[bi].contextual:
-                stack.append(self._enumerate(bi, self.assign))
+                stack.append(self._enumerate(bi, assign))
             else:
                 # The checks read only the bucket's units: they go to a bucket-local dict.
-                self.memo[bi], mine = tee(self.memo.get(bi) or self._enumerate(bi, {}))
-                stack.append(mine)
+                stack.append(iter(memo[bi]) if bi in memo else self._enumerate(bi, {}, memo.setdefault(bi, [])))
             while stack:
                 b = buckets[len(stack) - 1]
-                sv = next(stack[-1], None)
-                if sv is None:
+                for sv in stack[-1]:
+                    yield None
+                    if sv is not None:
+                        assign.update(zip(b.units, sv))
+                        if all(self.check(t, assign) for t in b.cross_checks):
+                            break
+                else:
                     stack.pop()
                     for u in b.units:
-                        self.assign.pop(u, None)
+                        assign.pop(u, None)
                     continue
-                self._tick()
-                self.assign.update(zip(b.units, sv))
-                if all(self.check(t, self.assign) for t in b.cross_checks):
-                    break
+                break
             else:
-                return None
-        return dict(self.assign)
+                return
+        yield assign
 
     def report(
         self, net: Network, build: Callable[[dict], object], mode: str, start: float
     ) -> SearchReport:
-        """Run the search; a witness, each unobserved unit at its first value, is built and re-verified."""
-        try:
-            feasible = all(self.check(t, self.assign) for t in self.prechecks)
-            found = self._walk() if feasible else None
-        except _Budget:
-            return SearchReport(BUDGET_EXCEEDED, mode, self.count - 1, time.monotonic() - start)
-        finally:
-            # Drop the shared enumerators now rather than leave them to the cyclic collector.
-            self.memo.clear()
+        """Count the walk's ticks against the budget; re-verify a witness, each unobserved unit at its first value."""
+        count, found = 0, None
+        for found in self._walk():
+            count += found is None
+            if count > self.opts.budget:
+                return SearchReport(BUDGET_EXCEEDED, mode, count - 1, time.monotonic() - start)
         if found is None:
-            return SearchReport(UNSOLVABLE, mode, self.count, time.monotonic() - start)
+            return SearchReport(UNSOLVABLE, mode, count, time.monotonic() - start)
         for u in self.unobserved:
             found[u] = next(self.candidates[u]())
         code = build(found)
         verify = verify_nonlinear if isinstance(code, NonlinearCode) else is_solution
         if not verify(net, code):
             raise AssertionError("search produced a witness that fails verification")
-        return SearchReport(SOLVABLE, mode, self.count, time.monotonic() - start, code)
+        return SearchReport(SOLVABLE, mode, count, time.monotonic() - start, code)
 
 
 class _StagedProblem:

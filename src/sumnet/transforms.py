@@ -22,7 +22,7 @@ from .netmodel import (
 
 
 class _Builder:
-    """Accumulates a network, refusing id collisions with the embedded input."""
+    """Accumulates a network; an id already taken, by the embedded input too, gets the least free ``#i``, i >= 2."""
 
     def __init__(self, name: str, base: Network | None = None):
         self.name = name
@@ -33,25 +33,21 @@ class _Builder:
         self.roles: dict[str, str] = {}
         self._taken = set(self.nodes) | {e.id for e in self.edges}
 
-    def add_node(self, node_id: str, role: str) -> str:
-        nid, i = node_id, 1
-        while nid in self._taken:
+    def _fresh(self, base: str, role: str) -> str:
+        out, i = base, 1
+        while out in self._taken:
             i += 1
-            nid = f"{node_id}#{i}"
-        self._taken.add(nid)
-        self.nodes.append(nid)
-        self.roles[nid] = role
+            out = f"{base}#{i}"
+        self._taken.add(out)
+        self.roles[out] = role
+        return out
+
+    def add_node(self, node_id: str, role: str) -> str:
+        self.nodes.append(nid := self._fresh(node_id, role))
         return nid
 
     def add_edge(self, tail: str, head: str, role: str) -> str:
-        base = f"{tail}>{head}"
-        eid, i = base, 1
-        while eid in self._taken:
-            i += 1
-            eid = f"{base}#{i}"
-        self._taken.add(eid)
-        self.edges.append(Edge(eid, tail, head))
-        self.roles[eid] = role
+        self.edges.append(Edge(eid := self._fresh(f"{tail}>{head}", role), tail, head))
         return eid
 
     def build(self) -> tuple[Network, dict[str, str]]:

@@ -49,6 +49,7 @@ class Mutant(NamedTuple):
 PACKED = "tests/test_solver.py::test_packed_rows_match_list_arithmetic"
 TRANSFER = "tests/test_codes.py::test_transfer_matches_path_enumeration"
 PLANS = "tests/test_solver.py::test_check_plans_match_the_whole_cone_check"
+BUDGET = "tests/test_solver.py::test_a_budget_of_the_tick_count_decides_and_one_less_does_not"
 # cli.main's error guard, after the statement it guards.
 GUARD = ("    except (NetworkError, CodeError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:\n"
          '        print(f"error: {exc}", file=sys.stderr)\n        return 1\n')
@@ -118,6 +119,13 @@ MUTANTS = [
            "row[o + 1:o + k + 1] = arow", ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus",)),
     Mutant("the oracle's product skips a relay's last input row", "solver.py", "for c, src in zip(crow, ins):",
            "for c, src in zip(crow[:-1], ins):", ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus",)),
+    # The bucket walk's ticks and budget.
+    Mutant("a rejected prefix that yields nothing", "solver.py", "yield None  # the prefix is rejected",
+           "pass  # the prefix is rejected", (BUDGET,)),
+    Mutant("the budget counted one tick late", "solver.py", "if count > self.opts.budget:",
+           "if count > self.opts.budget + 1:", (BUDGET,)),
+    Mutant("a shared bucket's later visit reads an empty list", "solver.py", "iter(memo[bi]) if bi in memo",
+           "iter([]) if bi in memo", (BUDGET,)),
     Mutant("witness rows as lists", "solver.py", "MatrixGF._reduced(f, rows) for rows in set(values.values())",
            "MatrixGF._reduced(f, [list(r) for r in rows]) for rows in set(values.values())",
            ("tests/test_solver.py::test_witness_matrices_are_read_only_residue_arrays",)),
@@ -139,8 +147,10 @@ MUTANTS = [
     Mutant("validate_code without its field check", "codes.py", "if m.field != code.field:", "if False:",
            ("tests/test_codes.py::test_validate_code_rejects_bad_shapes",)),
     Mutant("the transfer walk without its shape check", "codes.py",
-           "if len(m.entries) != rows or len(m.entries[0]) != len(x):", "if False:",
+           " or len(m.entries) != rows or len(m.entries[0]) != len(x):", ":",
            ("tests/test_codes.py::test_validate_code_rejects_each_bad_key",)),
+    Mutant("the transfer walk without its field check", "codes.py", "if m.field.p != gf.p or ", "if ",
+           ("tests/test_codes.py::test_validate_code_rejects_bad_shapes",)),
     Mutant("path_gain from the n x n identity", "codes.py", "code.n if msg is None else code.k", "code.n",
            ("tests/test_codes.py::test_path_gain_order_and_virtuals",)),
     # Code files.

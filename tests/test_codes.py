@@ -114,6 +114,11 @@ def test_eval_rejects_symbols_that_are_not_integers():
         eval_nonlinear(net, table, {"x1": 1, "x2": 0})
     wide = eval_nonlinear(net, table, {"x1": 3**40 + 1, "x2": -1, "x3": True, "x4": "ignored"})
     assert wide == eval_nonlinear(net, table, {"x1": 1, "x2": 2, "x3": 1})
+    # And its code: one without decode tables is a CodeError, not a KeyError.
+    net = s_m(4)
+    no_decoders = NonlinearCode(2, additive_code(net, 2).edge_fn, {})
+    with pytest.raises(CodeError, match="missing decode table for terminal 't_1'"):
+        eval_nonlinear(net, no_decoders, {m: 0 for m in net.messages()})
 
 
 def test_transfer_single_identity_edge():
@@ -355,12 +360,16 @@ def test_validate_code_rejects_bad_shapes():
     bad = LinearCode(F2, 1, 1, {("x", "e"): MatrixGF(F2, [[1, 0]])}, {}, {})
     with pytest.raises(CodeError):
         validate_code(net, bad)
-    # A coefficient over another field: is_solution would read it mod 2.
+    # A coefficient over another field, which the transfer walk would read mod 2.
     net, code = s_m(4), identity_code(s_m(4), F2)
     key = next(iter(code.source_coeff))
     source = {**code.source_coeff, key: MatrixGF(F5, [[3]])}
+    foreign = LinearCode(F2, 1, 1, source, code.local_coeff, code.decode_coeff)
     with pytest.raises(CodeError, match=re.escape(f"alpha coefficient {key} must be over GF(2)")):
-        validate_code(net, LinearCode(F2, 1, 1, source, code.local_coeff, code.decode_coeff))
+        validate_code(net, foreign)
+    for read in (is_solution, transfer_entries, transfer_matrix):
+        with pytest.raises(CodeError, match=re.escape(f"{key} must be 1 x 1 over GF(2)")):
+            read(net, foreign)
 
 
 def two_source_relay(demand: Demand = Demand("sum")) -> Network:

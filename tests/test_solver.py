@@ -2,7 +2,7 @@ import gc
 import random
 import sys
 import time
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +25,7 @@ from sumnet.codes import code_to_dict, coefficient_table, nonlinear_to_dict
 from sumnet.families import FamilySpec, bottleneck_mun, component
 from sumnet.netmodel import Demand, Edge, Network, min_source_terminal_cut, reachable, recover, reverse_network
 from sumnet.gflin import MatrixGF, PackedRows
-from sumnet.solver import _all_matrices, _growth_tables, _rref_matrices, _StagedProblem
+from sumnet.solver import _all_matrices, _BucketSearch, _growth_tables, _rref_matrices, _StagedProblem
 from sumnet.transforms import c1, c2, c3
 
 from differential import networks as differential_networks
@@ -148,23 +148,24 @@ def test_rref_blocks_list_each_row_space_once():
 
 
 def test_rref_prefix_tree_is_lossless():
-    # Every prefix offered to prune, rejected alone, removes exactly the
-    # matrices that agree with it off its open entries, and nothing else
-    # moves; a prune that keeps everything changes nothing.
+    # Every prefix offered to prune, rejected alone, comes out as one None in
+    # place of exactly the matrices that agree with it off its open entries,
+    # and nothing else moves; a prune that keeps everything changes nothing.
     for rows, cols, p in ((1, 5, 2), (2, 4, 3), (2, 5, 2)):
         full = list(_rref_matrices(rows, cols, p))
         offered = []
         kept = list(_rref_matrices(rows, cols, p, lambda m, o: offered.append(([r[:] for r in m], o)) or True))
-        assert kept == full and offered, (rows, cols, p)
+        assert kept == full and offered and None not in full, (rows, cols, p)
         for block, open_ in offered:
             assert len(open_) >= 2 and all(block[i][j] == 0 for i, j in open_)
-            rest = list(_rref_matrices(rows, cols, p, lambda m, o: (m, o) != (block, open_)))
-            loose = set(open_)
-            assert rest == [
+            out = list(_rref_matrices(rows, cols, p, lambda m, o: (m, o) != (block, open_)))
+            assert out.count(None) == 1, (rows, cols, p, block, open_)
+            at, loose = out.index(None), set(open_)
+            assert out[:at] + out[at + 1:] == [
                 m for m in full
                 if any(m[i][j] != block[i][j] for i in range(rows) for j in range(cols) if (i, j) not in loose)
             ], (rows, cols, p, block, open_)
-            assert len(full) - len(rest) == p ** len(open_)
+            assert out == full[:at] + [None] + full[at + p ** len(open_):]
 
 
 RATES = ((1, 1), (2, 1), (1, 2), (2, 2))
@@ -427,7 +428,7 @@ def test_check_plans_match_the_whole_cone_check():
             assert ok == _whole_cone_check(prob, "t", assign, u, open_), (f.p, block, open_)
             return ok
 
-        for block in _rref_matrices(1, 6, f.p, prune=offer):
+        for block in filter(None, _rref_matrices(1, 6, f.p, prune=offer)):
             assert prob.feasible("t", {u: block}) == _whole_cone_check(prob, "t", {u: block}), (f.p, block)
     assert repeats >= 10, repeats
 
@@ -512,6 +513,51 @@ def test_searches_leave_no_cyclic_garbage():
             assert gc.collect() == 0, (net.name, f.p, k, budget)
     finally:
         gc.enable()
+
+
+def test_a_budget_of_the_tick_count_decides_and_one_less_does_not():
+    # One case per tick site: values drawn and rejected prefixes (s_m_star(7)),
+    # a contextual bucket's survivors (c2 / GF(3)), a shared bucket's
+    # survivors on its first visit (s_m(3) at k = 2, s_m(4)) and read again
+    # from its list on later visits (c2 at (1, 2), the one differential
+    # network with such visits), the naive search and the table search.
+    mun2 = c2(bottleneck_mun(2))[0]
+    cases = [
+        (lambda b: search_linear(s_m_star(7), FieldSpec(5), 1, 1, SearchOptions(budget=b)), 252),
+        (lambda b: search_linear(mun2, F3, 1, 1, SearchOptions(budget=b)), 15),
+        (lambda b: search_linear(s_m(3), F2, 2, 2, SearchOptions(budget=b)), 54),
+        (lambda b: search_linear(s_m(4), F2, 1, 1, SearchOptions(budget=b)), 9),
+        (lambda b: search_linear(mun2, F2, 1, 2, SearchOptions(budget=b)), 87),
+        (lambda b: naive_search_linear(s_m(3), F2, 1, 1, budget=b), 1_052),
+        (lambda b: naive_search_linear(mun_path(), F3, 1, 1, budget=b), 8),
+        (lambda b: search_nonlinear(s_m(3), 2, SearchOptions(budget=b)), 38),
+        (lambda b: search_nonlinear(s_m(4), 2, SearchOptions(budget=b)), 55),
+    ]
+    for i, (run, ticks) in enumerate(cases):
+        full, at, under = run(10**6), run(ticks), run(ticks - 1)
+        assert full.verdict != "budget_exceeded" and full.enumerated == ticks, (i, full.verdict, full.enumerated)
+        assert {**at.to_dict(), "elapsed_s": 0} == {**full.to_dict(), "elapsed_s": 0}, i
+        assert (under.verdict, under.enumerated, under.witness) == ("budget_exceeded", ticks - 1, None), i
+
+
+def test_two_walks_stepped_alternately_match_each_walk_alone():
+    # Racing a network against its reverse steps two walks in turn, one tick
+    # each, so a walk must keep its state to itself: each stream of ticks and
+    # found assignment is the one the walk gives alone, and its ticks are the
+    # search's count.  Two walks of one search are stepped together too.
+    net = c2(bottleneck_mun(2))[0]
+    searches, counts = [], []
+    for g, f, k, n in ((net, F2, 1, 2), (reverse_network(net), F2, 1, 2), (s_m(3), F2, 2, 2), (s_m(4), F2, 1, 1)):
+        prob = _StagedProblem(g, f, k, n, SearchOptions())
+        searches.append(_BucketSearch(g.terminal_nodes(), prob.deps, prob.candidates, prob.feasible,
+                                      SearchOptions(), relaxed=True))
+        counts.append(search_linear(g, f, k, n).enumerated)
+    alone = [list(s._walk()) for s in searches]
+    assert [a.count(None) for a in alone] == counts
+    assert [type(a[-1]) for a in alone] == [dict, dict, type(None), dict]
+    end = object()
+    steps = zip_longest(*[s._walk() for s in searches + searches[:1]], fillvalue=end)
+    assert [[x for x in walk if x is not end] for walk in zip(*steps)] == alone + alone[:1]
 
 
 def test_the_bucket_walk_does_not_recurse_per_bucket():
