@@ -17,19 +17,28 @@ space dominates a smaller one.  A block with cols <= n columns is therefore
 pinned to ``eye(n, cols)``; a wider one runs over the full-rank n x cols
 matrices in reduced row echelon form, pivot sets in lexicographic order, then
 free entries row-major.  With ``reduce`` off, a wider block runs over every
-matrix instead, while narrow blocks stay pinned.  ``_StagedProblem`` sets
-itself up in one pass over the out-edges in topological order, from
-``codes.edge_keys``, the walk ``codes.coefficient_table`` is built from: each
-edge gets its keys and its pinned block or its candidates.  Each enumerated
-block is one unit, ``("block", eid)``.  ``reads[eid]`` is what an edge reads:
-message rows and constant maps as row lists, any other in-edge by id.  The
-one map walk, ``_fill_maps``, gives each edge of a list, in topological
-order, its block times the rows it reads; a pinned block passes them through.
-Set-up runs it on each pinned edge that reads only row lists, and keeps its
+matrix instead, while narrow blocks stay pinned.
+
+Set-up comes in two parts.  The skeleton, ``_Skeleton``, is the part no field
+changes.  It is built on first use, once per (network, k, n, reduce), in one
+pass over the out-edges in topological order, from ``codes.edge_keys``, the
+walk ``codes.coefficient_table`` is built from.  Each edge gets its keys and
+what it reads, and is enumerated, pinned, or pinned with a constant map, as
+its block and inputs say; each enumerated block is one unit, ``("block",
+eid)``.  The skeleton also holds each terminal's units and check edges, and
+the bucket plan, all in tuples and frozensets.  The network keeps it, so every
+field searched at that rate shares it.  It holds no rows, no p, no budget, no
+assignment and no result, and nothing mutates it once built, so a search that
+shares it runs as one on a fresh copy of the network would.
+``_StagedProblem`` builds the rest per search, from the field: the row
+kernel, the message and target rows, ``reads[eid]`` (message rows and constant
+maps as row lists, any other in-edge by id), the constant maps, each check's
+basis and targets, and the candidates.  The one map walk, ``_fill_maps``,
+gives each edge of a list, in topological order, its block times the rows it
+reads; a pinned block passes them through.  Set-up runs it on each edge with a
 constant map; the check runs it on a terminal's plan, below; the witness
 starts from the constant maps, runs it on every other edge, splits each block
-back into its keys by column slice, and solves each terminal's decoders on
-its in-edges' maps.
+back into its keys and solves each terminal's decoders on its in-edges' maps.
 
 The Z_q table search has the same gauge: if an edge's table is g h, with h
 onto min(q, L) values, its consumers read g(h) and absorb g and any renaming
@@ -44,26 +53,29 @@ that reads only its own unknowns has one context-independent enumerator.
 The outer search is one loop over a stack of survivor iterators, one per
 bucket reached, popped only once exhausted: so the first visit of such a
 bucket lists all its survivors or ends the search, and later visits read that
-list.  A solvable search stops at its first witness, and ``enumerated``
-counts the ticks up to it.  The outer search applies the bucket's
-cross-bucket checks to each survivor.  A bucket whose every check is
-cross-bucket would share only its whole product, so it is enumerated afresh
-under each assignment of the earlier buckets instead, with each check tried
-as soon as its terminal's last unknown is assigned.  Within a bucket, each
-unit runs over its candidates in order and buckets nest in emission order,
-so the first witness is deterministic.
+list.  The first bucket is visited once, so its survivors are not kept.  A
+solvable search stops at its first witness, and ``enumerated`` counts the
+ticks up to it.  The outer search applies the bucket's cross-bucket checks to
+each survivor.  A bucket whose every check is cross-bucket would share only
+its whole product, so it is enumerated afresh under each assignment of the
+earlier buckets instead, with each check tried as soon as its terminal's last
+unknown is assigned.  Within a bucket, each unit runs over its candidates in
+order and buckets nest in emission order, so the first witness is
+deterministic.
 
 ``search_linear``, the reference ``naive_search_linear`` and
-``search_nonlinear`` share one driver, ``_BucketSearch``: each passes its
-terminals, their dependency sets, each unit's candidate sequence, its
+``search_nonlinear`` share one planner, ``_plan_buckets``, which groups the
+units into buckets and places every check, and one driver, ``_BucketSearch``.
+Each passes the driver its bucket plan, each unit's candidate sequence, its
 terminal check and a function that builds a code from a full assignment.
 The candidates are gauge-fixed or all blocks, every coefficient matrix for
 the naive search, and gauge-fixed or all Z_q tables, each a 1 x L matrix,
-for the nonlinear one.  The driver groups the units into buckets and places
-every check itself, gives a unit no terminal observes its first candidate,
-re-verifies the witness and writes the report.  The nonlinear check
-evaluates a cone with ``codes.table_symbols``, the Z_q evaluator of
-``eval_nonlinear``, and ``codes.demanded_symbol``.
+for the nonlinear one.  The staged search's plan is its skeleton's; the other
+two plan afresh on each call and build no skeleton, so the reference oracle
+shares no set-up with the search it checks.  The driver gives a unit no
+terminal observes its first candidate, re-verifies the witness and writes
+the report.  The nonlinear check evaluates a cone with ``codes.table_symbols``,
+the Z_q evaluator of ``eval_nonlinear``, and ``codes.demanded_symbol``.
 
 The linear search prunes with one check, ``feasible``, sound under any
 partial assignment: the row-space view of Koetter & Medard (2003) used as
@@ -77,13 +89,13 @@ every step e -> e' is a local coefficient, as tail(e') has an in-edge, and no
 edge below an open block has a constant map, so every loose row of the cone
 reaches t.  A target row of t outside the span of t's in-edge maps and the
 cone's loose rows therefore rules out every completion.  With every block
-assigned the check is exact.  Set-up gives t a plan: the basis of its
-constant in-edge maps, its targets reduced against it, zero rows dropped, and
-its cone edges and in-edges without a constant map.  With no target left the
-check answers True; else it walks the plan's edges and puts the distinct
-in-edge and loose rows into a copy of the basis.  Every check's span holds
-the constant span, and a span depends on neither the order nor the repeats
-of its rows, so no answer changes.
+assigned the check is exact.  Set-up gives t a plan: its cone edges and
+in-edges without a constant map, from the skeleton, and the basis of its
+constant in-edge maps with its targets reduced against it, zero rows dropped.
+With no target left the check answers True; else it walks the plan's edges
+and puts the distinct in-edge and loose rows into a copy of the basis.  Every
+check's span holds the constant span, and a span depends on neither the order
+nor the repeats of its rows, so no answer changes.
 The driver tries it before a bucket's first unit, after each earlier unit of
 t's cone, at t's last unit, and, with ``reduce`` on, on the block prefixes of
 t's cone units: ``_rref_matrices`` walks a block's free entries as a prefix
@@ -111,7 +123,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .codes import (
     LinearCode,
@@ -281,35 +293,98 @@ def _backward_cones(net: Network) -> dict[str, list[str]]:
     return cones
 
 
-@dataclass
-class _Bucket:
-    units: list[tuple]
-    # Per depth, the terminals checked once that unit is assigned, from -1
-    # before the first, and those offered its prefixes.
-    checks_at: dict[int, list[str]]
-    prefixes_at: dict[int, list[str]]
+class _Bucket(NamedTuple):
+    units: tuple[tuple, ...]
+    # The terminals checked once unit d is assigned, at index d + 1, and
+    # before the first unit, at index 0; those offered unit d's prefixes, at d.
+    checks_at: tuple[tuple[str, ...], ...]
+    prefixes_at: tuple[tuple[str, ...], ...]
     # Checked once the bucket is fully assigned.
-    cross_checks: list[str]
+    cross_checks: tuple[str, ...]
     # Whether the checks read units of earlier buckets, so that the bucket is
     # enumerated afresh under each assignment of them.
     contextual: bool
 
 
+class _BucketPlan(NamedTuple):
+    prechecks: tuple[str, ...]  # the terminals without units, checked before the walk
+    buckets: tuple[_Bucket, ...]
+    unobserved: tuple[tuple, ...]  # the units no terminal reads
+
+
+def _plan_buckets(
+    terminals: Sequence[str], deps: dict[str, Collection[tuple]], units: Iterable[tuple], relaxed: bool = False,
+    reduce: bool = False,
+) -> _BucketPlan:
+    """Group ``units``, in canonical order, into buckets and place every check.
+
+    Terminal t is checked once its last unit of ``deps[t]`` is assigned.  With
+    ``relaxed`` it is also checked before its bucket's first unit and after
+    each earlier unit of ``deps[t]``, and with ``reduce`` it is offered each
+    block prefix of those units.  Each bucket's lead is the terminal with the
+    fewest units left, least id first, from a heap that skips stale counts.
+    """
+    pos = {u: i for i, u in enumerate(units)}
+    left = {t: len(deps[t]) for t in terminals if deps[t]}
+    readers: dict[tuple, list[str]] = {}
+    for t in left:
+        for u in deps[t]:
+            readers.setdefault(u, []).append(t)
+    heap = [(c, t) for t, c in left.items()]
+    heapify(heap)
+    placed: set = set()
+    buckets = []
+    while heap:
+        c, lead = heappop(heap)
+        if left[lead] != c:
+            continue
+        fresh = sorted((u for u in deps[lead] if u not in placed), key=pos.__getitem__)
+        fired = []
+        for u in fresh:
+            placed.add(u)
+            for t in readers[u]:
+                left[t] -= 1
+                if left[t]:
+                    heappush(heap, (left[t], t))
+                else:
+                    fired.append(t)
+        local, cross = [], []
+        at = {u: i for i, u in enumerate(fresh)}
+        for t in sorted(fired):
+            *cone, last = sorted(at[u] for u in deps[t] if u in at)
+            (local if len(cone) + 1 == len(deps[t]) else cross).append((last, t, cone))
+        # With local checks, a shared survivor list filtered by the cross
+        # checks; without, the list would be the whole product, so the
+        # cross checks run while the bucket is enumerated instead.
+        checks, cross_checks = (local, [t for _, t, _ in cross]) if local else (cross, [])
+        checks_at: list[list[str]] = [[] for _ in range(len(fresh) + 1)]
+        prefixes_at: list[list[str]] = [[] for _ in fresh]
+        for last, t, cone in sorted(checks):
+            checks_at[last + 1].append(t)
+            if not relaxed:
+                continue
+            for d in [-1] + cone:
+                checks_at[d + 1].append(t)
+            for d in cone + [last] if reduce else ():
+                prefixes_at[d].append(t)
+        buckets.append(_Bucket(tuple(fresh), tuple(map(tuple, checks_at)), tuple(map(tuple, prefixes_at)),
+                               tuple(cross_checks), contextual=not local))
+    prechecks = tuple(sorted(t for t in terminals if not deps[t]))
+    return _BucketPlan(prechecks, tuple(buckets), tuple(u for u in pos if u not in placed))
+
+
 class _BucketSearch:
     """The one search driver: a DFS over buckets, one loop over a stack of survivor iterators.
 
-    A search supplies its terminals, their dependency sets ``deps``,
-    ``candidates`` (every unit in canonical order with a function that returns
-    a fresh iterator over its values, in enumeration order) and
-    ``check(t, assign)``, the feasibility test of terminal t, and passes
-    ``report`` a function that builds its code from a result.  The driver
-    groups the units into buckets and places every check: terminal t is
-    checked once its last unit is assigned.  With ``relaxed``, ``check`` must
-    also be sound under a partial assignment: it may answer False only if no
-    completion passes.  The driver then checks t before its bucket's first
-    unit and after each earlier unit of ``deps[t]`` too, and with
-    ``opts.reduce`` offers it each block prefix of those units as
-    ``check(t, assign, u, open)``; a rejected prefix costs one tick.
+    A search supplies its bucket plan (``_plan_buckets``), ``candidates``
+    (each unit with a function that returns a fresh iterator over its values,
+    in enumeration order), ``check(t, assign)``, the feasibility test of
+    terminal t, and its budget, and passes ``report`` a function that builds
+    its code from a result.  A plan made with ``relaxed`` needs a ``check``
+    that is also sound under a partial assignment: it may answer False only if
+    no completion passes.  A plan made with ``reduce`` offers the check each
+    block prefix as ``check(t, assign, u, open)``; a rejected prefix costs one
+    tick.
 
     A bucket with local checks is enumerated on its first visit into a list of
     survivors, which later visits read; its cross checks filter them.  A
@@ -321,70 +396,22 @@ class _BucketSearch:
 
     def __init__(
         self,
-        terminals: Sequence[str],
-        deps: dict[str, set],
+        plan: _BucketPlan,
         candidates: dict[tuple, Callable[[], Iterator[tuple]]],
         check: Callable[..., bool],
-        opts: SearchOptions,
-        relaxed: bool = False,
+        budget: int,
     ):
+        self.plan = plan
         self.candidates = candidates
         self.check = check
-        self.opts = opts
-        pos = {u: i for i, u in enumerate(candidates)}
-        self.prechecks = sorted(t for t in terminals if not deps[t])
-        # Each bucket's lead is the terminal with the fewest units left, least
-        # id first, from a heap that skips stale counts.
-        left = {t: len(deps[t]) for t in terminals if deps[t]}
-        readers: dict[tuple, list[str]] = {}
-        for t in left:
-            for u in deps[t]:
-                readers.setdefault(u, []).append(t)
-        heap = [(c, t) for t, c in left.items()]
-        heapify(heap)
-        placed: set = set()
-        self.buckets: list[_Bucket] = []
-        while heap:
-            c, lead = heappop(heap)
-            if left[lead] != c:
-                continue
-            fresh = sorted((u for u in deps[lead] if u not in placed), key=pos.__getitem__)
-            fired = []
-            for u in fresh:
-                placed.add(u)
-                for t in readers[u]:
-                    left[t] -= 1
-                    if left[t]:
-                        heappush(heap, (left[t], t))
-                    else:
-                        fired.append(t)
-            local, cross = [], []
-            at = {u: i for i, u in enumerate(fresh)}
-            for t in sorted(fired):
-                *cone, last = sorted(at[u] for u in deps[t] if u in at)
-                (local if len(cone) + 1 == len(deps[t]) else cross).append((last, t, cone))
-            # With local checks, a shared survivor list filtered by the cross
-            # checks; without, the list would be the whole product, so the
-            # cross checks run while the bucket is enumerated instead.
-            checks, cross_checks = (local, [t for _, t, _ in cross]) if local else (cross, [])
-            b = _Bucket(fresh, {}, {}, cross_checks, contextual=not local)
-            for last, t, cone in sorted(checks):
-                b.checks_at.setdefault(last, []).append(t)
-                if not relaxed:
-                    continue
-                for d in [-1] + cone:
-                    b.checks_at.setdefault(d, []).append(t)
-                for d in cone + [last] if opts.reduce else ():
-                    b.prefixes_at.setdefault(d, []).append(t)
-            self.buckets.append(b)
-        self.unobserved = [u for u in candidates if u not in placed]
+        self.budget = budget
 
     def _candidates(self, bi: int, depth: int, assign: dict) -> Iterator[Optional[tuple]]:
         """Unit ``depth`` of bucket bi's values, offering their prefixes to its prefix checks."""
-        b = self.buckets[bi]
+        b = self.plan.buckets[bi]
         u = b.units[depth]
         values = self.candidates[u]
-        prefixes = b.prefixes_at.get(depth)
+        prefixes = b.prefixes_at[depth]
         if prefixes:
             def keep(block: list, open_: list) -> bool:
                 assign[u] = block
@@ -394,15 +421,16 @@ class _BucketSearch:
 
     def _enumerate(self, bi: int, assign: dict, kept: Optional[list] = None) -> Iterator[Optional[tuple]]:
         """None per tick and bucket bi's survivors in order, also put in ``kept``; units go into ``assign``."""
-        units, at = self.buckets[bi].units, self.buckets[bi].checks_at
-        stack = [self._candidates(bi, 0, assign)] if all(self.check(t, assign) for t in at.get(-1, ())) else []
+        b = self.plan.buckets[bi]
+        units, at = b.units, b.checks_at
+        stack = [self._candidates(bi, 0, assign)] if all(self.check(t, assign) for t in at[0]) else []
         while stack:
             u = units[depth := len(stack) - 1]
             for value in stack[-1]:
                 yield None
                 if value is not None:
                     assign[u] = value
-                    if all(self.check(t, assign) for t in at.get(depth, ())):
+                    if all(self.check(t, assign) for t in at[depth + 1]):
                         break
             else:
                 stack.pop()
@@ -418,16 +446,18 @@ class _BucketSearch:
 
     def _walk(self) -> Iterator[Optional[dict]]:
         """None once per tick, then the first full assignment that every bucket's checks pass, if any."""
-        buckets, stack, assign, memo = self.buckets, [], {}, {}
-        if not all(self.check(t, assign) for t in self.prechecks):
+        buckets, stack, assign, memo = self.plan.buckets, [], {}, {}
+        if not all(self.check(t, assign) for t in self.plan.prechecks):
             return
         while len(stack) < len(buckets):
             bi = len(stack)
             if buckets[bi].contextual:
                 stack.append(self._enumerate(bi, assign))
             else:
-                # The checks read only the bucket's units: they go to a bucket-local dict.
-                stack.append(iter(memo[bi]) if bi in memo else self._enumerate(bi, {}, memo.setdefault(bi, [])))
+                # The checks read only the bucket's units: they go to a bucket-local dict.  Bucket 0
+                # is visited once, as no earlier bucket advances, so its survivors are not kept.
+                stack.append(iter(memo[bi]) if bi in memo else
+                             self._enumerate(bi, {}, memo.setdefault(bi, []) if bi else None))
             while stack:
                 b = buckets[len(stack) - 1]
                 for sv in stack[-1]:
@@ -453,11 +483,11 @@ class _BucketSearch:
         count, found = 0, None
         for found in self._walk():
             count += found is None
-            if count > self.opts.budget:
+            if count > self.budget:
                 return SearchReport(BUDGET_EXCEEDED, mode, count - 1, time.monotonic() - start)
         if found is None:
             return SearchReport(UNSOLVABLE, mode, count, time.monotonic() - start)
-        for u in self.unobserved:
+        for u in self.plan.unobserved:
             found[u] = next(self.candidates[u]())
         code = build(found)
         verify = verify_nonlinear if isinstance(code, NonlinearCode) else is_solution
@@ -466,10 +496,81 @@ class _BucketSearch:
         return SearchReport(SOLVABLE, mode, count, time.monotonic() - start, code)
 
 
+class _Skeleton(NamedTuple):
+    """The set-up of a linear search on one network that no field changes, at one (k, n, reduce).
+
+    Built once by ``_skeleton`` and kept on the network; it is never mutated.
+    Per-edge entries run parallel to ``edges``, per-terminal ones to
+    ``Network.terminal_nodes()``.
+    """
+
+    edges: tuple[str, ...]  # the out-edges, in topological order
+    keys: tuple[tuple[tuple, ...], ...]  # per edge, its coefficient keys, k wide if it is in ``alpha``, else n
+    reads: tuple[tuple[str, ...], ...]  # per edge, its message ids if it is in ``alpha``, else its in-edge ids
+    alpha: frozenset[str]  # the out-edges of sources
+    pinned: frozenset[str]  # edges whose block is at most n wide, pinned to eye(n, cols)
+    const: frozenset[str]  # the pinned edges whose inputs never change, which have a constant map
+    units: tuple[tuple[tuple, int], ...]  # each enumerated block with its width, in canonical order
+    deps: tuple[tuple[tuple, ...], ...]  # per terminal, the enumerated blocks of its cone, in canonical order
+    # Per terminal, its check's edges: its cone edges and in-edges without a
+    # constant map, and its in-edges with one.
+    plans: tuple[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]], ...]
+    buckets: _BucketPlan
+
+
+def _skeleton(net: Network, k: int, n: int, reduce: bool) -> _Skeleton:
+    """The skeleton of a (k, n) search on ``net``, built on first use and kept on the network."""
+    key = (k, n, reduce)
+    if (skel := net._skeletons.get(key)) is None:
+        skel = net._skeletons[key] = _build_skeleton(net, k, n, reduce)
+    return skel
+
+
+def _build_skeleton(net: Network, k: int, n: int, reduce: bool) -> _Skeleton:
+    # The one place the reduction is decided, in one pass over the out-edges in
+    # topological order: each out-edge's coefficients side by side form one
+    # n x cols block, pinned to eye(n, cols) when cols <= n and otherwise
+    # enumerated.  A pinned block whose inputs never change during the search
+    # gives its edge a constant map.
+    edges, keys, reads, alpha, pinned, const, blocks, shared = [], [], [], set(), set(), set(), {}, {}
+    for eid, us in edge_keys(net):
+        # An edge's keys are all alpha, n x k, or all beta, n x n.  The out-edges
+        # of one node read the same ids, so they share one tuple.
+        is_alpha = bool(us) and us[0][0] == "alpha"
+        ids = tuple([u[1] for u in us])
+        edges.append(eid)
+        keys.append(tuple(us))
+        reads.append(shared.setdefault(ids, ids))
+        if is_alpha:
+            alpha.add(eid)
+        cols = len(us) * (k if is_alpha else n)
+        if cols > n:
+            blocks[eid] = ("block", eid), cols
+            continue
+        pinned.add(eid)
+        if is_alpha or const.issuperset(ids):
+            const.add(eid)
+    cones = _backward_cones(net)
+    terminals = net.terminal_nodes()
+    deps = tuple([tuple([blocks[e][0] for e in cones[t] if e in blocks]) for t in terminals])
+    plans = []
+    for t in terminals:
+        ins = [e.id for e in net.in_edges(t)]
+        plans.append((tuple([e for e in cones[t] if e not in const]), tuple([e for e in ins if e not in const]),
+                      tuple([e for e in ins if e in const])))
+    units = tuple(blocks.values())
+    return _Skeleton(
+        tuple(edges), tuple(keys), tuple(reads), frozenset(alpha), frozenset(pinned), frozenset(const), units,
+        deps, tuple(plans),
+        _plan_buckets(terminals, dict(zip(terminals, deps)), [u for u, _ in units], relaxed=True, reduce=reduce),
+    )
+
+
 class _StagedProblem:
     """Precomputation for one (network, field, k, n, options) linear search.
 
-    A symbolic edge map is a list of n rows over the #messages * k message
+    ``skel`` is the network's skeleton; the rest depends on the field.  A
+    symbolic edge map is a list of n rows over the #messages * k message
     columns, each packed into one int by ``self.gf``; the feasibility check and
     the decoder solve work on them with its row operations.
     """
@@ -479,55 +580,33 @@ class _StagedProblem:
         self.field = fieldspec
         self.p = fieldspec.p
         self.k, self.n = k, n
-        self.gf = packed_rows(self.p, len(net.messages()) * k)
-        self.unit_rows = message_rows(net, self.gf, k)
-        self.targets = target_rows(net, self.unit_rows, k)
+        self.skel = skel = _skeleton(net, k, n, opts.reduce)
+        self.gf = gf = packed_rows(self.p, len(net.messages()) * k)
+        units = message_rows(net, gf, k)
+        self.targets = target_rows(net, units, k)
 
-        # The one place the reduction is decided, in one pass over the out-edges
-        # in topological order: each out-edge's coefficients side by side form
-        # one n x cols block, pinned to eye(n, cols) when cols <= n and otherwise
-        # enumerated, as RREF blocks when reducing.  A pinned block whose inputs
-        # never change during the search gives its edge a constant map.
-        enum = _rref_matrices if opts.reduce else _all_matrices
-        # Per edge, its coefficient keys with their width, and what it reads.
-        self.keys: dict[str, tuple[list[tuple], int]] = {}
+        # Per edge, what it reads: message rows and constant maps as row lists,
+        # any other in-edge by id; and each constant map, in topological order.
         self.reads: dict[str, list] = {}
-        self.pinned: dict[str, tuple[tuple[int, ...], ...]] = {}
-        self.candidates: dict[tuple, Callable[[], Iterator[tuple]]] = {}
         self.const_maps: dict[str, list[int]] = {}
-        units, const = self.unit_rows, self.const_maps
-        for eid, us in edge_keys(net):
-            # An edge's keys are all alpha, n x k, or all beta, n x n.
-            if us and us[0][0] == "alpha":
-                w, reads = k, [units[u[1]] for u in us]
-            else:
-                w, reads = n, [const.get(u[1], u[1]) for u in us]
-            self.keys[eid] = us, w
-            self.reads[eid] = reads
-            cols = len(us) * w
-            if cols > n:
-                self.candidates[("block", eid)] = partial(enum, n, cols, self.p)
-                continue
-            self.pinned[eid] = _eye(n, cols)
-            if str not in map(type, reads):
-                self._fill_maps([eid], {}, self.const_maps)
-
-        self.cone = _backward_cones(net)
-        self.deps = {
-            t: {("block", eid) for eid in cone if eid not in self.pinned} for t, cone in self.cone.items()
-        }
+        const = self.const_maps
+        for eid, ids in zip(skel.edges, skel.reads):
+            self.reads[eid] = [units[m] for m in ids] if eid in skel.alpha else [const.get(x, x) for x in ids]
+            if eid in skel.const:
+                self._fill_maps([eid], {}, const)
         # Per terminal t, its check set up once (module docstring): t's cone edges
         # and in-edges without a constant map, the basis of its constant in-edge
         # maps, and its target rows reduced against that basis, zero rows dropped.
-        self.plans: dict[str, tuple[list[str], list[str], dict[int, int], list[int]]] = {}
-        for t, cone in self.cone.items():
-            ins, basis = [e.id for e in net.in_edges(t)], {}
-            for e in ins:
-                for row in self.const_maps.get(e, ()):
-                    self.gf.insert(basis, row)
-            targets = [r for r in (self.gf.reduce(basis, trow) for trow in self.targets[t]) if r]
-            self.plans[t] = ([e for e in cone if e not in self.const_maps],
-                             [e for e in ins if e not in self.const_maps], basis, targets)
+        self.plans: dict[str, tuple[tuple[str, ...], tuple[str, ...], dict[int, int], list[int]]] = {}
+        for t, (walk, ins, const_ins) in zip(net.terminal_nodes(), skel.plans):
+            basis: dict[int, int] = {}
+            for e in const_ins:
+                for row in const[e]:
+                    gf.insert(basis, row)
+            targets = [r for r in (gf.reduce(basis, trow) for trow in self.targets[t]) if r]
+            self.plans[t] = walk, ins, basis, targets
+        enum = _rref_matrices if opts.reduce else _all_matrices
+        self.candidates = {u: partial(enum, n, cols, self.p) for u, cols in skel.units}
 
     def _fill_maps(self, eids: Iterable[str], assign: dict, maps: dict, u: tuple = (), open_: Sequence = ()) -> list:
         """Put the map of each edge of ``eids``, in topological order, into ``maps``; return the loose rows.
@@ -539,9 +618,10 @@ class _StagedProblem:
         loose and why no edge needs to track the loose rows it carries.
         """
         loose: list[int] = []
+        pinned = self.skel.pinned
         for eid in eids:
             ins = [row for x in self.reads[eid] for row in (maps[x] if isinstance(x, str) else x)]
-            if eid in self.pinned:
+            if eid in pinned:
                 maps[eid] = ins + [0] * (self.n - len(ins))
             elif (block := assign.get(("block", eid))) is None:
                 maps[eid] = [0] * self.n
@@ -578,12 +658,13 @@ class _StagedProblem:
         terminal's in-edge maps, on which its decoders are solved; each block
         splits back into its keys.
         """
-        k, n, gf = self.k, self.n, self.gf
+        k, n, gf, skel = self.k, self.n, self.gf, self.skel
         maps = dict(self.const_maps)
-        self._fill_maps([e for e in self.keys if e not in maps], assign, maps)
+        self._fill_maps([e for e in skel.edges if e not in maps], assign, maps)
         values: dict[tuple, tuple] = {}
-        for eid, (us, w) in self.keys.items():
-            block = self.pinned[eid] if eid in self.pinned else assign[("block", eid)]
+        for eid, us in zip(skel.edges, skel.keys):
+            w = k if eid in skel.alpha else n
+            block = _eye(n, len(us) * w) if eid in skel.pinned else assign[("block", eid)]
             for i, u in enumerate(us):
                 values[u] = tuple([row[i * w:(i + 1) * w] for row in block])
         for t, keys in decoder_keys(self.net):
@@ -611,7 +692,7 @@ def search_linear(
         raise ValueError("k and n must be positive")
     start = time.monotonic()
     prob = _StagedProblem(net, fieldspec, k, n, opts)
-    search = _BucketSearch(net.terminal_nodes(), prob.deps, prob.candidates, prob.feasible, opts, relaxed=True)
+    search = _BucketSearch(prob.skel.buckets, prob.candidates, prob.feasible, opts.budget)
     return search.report(net, prob.witness, _mode(k, n), start)
 
 
@@ -679,7 +760,7 @@ def naive_search_linear(
         return True
 
     candidates = {u: partial(_all_matrices, rows, cols, p) for u, (rows, cols) in shape.items()}
-    search = _BucketSearch(net.terminal_nodes(), deps, candidates, check, SearchOptions(budget=budget))
+    search = _BucketSearch(_plan_buckets(net.terminal_nodes(), deps, candidates), candidates, check, budget)
     return search.report(net, partial(_code_of, fieldspec, k, n), _mode(k, n), start)
 
 
@@ -716,8 +797,8 @@ def search_nonlinear(net: Network, q: int, opts: Optional[SearchOptions] = None)
     def build(found: dict) -> NonlinearCode:
         return NonlinearCode(q, {u[1]: found[u][0] for u in tables}, {t: decoder(t, found) for t in cones})
 
-    search = _BucketSearch(net.terminal_nodes(), deps, tables,
-                           lambda t, assign: decoder(t, assign) is not None, opts)
+    search = _BucketSearch(_plan_buckets(net.terminal_nodes(), deps, tables), tables,
+                           lambda t, assign: decoder(t, assign) is not None, opts.budget)
     return search.report(net, build, f"nonlinear(q={q})", start)
 
 

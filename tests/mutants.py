@@ -50,6 +50,7 @@ PACKED = "tests/test_solver.py::test_packed_rows_match_list_arithmetic"
 TRANSFER = "tests/test_codes.py::test_transfer_matches_path_enumeration"
 PLANS = "tests/test_solver.py::test_check_plans_match_the_whole_cone_check"
 BUDGET = "tests/test_solver.py::test_a_budget_of_the_tick_count_decides_and_one_less_does_not"
+SHARED = "tests/test_solver.py::test_a_network_shared_by_every_search_reports_as_fresh_copies_do"
 # cli.main's error guard, after the statement it guards.
 GUARD = ("    except (NetworkError, CodeError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:\n"
          '        print(f"error: {exc}", file=sys.stderr)\n        return 1\n')
@@ -90,10 +91,10 @@ MUTANTS = [
     Mutant("a bucket never made contextual", "solver.py", "contextual=not local)", "contextual=False)",
            ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus",
             "tests/test_solver.py::test_determinism")),
-    Mutant("blocks one column wider than n pinned", "solver.py", "            if cols > n:\n",
-           "            if cols > n + 1:\n", ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus",)),
-    Mutant("the lone source coefficient pinned when n < k", "solver.py", "            if cols > n:\n",
-           "            if cols > n and len(us) > 1:\n", ("tests/test_solver.py::test_fractional_modes",)),
+    Mutant("blocks one column wider than n pinned", "solver.py", "        if cols > n:\n",
+           "        if cols > n + 1:\n", ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus",)),
+    Mutant("the lone source coefficient pinned when n < k", "solver.py", "        if cols > n:\n",
+           "        if cols > n and len(us) > 1:\n", ("tests/test_solver.py::test_fractional_modes",)),
     Mutant("the open-prefix rows not loose", "solver.py", "loose += [ins[j] for j in {j for _, j in open_}]", "pass",
            ("tests/test_solver.py::test_relaxed_check_is_sound_under_partial_assignments",)),
     Mutant("an unassigned block's inputs not loose", "solver.py", "                loose += ins\n",
@@ -103,14 +104,14 @@ MUTANTS = [
     Mutant("a pinned map one row too long", "solver.py", "maps[eid] = ins + [0] * (self.n - len(ins))",
            "maps[eid] = ins + [0] * (self.n + 1 - len(ins))", ("tests/test_solver.py::test_fractional_modes",)),
     Mutant("the constant in-edge rows left out of a plan's basis", "solver.py",
-           "for row in self.const_maps.get(e, ()):", "for row in ():", (PLANS,)),
+           "for e in const_ins:", "for e in ():", (PLANS,)),
     Mutant("a plan's walk skips pinned edges with variable inputs", "solver.py",
-           "self.plans[t] = ([e for e in cone if e not in self.const_maps]",
-           "self.plans[t] = ([e for e in cone if e not in self.pinned]", (PLANS,)),
+           "plans.append((tuple([e for e in cones[t] if e not in const])",
+           "plans.append((tuple([e for e in cones[t] if e not in pinned])", (PLANS,)),
     Mutant("the no-target shortcut with one reduced target left", "solver.py", "if not targets:",
            "if len(targets) <= 1:", (PLANS,)),
-    Mutant("a cone edge dropped from deps", "solver.py", "for eid in cone if eid not in self.pinned}",
-           "for eid in sorted(cone)[1:] if eid not in self.pinned}",
+    Mutant("a cone edge dropped from deps", "solver.py", "[blocks[e][0] for e in cones[t] if e in blocks]",
+           "[blocks[e][0] for e in sorted(cones[t])[1:] if e in blocks]",
            ("tests/test_solver.py::test_setup_pass_states_the_coefficient_table",)),
     Mutant("free RREF entries only at 0", "solver.py", "for vals in product(range(p), repeat=len(free)):",
            "for vals in product(range(1), repeat=len(free)):",
@@ -119,11 +120,14 @@ MUTANTS = [
            "row[o + 1:o + k + 1] = arow", ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus",)),
     Mutant("the oracle's product skips a relay's last input row", "solver.py", "for c, src in zip(crow, ins):",
            "for c, src in zip(crow[:-1], ins):", ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus",)),
+    # The skeleton each network keeps per (k, n, reduce).
+    Mutant("a skeleton key without n", "solver.py", "key = (k, n, reduce)", "key = (k, reduce)", (SHARED,)),
+    Mutant("a skeleton key without reduce", "solver.py", "key = (k, n, reduce)", "key = (k, n)", (SHARED,)),
     # The bucket walk's ticks and budget.
     Mutant("a rejected prefix that yields nothing", "solver.py", "yield None  # the prefix is rejected",
            "pass  # the prefix is rejected", (BUDGET,)),
-    Mutant("the budget counted one tick late", "solver.py", "if count > self.opts.budget:",
-           "if count > self.opts.budget + 1:", (BUDGET,)),
+    Mutant("the budget counted one tick late", "solver.py", "if count > self.budget:",
+           "if count > self.budget + 1:", (BUDGET,)),
     Mutant("a shared bucket's later visit reads an empty list", "solver.py", "iter(memo[bi]) if bi in memo",
            "iter([]) if bi in memo", (BUDGET,)),
     Mutant("witness rows as lists", "solver.py", "MatrixGF._reduced(f, rows) for rows in set(values.values())",

@@ -25,7 +25,9 @@ from sumnet.codes import code_to_dict, coefficient_table, nonlinear_to_dict
 from sumnet.families import FamilySpec, bottleneck_mun, component
 from sumnet.netmodel import Demand, Edge, Network, min_source_terminal_cut, reachable, recover, reverse_network
 from sumnet.gflin import MatrixGF, PackedRows
-from sumnet.solver import _all_matrices, _BucketSearch, _growth_tables, _rref_matrices, _StagedProblem
+from sumnet.solver import (
+    _all_matrices, _backward_cones, _BucketSearch, _growth_tables, _rref_matrices, _StagedProblem,
+)
 from sumnet.transforms import c1, c2, c3
 
 from differential import networks as differential_networks
@@ -309,7 +311,7 @@ def test_relaxed_check_keeps_every_verdict_and_witness(monkeypatch):
     exact = _StagedProblem.feasible
 
     def last_unit_only(self, t, assign, u=(), open_=()):
-        return bool(open_) or not self.deps[t].issubset(assign) or exact(self, t, assign)
+        return bool(open_) or not all(x in assign for x in _deps(self)[t]) or exact(self, t, assign)
 
     monkeypatch.setattr(_StagedProblem, "feasible", last_unit_only)
     loose = [search_linear(net, f, k, n) for net in nets for f in (F2, F3) for k, n in RATES]
@@ -319,9 +321,13 @@ def test_relaxed_check_keeps_every_verdict_and_witness(monkeypatch):
 
 
 def _block_cols(prob, u):
-    """The width of unit u's block: one slice per coefficient key of its edge."""
-    us, w = prob.keys[u[1]]
-    return len(us) * w
+    """The width of unit u's block, as the skeleton lists it."""
+    return dict(prob.skel.units)[u]
+
+
+def _deps(prob):
+    """Per terminal, the units of its cone, as the skeleton lists them."""
+    return dict(zip(prob.net.terminal_nodes(), prob.skel.deps))
 
 
 def test_relaxed_check_is_sound_under_partial_assignments():
@@ -336,8 +342,9 @@ def test_relaxed_check_is_sound_under_partial_assignments():
         for f in (F2, F3):
             for k, n in ((1, 1), (2, 1)):
                 prob = _StagedProblem(net, f, k, n, SearchOptions())
+                cones = _backward_cones(net)
                 for t in net.terminal_nodes():
-                    shape = {u: (n, _block_cols(prob, u)) for u in sorted(prob.deps[t])}
+                    shape = {u: (n, _block_cols(prob, u)) for u in sorted(_deps(prob)[t])}
                     for _ in range(4):
                         assign = {u: [[rng.randrange(f.p) for _ in range(c)] for _ in range(r)]
                                   for u, (r, c) in shape.items() if rng.random() < 0.5}
@@ -359,7 +366,7 @@ def test_relaxed_check_is_sound_under_partial_assignments():
                             for (i, j), v in zip(open_, values[len(free):]):
                                 full[u][i][j] = v
                             maps = {}
-                            prob._fill_maps(prob.cone[t], full, maps)
+                            prob._fill_maps(cones[t], full, maps)
                             ins = [row for e in net.in_edges(t) for row in maps[e.id]]
                             passes = prob.gf.solve(ins, prob.targets[t]) is not None
                             assert ok or not passes, (net.name, f.p, k, n, t, assign, u, open_)
@@ -373,7 +380,7 @@ def _whole_cone_check(prob, t, assign, u=(), open_=()):
     # The check without plans: t's whole cone walked, every in-edge row and
     # loose row inserted, the unreduced targets reduced.
     maps = {}
-    loose = prob._fill_maps(prob.cone[t], assign, maps, u, open_)
+    loose = prob._fill_maps(_backward_cones(prob.net)[t], assign, maps, u, open_)
     basis = {}
     for row in [row for e in prob.net.in_edges(t) for row in maps[e.id]] + loose:
         prob.gf.insert(basis, row)
@@ -397,8 +404,8 @@ def test_check_plans_match_the_whole_cone_check():
                 for t in net.terminal_nodes():
                     walk, _, _, targets = prob.plans[t]
                     spanned += not targets
-                    pinned_reading += any(e in prob.pinned for e in walk)
-                    shape = {u: (n, _block_cols(prob, u)) for u in sorted(prob.deps[t])}
+                    pinned_reading += any(e in prob.skel.pinned for e in walk)
+                    shape = {u: (n, _block_cols(prob, u)) for u in sorted(_deps(prob)[t])}
                     for _ in range(4):
                         assign = {u: [[rng.randrange(f.p) for _ in range(c)] for _ in range(r)]
                                   for u, (r, c) in shape.items() if rng.random() < 0.6}
@@ -422,7 +429,7 @@ def test_check_plans_match_the_whole_cone_check():
         def offer(block, open_):
             nonlocal repeats
             assign = {u: [row[:] for row in block]}
-            loose = prob._fill_maps(prob.cone["t"], assign, {}, u, open_)
+            loose = prob._fill_maps(_backward_cones(prob.net)["t"], assign, {}, u, open_)
             repeats += len(set(loose)) < len(loose)
             ok = prob.feasible("t", assign, u, open_)
             assert ok == _whole_cone_check(prob, "t", assign, u, open_), (f.p, block, open_)
@@ -442,14 +449,43 @@ def test_setup_pass_states_the_coefficient_table():
         for k, n in RATES:
             prob = _StagedProblem(net, F2, k, n, SearchOptions())
             table = coefficient_table(net, k, n)
-            keys = [u for us, _ in prob.keys.values() for u in us]
+            skel = prob.skel
+            keys = [u for us in skel.keys for u in us]
             assert keys == [u for u in table if u[0] != "gamma"], net.name
-            for eid, (us, w) in prob.keys.items():
-                assert all(table[u] == (n, w) for u in us), (net.name, eid)
-                assert (eid in prob.pinned) == (len(us) * w <= n) != (("block", eid) in prob.candidates)
+            for eid, us, ids in zip(skel.edges, skel.keys, skel.reads):
+                w = k if eid in skel.alpha else n
+                assert all(table[u] == (n, w) for u in us) and ids == tuple(u[1] for u in us), (net.name, eid)
+                assert (eid in skel.pinned) == (len(us) * w <= n) != (("block", eid) in prob.candidates)
             for t in net.terminal_nodes():
                 cone = {e.id for e in net.edges if t in reachable(net, e.head)}
-                assert prob.deps[t] == {("block", e) for e in cone if e not in prob.pinned}, (net.name, t)
+                assert set(_deps(prob)[t]) == {("block", e) for e in cone if e not in skel.pinned}, (net.name, t)
+
+
+def test_a_network_shared_by_every_search_reports_as_fresh_copies_do():
+    # A network keeps one skeleton per (k, n, reduce), shared by every field.
+    # Searched at every rate over GF(2) and GF(3), reducing and not, in a
+    # shuffled order, it must report exactly as a fresh equal copy per search
+    # does.  The reference and table searches build no skeleton.
+    rng = random.Random(30)
+    budget = 300
+    for net in differential_networks():
+        runs = [(f, k, n, reduce) for f in (F2, F3) for k, n in RATES for reduce in (True, False)]
+        rng.shuffle(runs)
+        for f, k, n, reduce in runs:
+            opts = SearchOptions(budget=budget, reduce=reduce)
+            fresh = Network(net.name, net.nodes, net.edges, net.sources, net.terminals)
+            assert fresh == net and not fresh._skeletons
+            got, want = search_linear(net, f, k, n, opts).to_dict(), search_linear(fresh, f, k, n, opts).to_dict()
+            assert {**got, "elapsed_s": 0} == {**want, "elapsed_s": 0}, (net.name, f.p, k, n, reduce)
+        assert len(net._skeletons) == 2 * len(RATES), net.name
+        for k, n in RATES:
+            skel = _StagedProblem(net, F2, k, n, SearchOptions()).skel
+            assert _StagedProblem(net, F3, k, n, SearchOptions()).skel is skel is net._skeletons[k, n, True]
+    for net in (s_m(3), mun_path(), two_message_source()):
+        fresh = Network(net.name, net.nodes, net.edges, net.sources, net.terminals)
+        naive_search_linear(fresh, F2, 1, 1, budget=budget)
+        search_nonlinear(fresh, 2, SearchOptions(budget=budget))
+        assert not fresh._skeletons, net.name
 
 
 def test_witness_matrices_are_read_only_residue_arrays():
@@ -549,8 +585,7 @@ def test_two_walks_stepped_alternately_match_each_walk_alone():
     searches, counts = [], []
     for g, f, k, n in ((net, F2, 1, 2), (reverse_network(net), F2, 1, 2), (s_m(3), F2, 2, 2), (s_m(4), F2, 1, 1)):
         prob = _StagedProblem(g, f, k, n, SearchOptions())
-        searches.append(_BucketSearch(g.terminal_nodes(), prob.deps, prob.candidates, prob.feasible,
-                                      SearchOptions(), relaxed=True))
+        searches.append(_BucketSearch(prob.skel.buckets, prob.candidates, prob.feasible, SearchOptions().budget))
         counts.append(search_linear(g, f, k, n).enumerated)
     alone = [list(s._walk()) for s in searches]
     assert [a.count(None) for a in alone] == counts
