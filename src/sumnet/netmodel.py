@@ -91,11 +91,7 @@ class Network:
     terminals: dict[str, Demand]
 
     def __post_init__(self) -> None:
-        """Normalize and validate, then set the lookups ``_in``, ``_out``, ``_by_id``, ``_topo`` and the orders.
-
-        ``_skeletons`` starts empty: ``solver`` keeps there, per (k, n, reduce),
-        the set-up of a linear search that no field changes, built on first use.
-        """
+        """Normalize and validate, then set the lookups ``_in``, ``_out``, ``_by_id``, ``_topo`` and the orders."""
         nodes = tuple(sorted(set(self.nodes)))
         if len(nodes) != len(self.nodes):
             raise NetworkError("duplicate node id")
@@ -150,7 +146,6 @@ class Network:
         object.__setattr__(self, "_terminals", tuple(sorted(terminals)))
         object.__setattr__(self, "_messages", tuple(m for v in self._sources for m in sources[v]))
         object.__setattr__(self, "_msg_source", msg_source)
-        object.__setattr__(self, "_skeletons", {})
 
     def _toposort(self) -> tuple[str, ...]:
         """Nodes by longest distance from the in-degree-0 layer, ties by id."""

@@ -20,16 +20,17 @@ free entries row-major.  With ``reduce`` off, a wider block runs over every
 matrix instead, while narrow blocks stay pinned.
 
 Set-up comes in two parts.  The skeleton, ``_Skeleton``, is the part no field
-changes.  It is built on first use, once per (network, k, n, reduce), in one
-pass over the out-edges in topological order, from ``codes.edge_keys``, the
-walk ``codes.coefficient_table`` is built from.  Each edge gets its keys and
-what it reads, and is enumerated, pinned, or pinned with a constant map, as
-its block and inputs say; each enumerated block is one unit, ``("block",
-eid)``.  The skeleton also holds each terminal's units and check edges, and
-the bucket plan, all in tuples and frozensets.  The network keeps it, so every
-field searched at that rate shares it.  It holds no rows, no p, no budget, no
-assignment and no result, and nothing mutates it once built, so a search that
-shares it runs as one on a fresh copy of the network would.
+and no ``reduce`` setting changes.  It is built on first use, once per
+(network, k, n), in one pass over the out-edges in topological order, from
+``codes.edge_keys``, the walk ``codes.coefficient_table`` is built from.
+Each edge gets its keys and what it reads, and is enumerated, pinned, or
+pinned with a constant map, as its block and inputs say; each enumerated
+block is one unit, ``("block", eid)``.  The skeleton also holds each terminal's units and check edges, and
+the bucket plan, all in tuples and frozensets.  ``_skeleton`` keeps it in the
+network's ``_skeletons`` dict, which it adds on first use, so every search at
+that rate shares it.  It holds no rows, no p, no budget, no assignment and no
+result, and nothing mutates it once built, so a search that shares it runs as
+one on a fresh copy of the network would.
 ``_StagedProblem`` builds the rest per search, from the field: the row
 kernel, the message and target rows, ``reads[eid]`` (message rows and constant
 maps as row lists, any other in-edge by id), the constant maps, each check's
@@ -65,16 +66,17 @@ deterministic.
 
 ``search_linear``, the reference ``naive_search_linear`` and
 ``search_nonlinear`` share one planner, ``_plan_buckets``, which groups the
-units into buckets and places every check, and one driver, ``_BucketSearch``.
-Each passes the driver its bucket plan, each unit's candidate sequence, its
-terminal check and a function that builds a code from a full assignment.
-The candidates are gauge-fixed or all blocks, every coefficient matrix for
-the naive search, and gauge-fixed or all Z_q tables, each a 1 x L matrix,
-for the nonlinear one.  The staged search's plan is its skeleton's; the other
-two plan afresh on each call and build no skeleton, so the reference oracle
-shares no set-up with the search it checks.  The driver gives a unit no
-terminal observes its first candidate, re-verifies the witness and writes
-the report.  The nonlinear check evaluates a cone with ``codes.table_symbols``,
+units into buckets and places every check, and one driver, the generator
+``_walk``.  Each passes the walk its bucket plan, each unit's candidates and
+its terminal check, and passes ``_report`` the walk, its budget and a
+function that builds a code from a full assignment.  The candidates are
+gauge-fixed or all blocks, every coefficient matrix for the naive search,
+and gauge-fixed or all Z_q tables, each a 1 x L matrix, for the nonlinear
+one.  The staged search's plan is its skeleton's; the other two plan afresh
+on each call and build no skeleton, so the reference oracle shares no set-up
+with the search it checks.  The walk gives a unit no terminal observes its
+first candidate; ``_report`` counts the ticks, re-verifies the witness and
+writes the report.  The nonlinear check evaluates a cone with ``codes.table_symbols``,
 the Z_q evaluator of ``eval_nonlinear``, and ``codes.demanded_symbol``.
 
 The linear search prunes with one check, ``feasible``, sound under any
@@ -97,10 +99,11 @@ and puts the distinct in-edge and loose rows into a copy of the basis.  Every
 check's span holds the constant span, and a span depends on neither the order
 nor the repeats of its rows, so no answer changes.
 The driver tries it before a bucket's first unit, after each earlier unit of
-t's cone, at t's last unit, and, with ``reduce`` on, on the block prefixes of
-t's cone units: ``_rref_matrices`` walks a block's free entries as a prefix
-tree.  A prefix is checked if it leaves at least two entries open and fewer
-columns open than its parent, which answers the same.  The first pivot set's
+t's cone and at t's last unit, and offers it the block prefixes of each unit
+after which it is tried.  ``_rref_matrices`` walks a block's free entries as
+a prefix tree and is the one enumerator that checks them, so with ``reduce``
+off no prefix is checked.  A prefix is checked if it leaves at least two
+entries open and fewer columns open than its parent, which answers the same.  The first pivot set's
 empty prefix is not: P X and the open rows make up X, as for an unassigned
 block, so it repeats the check before the unit.  A rejected prefix costs one
 tick for at least p^2 leaves, each of which would cost one and then fail, and
@@ -121,7 +124,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -199,8 +201,8 @@ def _mode(k: int, n: int) -> str:
     return f"fractional({k},{n})"
 
 
-def _all_matrices(rows: int, cols: int, base: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every rows x cols matrix over 0..base-1, entries row-major, the last varying fastest."""
+def _all_matrices(rows: int, cols: int, base: int, prune=None) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every rows x cols matrix over 0..base-1, entries row-major, the last varying fastest; ``prune`` is unused."""
     for flat in product(range(base), repeat=rows * cols):
         yield tuple(flat[r * cols:(r + 1) * cols] for r in range(rows))
 
@@ -245,11 +247,12 @@ def _completions(m: list, free: list, p: int, prune, check: bool) -> Iterator[Op
                 yield tuple(map(tuple, m))
 
 
-def _growth_tables(length: int, q: int) -> Iterator[tuple[tuple[int, ...]]]:
+def _growth_tables(length: int, q: int, prune=None) -> Iterator[tuple[tuple[int, ...]]]:
     """The 1 x length restricted-growth tables with exactly min(q, length) values, lexicographically.
 
     Symbols first occur as 0, 1, ...  A stack entry (i, v, used) puts v at
-    position i of the prefix after ``used`` symbols occurred; the least v pops first.
+    position i of the prefix after ``used`` symbols occurred; the least v pops
+    first.  ``prune`` is unused.
     """
     values, prefix, stack = min(q, length), [], [(0, 0, 0)]
     while stack:
@@ -295,10 +298,9 @@ def _backward_cones(net: Network) -> dict[str, list[str]]:
 
 class _Bucket(NamedTuple):
     units: tuple[tuple, ...]
-    # The terminals checked once unit d is assigned, at index d + 1, and
-    # before the first unit, at index 0; those offered unit d's prefixes, at d.
+    # The terminals checked once unit d is assigned, and offered its block
+    # prefixes, at index d + 1, and those checked before the first unit, at 0.
     checks_at: tuple[tuple[str, ...], ...]
-    prefixes_at: tuple[tuple[str, ...], ...]
     # Checked once the bucket is fully assigned.
     cross_checks: tuple[str, ...]
     # Whether the checks read units of earlier buckets, so that the bucket is
@@ -314,15 +316,14 @@ class _BucketPlan(NamedTuple):
 
 def _plan_buckets(
     terminals: Sequence[str], deps: dict[str, Collection[tuple]], units: Iterable[tuple], relaxed: bool = False,
-    reduce: bool = False,
 ) -> _BucketPlan:
     """Group ``units``, in canonical order, into buckets and place every check.
 
     Terminal t is checked once its last unit of ``deps[t]`` is assigned.  With
     ``relaxed`` it is also checked before its bucket's first unit and after
-    each earlier unit of ``deps[t]``, and with ``reduce`` it is offered each
-    block prefix of those units.  Each bucket's lead is the terminal with the
-    fewest units left, least id first, from a heap that skips stale counts.
+    each earlier unit of ``deps[t]``.  Each bucket's lead is the terminal with
+    the fewest units left, least id first; ``left`` holds only the terminals
+    with units left.
     """
     pos = {u: i for i, u in enumerate(units)}
     left = {t: len(deps[t]) for t in terminals if deps[t]}
@@ -330,23 +331,18 @@ def _plan_buckets(
     for t in left:
         for u in deps[t]:
             readers.setdefault(u, []).append(t)
-    heap = [(c, t) for t, c in left.items()]
-    heapify(heap)
     placed: set = set()
     buckets = []
-    while heap:
-        c, lead = heappop(heap)
-        if left[lead] != c:
-            continue
+    while left:
+        lead = min(zip(left.values(), left))[1]
         fresh = sorted((u for u in deps[lead] if u not in placed), key=pos.__getitem__)
         fired = []
         for u in fresh:
             placed.add(u)
             for t in readers[u]:
                 left[t] -= 1
-                if left[t]:
-                    heappush(heap, (left[t], t))
-                else:
+                if not left[t]:
+                    del left[t]
                     fired.append(t)
         local, cross = [], []
         at = {u: i for i, u in enumerate(fresh)}
@@ -358,146 +354,126 @@ def _plan_buckets(
         # cross checks run while the bucket is enumerated instead.
         checks, cross_checks = (local, [t for _, t, _ in cross]) if local else (cross, [])
         checks_at: list[list[str]] = [[] for _ in range(len(fresh) + 1)]
-        prefixes_at: list[list[str]] = [[] for _ in fresh]
         for last, t, cone in sorted(checks):
             checks_at[last + 1].append(t)
-            if not relaxed:
-                continue
-            for d in [-1] + cone:
+            for d in [-1] + cone if relaxed else ():
                 checks_at[d + 1].append(t)
-            for d in cone + [last] if reduce else ():
-                prefixes_at[d].append(t)
-        buckets.append(_Bucket(tuple(fresh), tuple(map(tuple, checks_at)), tuple(map(tuple, prefixes_at)),
-                               tuple(cross_checks), contextual=not local))
+        buckets.append(_Bucket(tuple(fresh), tuple(map(tuple, checks_at)), tuple(cross_checks), contextual=not local))
     prechecks = tuple(sorted(t for t in terminals if not deps[t]))
     return _BucketPlan(prechecks, tuple(buckets), tuple(u for u in pos if u not in placed))
 
 
-class _BucketSearch:
-    """The one search driver: a DFS over buckets, one loop over a stack of survivor iterators.
+def _walk(
+    plan: _BucketPlan, candidates: dict[tuple, Callable[[Optional[Callable]], Iterator[tuple]]],
+    check: Callable[..., bool],
+) -> Iterator[Optional[dict]]:
+    """The one search driver: None once per tick, then the first full assignment that passes every check, if any.
 
     A search supplies its bucket plan (``_plan_buckets``), ``candidates``
     (each unit with a function that returns a fresh iterator over its values,
-    in enumeration order), ``check(t, assign)``, the feasibility test of
-    terminal t, and its budget, and passes ``report`` a function that builds
-    its code from a result.  A plan made with ``relaxed`` needs a ``check``
-    that is also sound under a partial assignment: it may answer False only if
-    no completion passes.  A plan made with ``reduce`` offers the check each
-    block prefix as ``check(t, assign, u, open)``; a rejected prefix costs one
-    tick.
+    in enumeration order) and ``check(t, assign)``, the feasibility test of
+    terminal t.  A plan made with ``relaxed`` needs a ``check`` that is also
+    sound under a partial assignment: it may answer False only if no
+    completion passes.  Unit d of a bucket calls ``candidates[u](prune)``,
+    with ``prune`` None if no terminal is checked at d + 1; else ``prune(block,
+    open)`` asks those terminals ``check(t, assign, u, open)`` of a block
+    prefix, and an enumerator that offers prefixes yields None for a rejected
+    one, which costs one tick.
 
     A bucket with local checks is enumerated on its first visit into a list of
     survivors, which later visits read; its cross checks filter them.  A
     contextual bucket is enumerated afresh under each assignment of the
     earlier buckets, yielding the survivors a filtered full product would, in
-    order.  The walk yields None per tick (a value drawn, a prefix rejected, a
-    survivor read), and ``report`` alone counts them against the budget.
+    order.  A tick is a value drawn, a prefix rejected or a survivor read;
+    ``_report`` alone counts them against the budget.  A unit no terminal
+    observes gets its first value before the assignment is yielded.
     """
+    def values(b: _Bucket, depth: int, assign: dict) -> Iterator[Optional[tuple]]:
+        u, checks = b.units[depth], b.checks_at[depth + 1]
 
-    def __init__(
-        self,
-        plan: _BucketPlan,
-        candidates: dict[tuple, Callable[[], Iterator[tuple]]],
-        check: Callable[..., bool],
-        budget: int,
-    ):
-        self.plan = plan
-        self.candidates = candidates
-        self.check = check
-        self.budget = budget
+        def keep(block: list, open_: list) -> bool:
+            assign[u] = block
+            return all(check(t, assign, u, open_) for t in checks)
+        return iter(candidates[u](keep if checks else None))
 
-    def _candidates(self, bi: int, depth: int, assign: dict) -> Iterator[Optional[tuple]]:
-        """Unit ``depth`` of bucket bi's values, offering their prefixes to its prefix checks."""
-        b = self.plan.buckets[bi]
-        u = b.units[depth]
-        values = self.candidates[u]
-        prefixes = b.prefixes_at[depth]
-        if prefixes:
-            def keep(block: list, open_: list) -> bool:
-                assign[u] = block
-                return all(self.check(t, assign, u, open_) for t in prefixes)
-            values = partial(values, prune=keep)
-        return iter(values())
-
-    def _enumerate(self, bi: int, assign: dict, kept: Optional[list] = None) -> Iterator[Optional[tuple]]:
-        """None per tick and bucket bi's survivors in order, also put in ``kept``; units go into ``assign``."""
-        b = self.plan.buckets[bi]
+    def enumerate_(b: _Bucket, assign: dict, kept: Optional[list] = None) -> Iterator[Optional[tuple]]:
+        """None per tick and bucket b's survivors in order, also put in ``kept``; units go into ``assign``."""
         units, at = b.units, b.checks_at
-        stack = [self._candidates(bi, 0, assign)] if all(self.check(t, assign) for t in at[0]) else []
+        stack = [values(b, 0, assign)] if all(check(t, assign) for t in at[0]) else []
         while stack:
             u = units[depth := len(stack) - 1]
             for value in stack[-1]:
                 yield None
                 if value is not None:
                     assign[u] = value
-                    if all(self.check(t, assign) for t in at[depth + 1]):
+                    if all(check(t, assign) for t in at[depth + 1]):
                         break
             else:
                 stack.pop()
                 del assign[u]
                 continue
             if depth + 1 < len(units):
-                stack.append(self._candidates(bi, depth + 1, assign))
+                stack.append(values(b, depth + 1, assign))
             else:
                 sv = tuple(assign[u] for u in units)
                 if kept is not None:
                     kept.append(sv)
                 yield sv
 
-    def _walk(self) -> Iterator[Optional[dict]]:
-        """None once per tick, then the first full assignment that every bucket's checks pass, if any."""
-        buckets, stack, assign, memo = self.plan.buckets, [], {}, {}
-        if not all(self.check(t, assign) for t in self.plan.prechecks):
+    buckets, stack, assign, memo = plan.buckets, [], {}, {}
+    if not all(check(t, assign) for t in plan.prechecks):
+        return
+    while len(stack) < len(buckets):
+        b = buckets[bi := len(stack)]
+        if b.contextual:
+            stack.append(enumerate_(b, assign))
+        else:
+            # The checks read only the bucket's units: they go to a bucket-local dict.  Bucket 0
+            # is visited once, as no earlier bucket advances, so its survivors are not kept.
+            stack.append(iter(memo[bi]) if bi in memo else
+                         enumerate_(b, {}, memo.setdefault(bi, []) if bi else None))
+        while stack:
+            b = buckets[len(stack) - 1]
+            for sv in stack[-1]:
+                yield None
+                if sv is not None:
+                    assign.update(zip(b.units, sv))
+                    if all(check(t, assign) for t in b.cross_checks):
+                        break
+            else:
+                stack.pop()
+                for u in b.units:
+                    assign.pop(u, None)
+                continue
+            break
+        else:
             return
-        while len(stack) < len(buckets):
-            bi = len(stack)
-            if buckets[bi].contextual:
-                stack.append(self._enumerate(bi, assign))
-            else:
-                # The checks read only the bucket's units: they go to a bucket-local dict.  Bucket 0
-                # is visited once, as no earlier bucket advances, so its survivors are not kept.
-                stack.append(iter(memo[bi]) if bi in memo else
-                             self._enumerate(bi, {}, memo.setdefault(bi, []) if bi else None))
-            while stack:
-                b = buckets[len(stack) - 1]
-                for sv in stack[-1]:
-                    yield None
-                    if sv is not None:
-                        assign.update(zip(b.units, sv))
-                        if all(self.check(t, assign) for t in b.cross_checks):
-                            break
-                else:
-                    stack.pop()
-                    for u in b.units:
-                        assign.pop(u, None)
-                    continue
-                break
-            else:
-                return
-        yield assign
+    for u in plan.unobserved:
+        assign[u] = next(candidates[u](None))
+    yield assign
 
-    def report(
-        self, net: Network, build: Callable[[dict], object], mode: str, start: float
-    ) -> SearchReport:
-        """Count the walk's ticks against the budget; re-verify a witness, each unobserved unit at its first value."""
-        count, found = 0, None
-        for found in self._walk():
-            count += found is None
-            if count > self.budget:
-                return SearchReport(BUDGET_EXCEEDED, mode, count - 1, time.monotonic() - start)
-        if found is None:
-            return SearchReport(UNSOLVABLE, mode, count, time.monotonic() - start)
-        for u in self.plan.unobserved:
-            found[u] = next(self.candidates[u]())
-        code = build(found)
-        verify = verify_nonlinear if isinstance(code, NonlinearCode) else is_solution
-        if not verify(net, code):
-            raise AssertionError("search produced a witness that fails verification")
-        return SearchReport(SOLVABLE, mode, count, time.monotonic() - start, code)
+
+def _report(
+    walk: Iterator[Optional[dict]], budget: int, net: Network, build: Callable[[dict], object], mode: str,
+    start: float,
+) -> SearchReport:
+    """Count the walk's ticks against the budget; re-verify the code ``build`` makes of a full assignment."""
+    count, found = 0, None
+    for found in walk:
+        count += found is None
+        if count > budget:
+            return SearchReport(BUDGET_EXCEEDED, mode, count - 1, time.monotonic() - start)
+    if found is None:
+        return SearchReport(UNSOLVABLE, mode, count, time.monotonic() - start)
+    code = build(found)
+    verify = verify_nonlinear if isinstance(code, NonlinearCode) else is_solution
+    if not verify(net, code):
+        raise AssertionError("search produced a witness that fails verification")
+    return SearchReport(SOLVABLE, mode, count, time.monotonic() - start, code)
 
 
 class _Skeleton(NamedTuple):
-    """The set-up of a linear search on one network that no field changes, at one (k, n, reduce).
+    """The set-up of a linear search on one network that no field changes, at one (k, n).
 
     Built once by ``_skeleton`` and kept on the network; it is never mutated.
     Per-edge entries run parallel to ``edges``, per-terminal ones to
@@ -518,15 +494,16 @@ class _Skeleton(NamedTuple):
     buckets: _BucketPlan
 
 
-def _skeleton(net: Network, k: int, n: int, reduce: bool) -> _Skeleton:
-    """The skeleton of a (k, n) search on ``net``, built on first use and kept on the network."""
-    key = (k, n, reduce)
-    if (skel := net._skeletons.get(key)) is None:
-        skel = net._skeletons[key] = _build_skeleton(net, k, n, reduce)
+def _skeleton(net: Network, k: int, n: int) -> _Skeleton:
+    """The skeleton of a (k, n) search on ``net``, built on first use and kept in its ``_skeletons``."""
+    skeletons = net.__dict__.setdefault("_skeletons", {})
+    key = (k, n)
+    if (skel := skeletons.get(key)) is None:
+        skel = skeletons[key] = _build_skeleton(net, k, n)
     return skel
 
 
-def _build_skeleton(net: Network, k: int, n: int, reduce: bool) -> _Skeleton:
+def _build_skeleton(net: Network, k: int, n: int) -> _Skeleton:
     # The one place the reduction is decided, in one pass over the out-edges in
     # topological order: each out-edge's coefficients side by side form one
     # n x cols block, pinned to eye(n, cols) when cols <= n and otherwise
@@ -562,7 +539,7 @@ def _build_skeleton(net: Network, k: int, n: int, reduce: bool) -> _Skeleton:
     return _Skeleton(
         tuple(edges), tuple(keys), tuple(reads), frozenset(alpha), frozenset(pinned), frozenset(const), units,
         deps, tuple(plans),
-        _plan_buckets(terminals, dict(zip(terminals, deps)), [u for u, _ in units], relaxed=True, reduce=reduce),
+        _plan_buckets(terminals, dict(zip(terminals, deps)), [u for u, _ in units], relaxed=True),
     )
 
 
@@ -580,7 +557,7 @@ class _StagedProblem:
         self.field = fieldspec
         self.p = fieldspec.p
         self.k, self.n = k, n
-        self.skel = skel = _skeleton(net, k, n, opts.reduce)
+        self.skel = skel = _skeleton(net, k, n)
         self.gf = gf = packed_rows(self.p, len(net.messages()) * k)
         units = message_rows(net, gf, k)
         self.targets = target_rows(net, units, k)
@@ -692,8 +669,8 @@ def search_linear(
         raise ValueError("k and n must be positive")
     start = time.monotonic()
     prob = _StagedProblem(net, fieldspec, k, n, opts)
-    search = _BucketSearch(prob.skel.buckets, prob.candidates, prob.feasible, opts.budget)
-    return search.report(net, prob.witness, _mode(k, n), start)
+    walk = _walk(prob.skel.buckets, prob.candidates, prob.feasible)
+    return _report(walk, opts.budget, net, prob.witness, _mode(k, n), start)
 
 
 # -- raw reference search ------------------------------------------------------
@@ -760,8 +737,8 @@ def naive_search_linear(
         return True
 
     candidates = {u: partial(_all_matrices, rows, cols, p) for u, (rows, cols) in shape.items()}
-    search = _BucketSearch(_plan_buckets(net.terminal_nodes(), deps, candidates), candidates, check, budget)
-    return search.report(net, partial(_code_of, fieldspec, k, n), _mode(k, n), start)
+    walk = _walk(_plan_buckets(net.terminal_nodes(), deps, candidates), candidates, check)
+    return _report(walk, budget, net, partial(_code_of, fieldspec, k, n), _mode(k, n), start)
 
 
 # -- nonlinear search -----------------------------------------------------------
@@ -797,9 +774,9 @@ def search_nonlinear(net: Network, q: int, opts: Optional[SearchOptions] = None)
     def build(found: dict) -> NonlinearCode:
         return NonlinearCode(q, {u[1]: found[u][0] for u in tables}, {t: decoder(t, found) for t in cones})
 
-    search = _BucketSearch(_plan_buckets(net.terminal_nodes(), deps, tables), tables,
-                           lambda t, assign: decoder(t, assign) is not None, opts.budget)
-    return search.report(net, build, f"nonlinear(q={q})", start)
+    walk = _walk(_plan_buckets(net.terminal_nodes(), deps, tables), tables,
+                 lambda t, assign: decoder(t, assign) is not None)
+    return _report(walk, opts.budget, net, build, f"nonlinear(q={q})", start)
 
 
 def classify_characteristics(

@@ -23,7 +23,10 @@ made of ``first_pass_cal_s``, each run's first timed pass (``pass_cal_s[0]``
 of its info line): ``wall_cal_s`` is a median over passes, so a gain from
 state kept across passes, such as what a network keeps from its first search,
 shows there but not in the first pass.  Then come ``src_lines`` of both sides,
-and one line per run, each holding the distinct ``search_ticks`` of the run's
+as ``bench/run.py`` reports them, and ``code_lines``, the lines of
+``src/sumnet`` that hold code, with docstrings, comments and blank lines left
+out, so that a change to the docs is not read as one to the code; and one
+line per run, each holding the distinct ``search_ticks`` of the run's
 passes, its ``first_pass_cal_s`` and the result line of ``bench/run.py``.
 
 pytest does not collect this file.
@@ -32,6 +35,8 @@ pytest does not collect this file.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import platform
 import shutil
@@ -39,6 +44,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +65,25 @@ def _trees(tmp: Path, parent: str) -> dict[str, Path]:
     for part in CHANGE_PARTS:
         shutil.copytree(ROOT / part, trees["change"] / part, ignore=skip)
     return trees
+
+
+def _code_lines(package: Path) -> int:
+    """The lines of the Python files under ``package`` that hold a token of code, docstrings left out."""
+    total = 0
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text()
+        docs: set[int] = set()
+        for node in ast.walk(ast.parse(text)):
+            scope = isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            if scope and ast.get_docstring(node, clean=False) is not None:
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        code: set[int] = set()
+        skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in skip:
+                code.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(code - docs)
+    return total
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -140,6 +165,7 @@ def main(argv: list[str] | None = None) -> int:
                 if runs[-1]["search_ticks"] != runs[-2]["search_ticks"]:
                     raise SystemExit(f"{w} seed {seed}: search_ticks {runs[-2]['search_ticks']} "
                                      f"and {runs[-1]['search_ticks']} differ")
+        code_lines = {side: _code_lines(tree / "src" / "sumnet") for side, tree in trees.items()}
     head = {
         "command": f"python3 bench/run.py --workload <workload> --seed <seed> --seconds {seconds:g}",
         "tool": "python tests/bench_pairs.py " + " ".join(argv if argv is not None else sys.argv[1:]),
@@ -150,6 +176,7 @@ def main(argv: list[str] | None = None) -> int:
                  "both sides, and both report the same search_ticks. Each run line holds the run's search_ticks, "
                  "its first timed pass (first_pass_cal_s) and the result line of bench/run.py."),
         "src_lines": {"parent": src_lines.get("parent"), "change": src_lines.get("change")},
+        "code_lines": code_lines,
         "summary": _summary(runs, bench["end_to_end"]),
     }
     path = ROOT / f"BENCH_{args.pr}.json"

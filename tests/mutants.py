@@ -51,6 +51,7 @@ TRANSFER = "tests/test_codes.py::test_transfer_matches_path_enumeration"
 PLANS = "tests/test_solver.py::test_check_plans_match_the_whole_cone_check"
 BUDGET = "tests/test_solver.py::test_a_budget_of_the_tick_count_decides_and_one_less_does_not"
 SHARED = "tests/test_solver.py::test_a_network_shared_by_every_search_reports_as_fresh_copies_do"
+WALK = "tests/test_solver.py::test_the_walk_finds_the_first_assignment_of_the_filtered_product"
 # cli.main's error guard, after the statement it guards.
 GUARD = ("    except (NetworkError, CodeError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:\n"
          '        print(f"error: {exc}", file=sys.stderr)\n        return 1\n')
@@ -120,14 +121,22 @@ MUTANTS = [
            "row[o + 1:o + k + 1] = arow", ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus",)),
     Mutant("the oracle's product skips a relay's last input row", "solver.py", "for c, src in zip(crow, ins):",
            "for c, src in zip(crow[:-1], ins):", ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus",)),
-    # The skeleton each network keeps per (k, n, reduce).
-    Mutant("a skeleton key without n", "solver.py", "key = (k, n, reduce)", "key = (k, reduce)", (SHARED,)),
-    Mutant("a skeleton key without reduce", "solver.py", "key = (k, n, reduce)", "key = (k, n)", (SHARED,)),
-    # The bucket walk's ticks and budget.
+    # The skeleton each network keeps per (k, n).
+    Mutant("a skeleton key without n", "solver.py", "key = (k, n)", "key = (k,)", (SHARED,)),
+    # The bucket plan and walk.
+    Mutant("the lead with the most units left", "solver.py", "min(zip(left.values(), left))",
+           "max(zip(left.values(), left))",
+           ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus", WALK)),
+    Mutant("prefixes never offered", "solver.py", "keep if checks else None", "None",
+           ("tests/test_solver.py::test_determinism",
+            "tests/test_solver.py::test_prefix_pruning_decides_the_slow_s_m_star_cases")),
+    Mutant("an unobserved unit left unassigned", "solver.py",
+           "    for u in plan.unobserved:\n        assign[u] = next(candidates[u](None))\n", "",
+           ("tests/test_solver.py::test_staged_matches_naive_on_random_micro", WALK)),
     Mutant("a rejected prefix that yields nothing", "solver.py", "yield None  # the prefix is rejected",
            "pass  # the prefix is rejected", (BUDGET,)),
-    Mutant("the budget counted one tick late", "solver.py", "if count > self.budget:",
-           "if count > self.budget + 1:", (BUDGET,)),
+    Mutant("the budget counted one tick late", "solver.py", "if count > budget:", "if count > budget + 1:",
+           (BUDGET,)),
     Mutant("a shared bucket's later visit reads an empty list", "solver.py", "iter(memo[bi]) if bi in memo",
            "iter([]) if bi in memo", (BUDGET,)),
     Mutant("witness rows as lists", "solver.py", "MatrixGF._reduced(f, rows) for rows in set(values.values())",

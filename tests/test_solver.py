@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import time
+from functools import partial
 from itertools import product, zip_longest
 
 import pytest
@@ -26,7 +27,7 @@ from sumnet.families import FamilySpec, bottleneck_mun, component
 from sumnet.netmodel import Demand, Edge, Network, min_source_terminal_cut, reachable, recover, reverse_network
 from sumnet.gflin import MatrixGF, PackedRows
 from sumnet.solver import (
-    _all_matrices, _backward_cones, _BucketSearch, _growth_tables, _rref_matrices, _StagedProblem,
+    _all_matrices, _backward_cones, _growth_tables, _plan_buckets, _rref_matrices, _StagedProblem, _walk,
 )
 from sumnet.transforms import c1, c2, c3
 
@@ -462,10 +463,10 @@ def test_setup_pass_states_the_coefficient_table():
 
 
 def test_a_network_shared_by_every_search_reports_as_fresh_copies_do():
-    # A network keeps one skeleton per (k, n, reduce), shared by every field.
-    # Searched at every rate over GF(2) and GF(3), reducing and not, in a
-    # shuffled order, it must report exactly as a fresh equal copy per search
-    # does.  The reference and table searches build no skeleton.
+    # A network keeps one skeleton per (k, n), shared by every field and both
+    # reduce settings.  Searched at every rate over GF(2) and GF(3), reducing
+    # and not, in a shuffled order, it must report exactly as a fresh equal
+    # copy per search does.  The reference and table searches build no skeleton.
     rng = random.Random(30)
     budget = 300
     for net in differential_networks():
@@ -474,18 +475,19 @@ def test_a_network_shared_by_every_search_reports_as_fresh_copies_do():
         for f, k, n, reduce in runs:
             opts = SearchOptions(budget=budget, reduce=reduce)
             fresh = Network(net.name, net.nodes, net.edges, net.sources, net.terminals)
-            assert fresh == net and not fresh._skeletons
+            assert fresh == net and "_skeletons" not in vars(fresh)
             got, want = search_linear(net, f, k, n, opts).to_dict(), search_linear(fresh, f, k, n, opts).to_dict()
             assert {**got, "elapsed_s": 0} == {**want, "elapsed_s": 0}, (net.name, f.p, k, n, reduce)
-        assert len(net._skeletons) == 2 * len(RATES), net.name
+        assert len(net._skeletons) == len(RATES), net.name
         for k, n in RATES:
-            skel = _StagedProblem(net, F2, k, n, SearchOptions()).skel
-            assert _StagedProblem(net, F3, k, n, SearchOptions()).skel is skel is net._skeletons[k, n, True]
+            skels = [_StagedProblem(net, f, k, n, SearchOptions(reduce=reduce)).skel
+                     for f in (F2, F3) for reduce in (True, False)]
+            assert all(skel is net._skeletons[k, n] for skel in skels), (net.name, k, n)
     for net in (s_m(3), mun_path(), two_message_source()):
         fresh = Network(net.name, net.nodes, net.edges, net.sources, net.terminals)
         naive_search_linear(fresh, F2, 1, 1, budget=budget)
         search_nonlinear(fresh, 2, SearchOptions(budget=budget))
-        assert not fresh._skeletons, net.name
+        assert "_skeletons" not in vars(fresh), net.name
 
 
 def test_witness_matrices_are_read_only_residue_arrays():
@@ -582,17 +584,45 @@ def test_two_walks_stepped_alternately_match_each_walk_alone():
     # found assignment is the one the walk gives alone, and its ticks are the
     # search's count.  Two walks of one search are stepped together too.
     net = c2(bottleneck_mun(2))[0]
-    searches, counts = [], []
+    walks, counts = [], []
     for g, f, k, n in ((net, F2, 1, 2), (reverse_network(net), F2, 1, 2), (s_m(3), F2, 2, 2), (s_m(4), F2, 1, 1)):
         prob = _StagedProblem(g, f, k, n, SearchOptions())
-        searches.append(_BucketSearch(prob.skel.buckets, prob.candidates, prob.feasible, SearchOptions().budget))
+        walks.append(partial(_walk, prob.skel.buckets, prob.candidates, prob.feasible))
         counts.append(search_linear(g, f, k, n).enumerated)
-    alone = [list(s._walk()) for s in searches]
+    alone = [list(walk()) for walk in walks]
     assert [a.count(None) for a in alone] == counts
     assert [type(a[-1]) for a in alone] == [dict, dict, type(None), dict]
     end = object()
-    steps = zip_longest(*[s._walk() for s in searches + searches[:1]], fillvalue=end)
+    steps = zip_longest(*[walk() for walk in walks + walks[:1]], fillvalue=end)
     assert [[x for x in walk if x is not end] for walk in zip(*steps)] == alone + alone[:1]
+
+
+def test_the_walk_finds_the_first_assignment_of_the_filtered_product():
+    # Toy units, 1 x 1 over 0..2, and a toy check that answers True until a
+    # terminal's units are all assigned, then whether they sum to its wanted
+    # residue; a want of 3 is never met.  The plan has a shared bucket after
+    # bucket 0, with a cross check, a contextual bucket and an unobserved
+    # unit.  With relaxed checks or without, the walk must find the first
+    # assignment of the full product, in the plan's unit order, that every
+    # check passes, and none when there is none.
+    a, b, c, d, e, f = (("u", x) for x in "abcdef")
+    units = [f, e, d, c, b, a]  # the canonical order, which is not the plan's
+    deps = {"t1": (a, b), "t2": (b, c), "t3": (d, e), "t4": (c, d, e)}
+    candidates = {u: partial(_all_matrices, 1, 1, 3) for u in units}
+    for relaxed in (False, True):
+        plan = _plan_buckets(sorted(deps), deps, units, relaxed=relaxed)
+        assert [bk.contextual for bk in plan.buckets] == [False, True, False] and plan.unobserved == (f,)
+        assert [bk.cross_checks for bk in plan.buckets] == [(), (), ("t4",)]
+        order = [u for bk in plan.buckets for u in bk.units] + list(plan.unobserved)
+        for wants in product((0, 2, 3), repeat=len(deps)):
+            want = dict(zip(sorted(deps), wants))
+
+            def check(t, assign):
+                return any(u not in assign for u in deps[t]) or sum(assign[u][0][0] for u in deps[t]) % 3 == want[t]
+            full = (dict(zip(order, vals)) for vals in product(*[list(candidates[u]()) for u in order]))
+            first = next((x for x in full if all(check(t, x) for t in deps)), None)
+            found = [x for x in _walk(plan, candidates, check) if x is not None]
+            assert found == ([first] if first else []), (relaxed, wants)
 
 
 def test_the_bucket_walk_does_not_recurse_per_bucket():
