@@ -30,7 +30,6 @@ from .codes import (
 from .gflin import FieldSpec, MatrixGF
 from .netmodel import (
     Network,
-    NetworkError,
     connectivity,
     json_int,
     json_obj,
@@ -298,9 +297,9 @@ def _cmd_export_dot(args) -> str:
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one subcommand and write the text its handler returns to ``-o`` or standard output."""
     args = _build_parser().parse_args(argv)
-    try:
+    try:  # NetworkError, CodeError and json.JSONDecodeError are ValueErrors
         _write(getattr(args, "out", None), args.handler(args))
-    except (NetworkError, CodeError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

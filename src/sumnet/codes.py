@@ -313,9 +313,8 @@ def canonical_reverse_code(net: Network, code: LinearCode) -> LinearCode:
 class NonlinearCode:
     """Table-based code over the cyclic group Z_q (scalar symbols).
 
-    Edge tables are indexed by the tuple of parent symbols (messages declared
-    at the tail for a source edge, else the symbols on the tail's in-edges,
-    sorted by edge id), flattened in lexicographic input order.  Each terminal
+    An edge's table is indexed by its tail's inputs and a terminal's decode
+    table by the terminal's, by the one rule of ``table_index``.  Each terminal
     recovers a single symbol.
     """
 
@@ -351,11 +350,19 @@ def validate_nonlinear(net: Network, code: NonlinearCode) -> None:
             raise CodeError(f"{what} has out-of-range symbols")
 
 
-def table_index(inputs: Iterable[int], q: int) -> int:
-    """Position of an input tuple in a table flattened in lexicographic order."""
+def table_index(net: Network, v: str, sym: Mapping[str, int], x: Mapping[str, int], q: int) -> int:
+    """Position of node ``v``'s inputs in its tables, flattened in lexicographic input order.
+
+    A source reads its messages' symbols ``x`` in declaration order, any other
+    node its in-edges' symbols ``sym`` in id order.
+    """
     idx = 0
-    for v in inputs:
-        idx = idx * q + v
+    if v in net.sources:
+        for m in net.sources[v]:
+            idx = idx * q + x[m]
+    else:
+        for e in net.in_edges(v):
+            idx = idx * q + sym[e.id]
     return idx
 
 
@@ -369,15 +376,7 @@ def table_symbols(
     """
     sym: dict[str, int] = {}
     for eid in edges:
-        v = net.edge(eid).tail
-        idx = 0
-        if v in net.sources:
-            for m in net.sources[v]:
-                idx = idx * q + x[m]
-        else:
-            for ein in net.in_edges(v):
-                idx = idx * q + sym[ein.id]
-        sym[eid] = tables[eid][idx]
+        sym[eid] = tables[eid][table_index(net, net.edge(eid).tail, sym, x, q)]
     return sym
 
 
@@ -389,8 +388,7 @@ def demanded_symbol(demand: Demand, x: Mapping[str, int], q: int) -> int:
 def _decoded(net: Network, code: NonlinearCode, edges: list[str], x: Mapping[str, int]) -> dict[str, int]:
     """Each terminal's output under the residues ``x``; ``edges`` lists every edge in topological order."""
     sym = table_symbols(net, edges, code.edge_fn, x, code.q)
-    return {t: code.decode_fn[t][table_index((sym[e.id] for e in net.in_edges(t)), code.q)]
-            for t in net.terminal_nodes()}
+    return {t: code.decode_fn[t][table_index(net, t, sym, x, code.q)] for t in net.terminal_nodes()}
 
 
 def eval_nonlinear(net: Network, code: NonlinearCode, x: Mapping[str, int]) -> dict[str, int]:
@@ -451,41 +449,27 @@ _LINEAR_SECTIONS = {
 _TABLE_SECTIONS = {"edge_fn": ("edge",), "decode_fn": ("terminal",)}
 
 
-def _section_to_json(values: Mapping, parts: tuple[str, ...], value: str, convert: Callable) -> list[dict]:
-    """A section's entries, sorted by key, one dict each; a table code's keys are bare strings."""
-    names, bare = (*parts, value), len(parts) == 1
-    return [dict(zip(names, ((key,) if bare else key) + (convert(values[key]),))) for key in sorted(values)]
-
-
-class _Texts(dict):
-    """Each key's JSON text, encoded on its first lookup."""
-
-    def __missing__(self, x) -> str:
-        self[x] = text = json.dumps(x)
-        return text
-
-
 def _code_text(code, head: dict, sections: Mapping, value: str, text: Callable) -> str:
-    """``json_text`` of ``head`` and of each section's ``_section_to_json`` entries, without a dict per entry.
+    """A code file: ``head``, then each section's entries, sorted by key, one object per line.
 
-    An entry's line fills its section's template, fields in sorted order, with
-    its key's parts, each string encoded once per file, and ``text`` of its value.
-    Only strings share texts: 1 and True are one dict key, written 1 and true.
+    The layout is ``netmodel.json_text``'s, without a dict per entry.  An
+    entry's line fills its section's template, fields in sorted order, with its
+    key's parts, each string encoded once per file, and ``text`` of its value; a
+    table code's keys are bare strings.  Only strings share texts: keys equal
+    across types, such as 1 and True, are written differently.
     """
-    strs, fields = _Texts(), {name: json.dumps(x) for name, x in head.items()}
+    strs, fields = lru_cache(maxsize=None)(json.dumps), {name: json.dumps(x) for name, x in head.items()}
     for section, parts in sections.items():
         values, names, bare = getattr(code, section), (*parts, value), len(parts) == 1
         line = ("{{" + ", ".join(f"{json.dumps(x)}: {{{names.index(x)}}}" for x in sorted(names)) + "}}").format
-        fields[section] = [line(*[strs[x] if type(x) is str else repr(x) if type(x) is int else json.dumps(x)
+        fields[section] = [line(*[strs(x) if type(x) is str else repr(x) if type(x) is int else json.dumps(x)
                                   for x in ((key,) if bare else key)], text(values[key])) for key in sorted(values)]
     return json_layout(fields)
 
 
 def code_to_dict(code: LinearCode) -> dict:
-    d = {"field": code.field.p, "k": code.k, "n": code.n}
-    for section, parts in _LINEAR_SECTIONS.items():
-        d[section] = _section_to_json(getattr(code, section), parts, "mat", MatrixGF.tolists)
-    return d
+    """The parsed file of ``code_to_json``."""
+    return json.loads(code_to_json(code))
 
 
 def _section_from_json(entries: tuple, section: str, parts: tuple[str, ...], value: str) -> Iterator[tuple]:
@@ -557,10 +541,10 @@ def code_from_dict(d: dict) -> LinearCode:
 
 
 def code_to_json(code: LinearCode) -> str:
-    """``json_text(code_to_dict(code))``, with each distinct string and coefficient encoded once."""
-    mats = _Texts()  # a coefficient's entries are ints, so equal keys have one text
+    """The file of a linear code, each distinct string and coefficient encoded once."""
+    mats = lru_cache(maxsize=None)(json.dumps)  # a coefficient's entries are ints, so equal keys have one text
     head = {"field": code.field.p, "k": code.k, "n": code.n}
-    return _code_text(code, head, _LINEAR_SECTIONS, "mat", lambda m: mats[m.entries])
+    return _code_text(code, head, _LINEAR_SECTIONS, "mat", lambda m: mats(m.entries))
 
 
 def code_from_json(text: str) -> LinearCode:
@@ -568,10 +552,8 @@ def code_from_json(text: str) -> LinearCode:
 
 
 def nonlinear_to_dict(code: NonlinearCode) -> dict:
-    d = {"q": code.q}
-    for section, parts in _TABLE_SECTIONS.items():
-        d[section] = _section_to_json(getattr(code, section), parts, "table", list)
-    return d
+    """The parsed file of ``nonlinear_to_json``."""
+    return json.loads(nonlinear_to_json(code))
 
 
 def nonlinear_from_dict(d: dict) -> NonlinearCode:
@@ -585,7 +567,7 @@ def nonlinear_from_dict(d: dict) -> NonlinearCode:
 
 
 def nonlinear_to_json(code: NonlinearCode) -> str:
-    """``json_text(nonlinear_to_dict(code))``, with each distinct string encoded once."""
+    """The file of a table code, each distinct string encoded once."""
     return _code_text(code, {"q": code.q}, _TABLE_SECTIONS, "table", json.dumps)
 
 

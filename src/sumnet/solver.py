@@ -194,6 +194,9 @@ class SearchReport:
 
 
 def _mode(k: int, n: int) -> str:
+    """The report's name of the rate (k, n), each of which must be positive."""
+    if k < 1 or n < 1:
+        raise ValueError("k and n must be positive")
     if k == n == 1:
         return "scalar"
     if k == n:
@@ -664,13 +667,11 @@ def search_linear(
     opts: Optional[SearchOptions] = None,
 ) -> SearchReport:
     """Decide (k, n) fractional linear solvability over GF(p) by staged search."""
-    opts = opts or SearchOptions()
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be positive")
+    opts, mode = opts or SearchOptions(), _mode(k, n)
     start = time.monotonic()
     prob = _StagedProblem(net, fieldspec, k, n, opts)
     walk = _walk(prob.skel.buckets, prob.candidates, prob.feasible)
-    return _report(walk, opts.budget, net, prob.witness, _mode(k, n), start)
+    return _report(walk, opts.budget, net, prob.witness, mode, start)
 
 
 # -- raw reference search ------------------------------------------------------
@@ -683,13 +684,16 @@ def naive_search_linear(
 
     No gauge fixing, no relaxed checks, no stage-2 solving: terminals are
     checked by direct comparison of their transfer rows once all their
-    coefficients are assigned.  The check is plain list arithmetic, apart from
-    ``PackedRows``: a source coefficient writes its message's k columns of the
-    edge map, as each message appears once per source out-edge, and one list
-    product, ``times``, adds in each relay and decoder coefficient times the
-    rows it reads.  Exponentially slower than the staged search; exists so the
-    two can be cross-checked on micro networks.
+    coefficients are assigned.  The check is plain list arithmetic and uses no
+    ``PackedRows``; only the witness's re-verification by ``_report`` does.  A
+    source coefficient writes its message's k columns of the edge map, as each
+    message appears once per source out-edge, and one list product, ``times``,
+    adds in each relay and decoder coefficient times the rows it reads.
+    Exponentially slower than the staged search; exists so the two can be
+    cross-checked on micro networks.  The rate and the budget are checked as
+    ``search_linear`` and ``SearchOptions`` check them.
     """
+    mode, budget = _mode(k, n), SearchOptions(budget).budget
     start = time.monotonic()
     p = fieldspec.p
     msgs = net.messages()
@@ -738,7 +742,7 @@ def naive_search_linear(
 
     candidates = {u: partial(_all_matrices, rows, cols, p) for u, (rows, cols) in shape.items()}
     walk = _walk(_plan_buckets(net.terminal_nodes(), deps, candidates), candidates, check)
-    return _report(walk, budget, net, partial(_code_of, fieldspec, k, n), _mode(k, n), start)
+    return _report(walk, budget, net, partial(_code_of, fieldspec, k, n), mode, start)
 
 
 # -- nonlinear search -----------------------------------------------------------
@@ -767,7 +771,7 @@ def search_nonlinear(net: Network, q: int, opts: Optional[SearchOptions] = None)
         dec: dict[int, int] = {}
         for x, want in zip(inputs, wants[t]):
             sym = table_symbols(net, cones[t], tables, x, q)
-            if dec.setdefault(table_index((sym[e.id] for e in net.in_edges(t)), q), want) != want:
+            if dec.setdefault(table_index(net, t, sym, x, q), want) != want:
                 return None
         return tuple(dec.get(i, 0) for i in range(q ** arity[("dec", t)]))
 

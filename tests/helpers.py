@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 
-from sumnet import FieldSpec, LinearCode, MatrixGF
+from sumnet import FieldSpec, LinearCode, MatrixGF, NonlinearCode
 from sumnet.netmodel import Demand, Edge, Network, recover
 
 
@@ -258,7 +258,7 @@ def array(m: MatrixGF) -> np.ndarray:
 
 def reference_json_text(obj: dict) -> str:
     """The file layout of ``netmodel.json_text``, spelled the slow way: one C-encoder call per
-    value and per list item of ``obj`` (a ``code_to_dict``, ``nonlinear_to_dict`` or ``network_to_dict``)."""
+    value and per list item of ``obj`` (a ``reference_code_dict``, ``reference_table_dict`` or ``network_to_dict``)."""
     encode = json.JSONEncoder(sort_keys=True).encode
     lines = []
     for key in sorted(obj):
@@ -269,6 +269,32 @@ def reference_json_text(obj: dict) -> str:
         else:
             lines.append(f"  {encode(key)}: {encode(value)}")
     return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def _reference_entries(values: dict, names: tuple[str, ...], convert) -> list[dict]:
+    """A section's entries, sorted by key, one dict each: the key's parts, then ``convert`` of the value."""
+    return [dict(zip(names, (key if isinstance(key, tuple) else (key,)) + (convert(values[key]),)))
+            for key in sorted(values)]
+
+
+def reference_code_dict(code: LinearCode) -> dict:
+    """The dict a linear code's file holds, built entry by entry apart from the writer."""
+    tolists = MatrixGF.tolists
+    return {
+        "field": code.field.p, "k": code.k, "n": code.n,
+        "source_coeff": _reference_entries(code.source_coeff, ("msg", "edge", "mat"), tolists),
+        "local_coeff": _reference_entries(code.local_coeff, ("in", "out", "mat"), tolists),
+        "decode_coeff": _reference_entries(code.decode_coeff, ("terminal", "edge", "slot", "mat"), tolists),
+    }
+
+
+def reference_table_dict(code: NonlinearCode) -> dict:
+    """The dict a table code's file holds, built entry by entry apart from the writer."""
+    return {
+        "q": code.q,
+        "edge_fn": _reference_entries(code.edge_fn, ("edge", "table"), list),
+        "decode_fn": _reference_entries(code.decode_fn, ("terminal", "table"), list),
+    }
 
 
 def dumb_mat_mul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:

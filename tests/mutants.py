@@ -13,8 +13,8 @@ and only its tests run there, under the ``mutants`` hypothesis profile of
 ``tests/conftest.py``, which does not shrink a failing example.  A mutant is
 killed when one of them fails, or when they run past ``TIMEOUT_S``.  The
 script prints one line per mutant and exits 0 when every mutant is killed, 1
-otherwise: when a mutant survives, its edit no longer matches, or its tests do
-not pass unmutated.
+otherwise: when a mutant survives, its edit no longer matches, a test it names
+is not defined, or its tests do not pass unmutated.
 
 pytest does not collect this file.  A mutant that survives means a test lost
 its check: mend the test and keep the mutant.  A change that adds a check adds
@@ -23,6 +23,7 @@ its mutant here.
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -30,8 +31,9 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120
@@ -52,8 +54,9 @@ PLANS = "tests/test_solver.py::test_check_plans_match_the_whole_cone_check"
 BUDGET = "tests/test_solver.py::test_a_budget_of_the_tick_count_decides_and_one_less_does_not"
 SHARED = "tests/test_solver.py::test_a_network_shared_by_every_search_reports_as_fresh_copies_do"
 WALK = "tests/test_solver.py::test_the_walk_finds_the_first_assignment_of_the_filtered_product"
+RATES = "tests/test_solver.py::test_both_linear_searches_reject_a_bad_rate_and_the_naive_one_a_bad_budget"
 # cli.main's error guard, after the statement it guards.
-GUARD = ("    except (NetworkError, CodeError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:\n"
+GUARD = ("    except (ValueError, RuntimeError, OSError) as exc:\n"
          '        print(f"error: {exc}", file=sys.stderr)\n        return 1\n')
 
 MUTANTS = [
@@ -121,6 +124,13 @@ MUTANTS = [
            "row[o + 1:o + k + 1] = arow", ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus",)),
     Mutant("the oracle's product skips a relay's last input row", "solver.py", "for c, src in zip(crow, ins):",
            "for c, src in zip(crow[:-1], ins):", ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus",)),
+    # The reference search's input checks.
+    Mutant("the naive search without its rate check", "solver.py",
+           "mode, budget = _mode(k, n), SearchOptions(budget).budget",
+           'mode, budget = f"fractional({k},{n})", SearchOptions(budget).budget', (RATES,)),
+    Mutant("the naive search without its budget check", "solver.py",
+           "mode, budget = _mode(k, n), SearchOptions(budget).budget", "mode, budget = _mode(k, n), budget",
+           (RATES,)),
     # The skeleton each network keeps per (k, n).
     Mutant("a skeleton key without n", "solver.py", "key = (k, n)", "key = (k,)", (SHARED,)),
     # The bucket plan and walk.
@@ -147,6 +157,9 @@ MUTANTS = [
            ("tests/test_solver.py::test_nonlinear_pigeonhole_unsolvable",)),
     Mutant("unseen tuples decoded to 1", "solver.py", "dec.get(i, 0)", "dec.get(i, 1)",
            ("tests/test_solver.py::test_nonlinear_decoder_is_the_first_valid_table",)),
+    Mutant("a source's table reads its messages in reverse order", "codes.py", "for m in net.sources[v]:",
+           "for m in reversed(net.sources[v]):",
+           ("tests/test_codes.py::test_a_source_table_reads_its_messages_in_declaration_order",)),
     Mutant("table_arities without its multi-slot check", "codes.py",
            "if any(len(d.slots()) != 1 for d in net.terminals.values()):", "if False:",
            ("tests/test_codes.py::test_validate_nonlinear_rejects_each_bad_table",)),
@@ -198,6 +211,24 @@ MUTANTS = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _test_names(path: Path) -> frozenset[str]:
+    """The names of the functions defined at the top of the test file ``path``."""
+    return frozenset(x.name for x in ast.parse(path.read_text()).body if isinstance(x, ast.FunctionDef))
+
+
+def stale(m: Mutant, root: Path = ROOT) -> Optional[str]:
+    """Why ``m`` no longer fits the tree at ``root``: its old text does not occur exactly once, or a
+    test it names is not defined; None when it fits."""
+    if (count := (root / "src" / "sumnet" / m.file).read_text().count(m.old)) != 1:
+        return f"its old text occurs {count} times in {m.file}"
+    for test in m.tests:
+        path, name = test.split("::")
+        if name not in _test_names(root / path):
+            return f"{test} names no test"
+    return None
+
+
 def _copy(dest: Path) -> None:
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for part in ("src", "tests"):
@@ -211,11 +242,10 @@ def _pytest(tests, mutant: Mutant | None = None) -> str:
         tmp = Path(tmp)
         _copy(tmp)
         if mutant is not None:
+            if reason := stale(mutant, tmp):
+                return reason
             path = tmp / "src" / "sumnet" / mutant.file
-            text = path.read_text()
-            if text.count(mutant.old) != 1:
-                return f"its old text occurs {text.count(mutant.old)} times in {mutant.file}"
-            path.write_text(text.replace(mutant.old, mutant.new))
+            path.write_text(path.read_text().replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
         cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-profile=mutants",
                *tests]

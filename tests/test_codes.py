@@ -38,7 +38,9 @@ from helpers import (
     path_product,
     random_code,
     random_sum_network,
+    reference_code_dict,
     reference_json_text,
+    reference_table_dict,
     sum_bipartite22,
     transfer_by_path_enumeration,
 )
@@ -448,6 +450,19 @@ def test_validate_nonlinear_rejects_each_bad_table():
         validate_nonlinear(two_source_relay(Demand("recover", ("x", "y"))), good)
 
 
+def test_a_source_table_reads_its_messages_in_declaration_order():
+    # s declares a, then b, so over Z_q its edge's table i // q passes a on:
+    # the table is indexed by a * q + b, and t recovers a.
+    q = 3
+    net = Network("two_messages", ("s", "t"), (Edge("e", "s", "t"),), {"s": ("a", "b")},
+                  {"t": Demand("recover", ("a",))})
+    code = NonlinearCode(q, {"e": tuple(i // q for i in range(q * q))}, {"t": tuple(range(q))})
+    for a in range(q):
+        for b in range(q):
+            assert eval_nonlinear(net, code, {"a": a, "b": b}) == {"t": a}
+    assert verify_nonlinear(net, code)
+
+
 def test_multi_slot_recover_terminal():
     net = Network(
         "both",
@@ -504,20 +519,17 @@ def test_nonlinear_json_round_trip():
 
 
 def test_json_writers_keep_the_old_layout_readable():
-    from sumnet.codes import (
-        code_from_json, code_to_dict, code_to_json,
-        nonlinear_from_json, nonlinear_to_dict, nonlinear_to_json,
-    )
+    from sumnet.codes import code_from_json, code_to_json, nonlinear_from_json, nonlinear_to_json
     from sumnet.netmodel import network_from_json, network_to_dict, network_to_json
 
     # Files written by json.dumps(indent=2) before the one-line-per-item
-    # layout still load; the new text parses back to the same dict, and
-    # writing what was read gives the same bytes.
+    # layout still load; the new text parses back to the dict built entry by
+    # entry, and writing what was read gives the same bytes.
     net = s_m(4)
     cases = [
         (net, network_to_dict, network_to_json, network_from_json),
-        (random_code(random.Random(3), net, 5, 2, 2), code_to_dict, code_to_json, code_from_json),
-        (additive_code(net, 3), nonlinear_to_dict, nonlinear_to_json, nonlinear_from_json),
+        (random_code(random.Random(3), net, 5, 2, 2), reference_code_dict, code_to_json, code_from_json),
+        (additive_code(net, 3), reference_table_dict, nonlinear_to_json, nonlinear_from_json),
     ]
     for obj, to_dict, to_json, from_json in cases:
         assert from_json(json.dumps(to_dict(obj), indent=2, sort_keys=True) + "\n") == obj
@@ -554,12 +566,14 @@ def test_json_writers_match_one_encoder_call_per_item():
     codes = [LinearCode(F5, 2, 2, src, {}, dec), random_code(random.Random(5), s_m(4), 5, 2, 2)]
     for code in codes:
         blob = code_to_json(code)
-        assert blob == reference_json_text(code_to_dict(code))
+        assert blob == reference_json_text(reference_code_dict(code))
+        assert code_to_dict(code) == reference_code_dict(code)
         assert code_from_json(blob) == code
     tables = NonlinearCode(3, {e: (0, 1, 2) for e in odd}, {"t": (2, 1, 0), odd[0]: (1,)})
     for code in (tables, NonlinearCode(2, {}, {}), additive_code(s_m(4), 3)):
         blob = nonlinear_to_json(code)
-        assert blob == reference_json_text(nonlinear_to_dict(code))
+        assert blob == reference_json_text(reference_table_dict(code))
+        assert nonlinear_to_dict(code) == reference_table_dict(code)
         assert nonlinear_from_json(blob) == code
     net = Network(odd[0], (odd[1], odd[2]), (Edge(odd[3], odd[1], odd[2]),), {odd[1]: (odd[4],)},
                   {odd[2]: Demand("sum")})

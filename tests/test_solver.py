@@ -891,6 +891,17 @@ def test_budget_exceeded_is_a_verdict():
         SearchOptions(budget=0)
 
 
+def test_both_linear_searches_reject_a_bad_rate_and_the_naive_one_a_bad_budget():
+    for search in (search_linear, naive_search_linear):
+        for k, n in ((0, 1), (1, 0), (-1, 2)):
+            with pytest.raises(ValueError, match="k and n must be positive"):
+                search(s_m(3), F2, k, n)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            naive_search_linear(s_m(3), F2, 1, 1, budget=budget)
+    assert naive_search_linear(s_m(3), F2, 1, 1, budget=1).verdict == "budget_exceeded"
+
+
 def test_witnesses_respect_rate_bound():
     # rate of any solvable sum-network verdict stays under the bottleneck bound
     cases = [(s_m(4), F2, 1, 1), (s_m(5), F3, 1, 1), (s_m_star(4), F3, 1, 1)]
