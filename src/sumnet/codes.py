@@ -13,9 +13,12 @@ encodes each distinct coefficient once.
 The transfer matrix between the stacked source messages and the stacked
 terminal recoveries is computed by propagating symbolic edge maps in
 topological order, each row packed into one int by ``gflin.PackedRows``, the
-row kernel the search uses, and each block multiplied with ``PackedRows.times``;
-on small graphs the tests cross-check it against the path-gain-sum definition
-by explicit path enumeration.
+row kernel the search uses.  Each coefficient is checked at its key and adds
+only its nonzero entries' products, listed once per distinct coefficient, so
+the sparse codes with few distinct coefficients that the paper's
+constructions and the search's witnesses give are cheap to check.  On small
+graphs the tests cross-check it against the path-gain-sum definition by
+explicit path enumeration.
 """
 
 from __future__ import annotations
@@ -189,26 +192,33 @@ def target_rows(net: Network, units: Mapping[str, list[int]], k: int) -> dict[st
 def _recovered_rows(net: Network, code: LinearCode) -> tuple[PackedRows, dict, dict[str, list[int]]]:
     """The row kernel, each message's rows, and per terminal its recovered rows, k per slot.
 
-    One walk in topological order over the keys ``coefficient_table`` names;
-    each out-edge's or slot's coefficients, side by side, multiply their stacked
-    input rows in one ``PackedRows.times`` call.  Each node pops its in-edges'
-    maps, so only the maps of edges whose head is still ahead stay alive.
+    One walk in topological order over the keys ``coefficient_table`` names.
+    Each coefficient present is checked at its key, then adds c times input
+    row j into row i of its edge's or slot's rows for each of its nonzero
+    entries c at (i, j), through ``PackedRows.mul`` and ``add``.  Each distinct
+    coefficient's nonzero entries are listed once per walk, at the first key
+    that holds it, so zero entries cost nothing and a code of few distinct
+    coefficients lists few.  Each node pops its in-edges' maps, so only the
+    maps of edges whose head is still ahead stay alive.
     """
     gf = packed_rows(code.field.p, len(net.messages()) * code.k)
+    add, mul = gf.add, gf.mul
     units = message_rows(net, gf, code.k)
     maps: dict[str, list[int]] = {}
     out: dict[str, list[int]] = {}
+    terms: dict[tuple, list[tuple[int, int, int]]] = {}  # per distinct coefficient, by its entries
 
-    def combine(coeffs: Mapping, ins: list[tuple[tuple, list[int]]], rows: int) -> list[int]:
-        """The sum over the keys of ``ins`` of the coefficient there times the key's input rows."""
-        entries, stacked = [], []
-        for key, x in ins:
-            if (m := coeffs.get(key)) is not None:
-                if m.field.p != gf.p or len(m.entries) != rows or len(m.entries[0]) != len(x):
-                    raise CodeError(f"coefficient {key} must be {rows} x {len(x)} over GF({gf.p})")
-                entries.append(m.entries)
-                stacked += x
-        return gf.times(map(chain.from_iterable, zip(*entries)) if entries else [()] * rows, stacked)
+    def combine(acc: list[int], m: MatrixGF, key: tuple, x: list[int]) -> None:
+        """Add ``m``, the coefficient at ``key``, times the input rows ``x`` into ``acc``."""
+        if m.field.p != gf.p or len(m.entries) != len(acc) or len(m.entries[0]) != len(x):
+            raise CodeError(f"coefficient {key} must be {len(acc)} x {len(x)} over GF({gf.p})")
+        if (ts := terms.get(m.entries)) is None:
+            ts = terms[m.entries] = [(i, j, c) for i, r in enumerate(m.entries) for j, c in enumerate(r) if c]
+        for i, j, c in ts:
+            if y := x[j]:
+                if c != 1:
+                    y = mul(c, y)
+                acc[i] = add(acc[i], y) if acc[i] else y
 
     for v in net.topo_order():
         if v in net.sources:
@@ -216,10 +226,18 @@ def _recovered_rows(net: Network, code: LinearCode) -> tuple[PackedRows, dict, d
         else:
             coeffs, ins = code.local_coeff, [(e.id, maps.pop(e.id)) for e in net.in_edges(v)]
         for e in net.out_edges(v):
-            maps[e.id] = combine(coeffs, [((a, e.id), x) for a, x in ins], code.n)
+            maps[e.id] = acc = [0] * code.n
+            for a, x in ins:
+                if (m := coeffs.get(key := (a, e.id))) is not None:
+                    combine(acc, m, key, x)
         if v in net.terminals:
-            out[v] = [row for slot in range(len(net.terminals[v].slots()))
-                      for row in combine(code.decode_coeff, [((v, a, slot), x) for a, x in ins], code.k)]
+            out[v] = rows = []
+            for slot in range(len(net.terminals[v].slots())):
+                acc = [0] * code.k
+                for a, x in ins:
+                    if (m := code.decode_coeff.get(key := (v, a, slot))) is not None:
+                        combine(acc, m, key, x)
+                rows += acc
     return gf, units, out
 
 

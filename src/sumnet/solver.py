@@ -124,6 +124,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -270,8 +271,9 @@ def _growth_tables(length: int, q: int, prune=None) -> Iterator[tuple[tuple[int,
 
 
 @lru_cache(maxsize=None)
-def _eye(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(i == j) for j in range(cols)) for i in range(rows))
+def _eye_slices(n: int, w: int, count: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """eye(n, count * w) cut into its count n x w blocks, left to right: a pinned edge's coefficients."""
+    return tuple(tuple(tuple(int(r == i * w + j) for j in range(w)) for r in range(n)) for i in range(count))
 
 
 def _code_of(f: FieldSpec, k: int, n: int, values: dict) -> LinearCode:
@@ -326,7 +328,10 @@ def _plan_buckets(
     ``relaxed`` it is also checked before its bucket's first unit and after
     each earlier unit of ``deps[t]``.  Each bucket's lead is the terminal with
     the fewest units left, least id first; ``left`` holds only the terminals
-    with units left.
+    with units left.  ``heap`` holds (units left, t) for each count t has had:
+    counts only fall, so t's current entry comes out before its older ones,
+    and a lead is done with its bucket, so any entry of a t not in ``left``
+    is passed over.
     """
     pos = {u: i for i, u in enumerate(units)}
     left = {t: len(deps[t]) for t in terminals if deps[t]}
@@ -334,17 +339,22 @@ def _plan_buckets(
     for t in left:
         for u in deps[t]:
             readers.setdefault(u, []).append(t)
+    heap = [(c, t) for t, c in left.items()]
+    heapify(heap)
     placed: set = set()
     buckets = []
     while left:
-        lead = min(zip(left.values(), left))[1]
+        if (lead := heappop(heap)[1]) not in left:
+            continue
         fresh = sorted((u for u in deps[lead] if u not in placed), key=pos.__getitem__)
         fired = []
         for u in fresh:
             placed.add(u)
             for t in readers[u]:
                 left[t] -= 1
-                if not left[t]:
+                if left[t]:
+                    heappush(heap, (left[t], t))
+                else:
                     del left[t]
                     fired.append(t)
         local, cross = [], []
@@ -635,28 +645,35 @@ class _StagedProblem:
         """The code of a search result, every unit assigned.
 
         The constant maps and the map walk over every other edge give each
-        terminal's in-edge maps, on which its decoders are solved; each block
-        splits back into its keys.
+        terminal's in-edge maps, on which its decoders are solved.  Each block
+        splits back into its keys, a pinned one into ``_eye_slices``.  One pass
+        fills the code's three parts, with one ``MatrixGF`` per distinct value.
         """
-        k, n, gf, skel = self.k, self.n, self.gf, self.skel
+        k, n, f, gf, skel, net = self.k, self.n, self.field, self.gf, self.skel, self.net
         maps = dict(self.const_maps)
         self._fill_maps([e for e in skel.edges if e not in maps], assign, maps)
-        values: dict[tuple, tuple] = {}
+        mats: dict[tuple, MatrixGF] = {}  # one matrix per distinct value
+        source, local, decode = {}, {}, {}
         for eid, us in zip(skel.edges, skel.keys):
-            w = k if eid in skel.alpha else n
-            block = _eye(n, len(us) * w) if eid in skel.pinned else assign[("block", eid)]
-            for i, u in enumerate(us):
-                values[u] = tuple([row[i * w:(i + 1) * w] for row in block])
-        for t, keys in decoder_keys(self.net):
-            ins = self.net.in_edges(t)
+            part, w = (source, k) if eid in skel.alpha else (local, n)
+            if eid in skel.pinned:
+                values = _eye_slices(n, w, len(us))
+            else:
+                block = assign[("block", eid)]
+                values = [tuple([row[i * w:(i + 1) * w] for row in block]) for i in range(len(us))]
+            for u, rows in zip(us, values):
+                part[u[1:]] = mats.get(rows) or mats.setdefault(rows, MatrixGF._reduced(f, rows))
+        for t in net.terminal_nodes():
+            ins = net.in_edges(t)
             x = gf.solve([row for e in ins for row in maps[e.id]], self.targets[t])
             if x is None:
                 raise AssertionError("witness assembly hit an infeasible terminal")
-            at = {e.id: j * n for j, e in enumerate(ins)}
-            for u in keys:  # ("gamma", t, in-edge, slot)
-                j, s = at[u[2]], u[3] * k
-                values[u] = tuple([tuple(row[j:j + n]) for row in x[s:s + k]])
-        return _code_of(self.field, k, n, values)
+            for slot in range(len(net.terminals[t].slots())):
+                block = x[slot * k:(slot + 1) * k]
+                for j, e in enumerate(ins):
+                    rows = tuple([tuple(row[j * n:(j + 1) * n]) for row in block])
+                    decode[t, e.id, slot] = mats.get(rows) or mats.setdefault(rows, MatrixGF._reduced(f, rows))
+        return LinearCode(f, k, n, source, local, decode)
 
 
 def search_linear(

@@ -29,6 +29,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import textwrap
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
@@ -55,6 +56,13 @@ BUDGET = "tests/test_solver.py::test_a_budget_of_the_tick_count_decides_and_one_
 SHARED = "tests/test_solver.py::test_a_network_shared_by_every_search_reports_as_fresh_copies_do"
 WALK = "tests/test_solver.py::test_the_walk_finds_the_first_assignment_of_the_filtered_product"
 RATES = "tests/test_solver.py::test_both_linear_searches_reject_a_bad_rate_and_the_naive_one_a_bad_budget"
+LEADS = "tests/test_solver.py::test_each_bucket_holds_the_open_units_of_the_least_lead"
+SHARED_KEY = "tests/test_codes.py::test_a_shared_coefficient_is_checked_at_each_key"
+# The transfer walk's check of a coefficient at its key, and the line after it,
+# which lists the coefficient's nonzero entries on its first key.
+WALK_CHECK = ("        if m.field.p != gf.p or len(m.entries) != len(acc) or len(m.entries[0]) != len(x):\n"
+              '            raise CodeError(f"coefficient {key} must be {len(acc)} x {len(x)} over GF({gf.p})")\n')
+WALK_TERMS = "        if (ts := terms.get(m.entries)) is None:\n"
 # cli.main's error guard, after the statement it guards.
 GUARD = ("    except (ValueError, RuntimeError, OSError) as exc:\n"
          '        print(f"error: {exc}", file=sys.stderr)\n        return 1\n')
@@ -134,9 +142,10 @@ MUTANTS = [
     # The skeleton each network keeps per (k, n).
     Mutant("a skeleton key without n", "solver.py", "key = (k, n)", "key = (k,)", (SHARED,)),
     # The bucket plan and walk.
-    Mutant("the lead with the most units left", "solver.py", "min(zip(left.values(), left))",
-           "max(zip(left.values(), left))",
-           ("tests/test_solver.py::test_staged_matches_naive_on_micro_corpus", WALK)),
+    Mutant("the lead with the most units left", "solver.py", "heap = [(c, t) for t, c in left.items()]",
+           "heap = [(-c, t) for t, c in left.items()]",
+           (LEADS, "tests/test_solver.py::test_staged_matches_naive_on_micro_corpus", WALK)),
+    Mutant("a fallen count kept off the lead heap", "solver.py", "heappush(heap, (left[t], t))", "pass", (LEADS,)),
     Mutant("prefixes never offered", "solver.py", "keep if checks else None", "None",
            ("tests/test_solver.py::test_determinism",
             "tests/test_solver.py::test_prefix_pruning_decides_the_slow_s_m_star_cases")),
@@ -149,6 +158,9 @@ MUTANTS = [
            (BUDGET,)),
     Mutant("a shared bucket's later visit reads an empty list", "solver.py", "iter(memo[bi]) if bi in memo",
            "iter([]) if bi in memo", (BUDGET,)),
+    Mutant("a witness matrix per key, not per distinct value", "solver.py",
+           "part[u[1:]] = mats.get(rows) or mats.setdefault(rows, MatrixGF._reduced(f, rows))",
+           "part[u[1:]] = MatrixGF._reduced(f, rows)", ("tests/test_codes.py::test_equal_coefficients_share_one_matrix",)),
     Mutant("witness rows as lists", "solver.py", "MatrixGF._reduced(f, rows) for rows in set(values.values())",
            "MatrixGF._reduced(f, [list(r) for r in rows]) for rows in set(values.values())",
            ("tests/test_solver.py::test_witness_matrices_are_read_only_residue_arrays",)),
@@ -173,10 +185,14 @@ MUTANTS = [
     Mutant("validate_code without its field check", "codes.py", "if m.field != code.field:", "if False:",
            ("tests/test_codes.py::test_validate_code_rejects_bad_shapes",)),
     Mutant("the transfer walk without its shape check", "codes.py",
-           " or len(m.entries) != rows or len(m.entries[0]) != len(x):", ":",
+           " or len(m.entries) != len(acc) or len(m.entries[0]) != len(x):", ":",
            ("tests/test_codes.py::test_validate_code_rejects_each_bad_key",)),
     Mutant("the transfer walk without its field check", "codes.py", "if m.field.p != gf.p or ", "if ",
            ("tests/test_codes.py::test_validate_code_rejects_bad_shapes",)),
+    Mutant("the transfer walk checks each distinct coefficient once, not each key", "codes.py",
+           WALK_CHECK + WALK_TERMS, WALK_TERMS + textwrap.indent(WALK_CHECK, "    "), (SHARED_KEY,)),
+    Mutant("a coefficient entry above 1 read as 1", "codes.py", "[(i, j, c) for i, r in enumerate(m.entries)",
+           "[(i, j, min(c, 1)) for i, r in enumerate(m.entries)", (TRANSFER,)),
     Mutant("path_gain from the n x n identity", "codes.py", "code.n if msg is None else code.k", "code.n",
            ("tests/test_codes.py::test_path_gain_order_and_virtuals",)),
     # Code files.

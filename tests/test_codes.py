@@ -419,6 +419,30 @@ def test_validate_code_rejects_each_bad_key():
             validate_code(net, LinearCode(F2, k, n, {}, {}, {}))
 
 
+def test_a_shared_coefficient_is_checked_at_each_key():
+    # The transfer walk lists each distinct coefficient's nonzero entries once,
+    # but checks the coefficient at every key that holds it.  At (k, n) =
+    # (1, 2) one 2 x 2 object is a valid local coefficient at r, which the walk
+    # reads first, and a bad decoder at t, which must be 1 x 2.  A GF(5)
+    # matrix with the entries of a valid GF(2) one must fail at its own key.
+    net = two_source_relay()
+    square = MatrixGF(F2, [[1, 0], [0, 1]])
+    key = ("t", "r>t", 0)
+    code = LinearCode(F2, 1, 2, {}, {("a>r", "r>t"): square}, {key: square})
+    with pytest.raises(CodeError, match=re.escape(f"gamma coefficient {key} must be 1 x 2")):
+        validate_code(net, code)
+    for read in (transfer_entries, is_solution):
+        with pytest.raises(CodeError, match=re.escape(f"{key} must be 1 x 2")):
+            read(net, code)
+    one, foreign = MatrixGF(F2, [[1]]), MatrixGF(F5, [[1]])
+    good = identity_code(net, F2)
+    key = ("b>r", "r>t")
+    code = LinearCode(F2, 1, 1, good.source_coeff, {("a>r", "r>t"): one, key: foreign}, good.decode_coeff)
+    for read in (transfer_entries, is_solution):
+        with pytest.raises(CodeError, match=re.escape(f"{key} must be 1 x 1 over GF(2)")):
+            read(net, code)
+
+
 def test_validate_nonlinear_rejects_each_bad_table():
     # Relay r has two in-edges, so r>t's table has 4 entries, and t decodes
     # a>t and r>t.
@@ -716,6 +740,14 @@ def test_equal_coefficients_share_one_matrix():
         for c in (read, canonical_reverse_code(net, code), scaled, back):
             for part in (c.source_coeff, c.local_coeff, c.decode_coeff):
                 assert len(set(map(id, part.values()))) == len(set(part.values())), net.name
+    # The search's witnesses, scalar and at k = n = 2.
+    searches = [(s_m(4), F2, 1, 1), (s_m(10), F2, 1, 1), (c3(sum_bipartite22())[0], F3, 1, 1), (s_m(4), F2, 2, 2),
+                (s_m(5), F3, 2, 2)]
+    for net, f, k, n in searches:
+        r = search_linear(net, f, k, n)
+        assert r.verdict == "solvable", net.name
+        for part in (r.witness.source_coeff, r.witness.local_coeff, r.witness.decode_coeff):
+            assert len(set(map(id, part.values()))) == len(set(part.values())) < len(part), (net.name, k)
 
 
 # -- nonlinear -----------------------------------------------------------------

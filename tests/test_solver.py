@@ -625,6 +625,30 @@ def test_the_walk_finds_the_first_assignment_of_the_filtered_product():
             assert found == ([first] if first else []), (relaxed, wants)
 
 
+def test_each_bucket_holds_the_open_units_of_the_least_lead():
+    # A bucket's lead is the terminal with the fewest units left, least id
+    # first, however the planner keeps its counts: each bucket holds exactly
+    # the lead's units not yet placed, and every unit some terminal reads is
+    # placed.  Random deps give many ties and counts that fall unevenly.
+    def leads_hold(deps: dict, units: list) -> None:
+        placed: set = set()
+        for bk in _plan_buckets(sorted(deps), deps, units).buckets:
+            lead = min((len(set(us) - placed), t) for t, us in deps.items() if set(us) - placed)[1]
+            assert set(bk.units) == set(deps[lead]) - placed, (deps, lead)
+            placed |= set(bk.units)
+        assert placed == {u for us in deps.values() for u in us}
+
+    rng = random.Random(33)
+    for _ in range(300):
+        units = [("u", i) for i in range(rng.randint(1, 10))]
+        deps = {f"t{i}": tuple(u for u in units if rng.random() < 0.4) for i in range(rng.randint(1, 8))}
+        leads_hold(deps, units)
+    for net in differential_networks()[:40] + [parallel_pairs(50)]:
+        for k, n in RATES:
+            prob = _StagedProblem(net, F2, k, n, SearchOptions())
+            leads_hold(_deps(prob), [u for u, _ in prob.skel.units])
+
+
 def test_the_bucket_walk_does_not_recurse_per_bucket():
     # 300 pairs make 300 buckets; a walk that recursed once per bucket would
     # overflow a recursion limit of 200.
